@@ -53,6 +53,7 @@ from .hamiltonian import (
     relative_dimension,
     fundamental_solution,
     propagate_subspace,
+    propagate_subspaces,
     unstable_space,
     stable_space,
     kernel_crossings,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -34,7 +35,10 @@ EXIT_NUMERIC = 3
 
 KNOWN_REPORTS = ("theorem-a", "theorem-b", "corollary-a", "self-tests")
 
-_NUMERIC_KEYS = {"grid", "trunc", "mesh", "tol", "contour_samples", "doubling", "third_opinion"}
+_INT_KEYS = ("grid", "mesh", "contour_samples")
+_REAL_KEYS = ("trunc", "tol")
+_BOOL_KEYS = ("doubling", "third_opinion")
+_NUMERIC_KEYS = set(_INT_KEYS + _REAL_KEYS + _BOOL_KEYS)
 
 
 class ConfigError(ValueError):
@@ -99,6 +103,7 @@ def load_config(path: str) -> ScenarioConfig:
     bad = set(params) - allowed
     if bad:
         raise ConfigError(f"unknown parameters for family '{fid}': {sorted(bad)}")
+    _check_family_params(params)
 
     numeric = raw.get("numeric", {})
     if not isinstance(numeric, dict):
@@ -107,13 +112,18 @@ def load_config(path: str) -> ScenarioConfig:
     if bad:
         raise ConfigError(f"unknown numeric keys: {sorted(bad)}")
 
-    reports = tuple(raw.get("reports", ("theorem-a",)))
+    reports = raw.get("reports", ["theorem-a"])
+    if not (isinstance(reports, list) and reports and all(isinstance(r, str) for r in reports)):
+        raise ConfigError("'reports' must be a non-empty list of report names")
+    reports = tuple(reports)
     bad = set(reports) - set(KNOWN_REPORTS)
     if bad:
         raise ConfigError(f"unknown reports: {sorted(bad)}; known: {KNOWN_REPORTS}")
 
-    cfg = ScenarioConfig(family_id=fid, family_params=params, reports=reports,
-                         out=raw.get("out", "results"))
+    out = raw.get("out", "results")
+    if not isinstance(out, str):
+        raise ConfigError("'out' must be a path string")
+    cfg = ScenarioConfig(family_id=fid, family_params=params, reports=reports, out=out)
     for key in _NUMERIC_KEYS:
         if key in numeric:
             setattr(cfg, key, numeric[key])
@@ -121,7 +131,41 @@ def load_config(path: str) -> ScenarioConfig:
     return cfg
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _check_family_params(params: dict) -> None:
+    """Every family takes an integer n >= 1, an optional list of n real rates
+    and otherwise real numbers."""
+    for key, val in params.items():
+        if key == "n":
+            if not (_is_int(val) and val >= 1):
+                raise ConfigError("family parameter 'n' must be an integer >= 1")
+        elif key == "rates":
+            if val is not None and not (isinstance(val, list)
+                                        and len(val) == params.get("n", 1)
+                                        and all(_is_real(r) for r in val)):
+                raise ConfigError("family parameter 'rates' must be a list of n real numbers")
+        elif not _is_real(val):
+            raise ConfigError(f"family parameter '{key}' must be a real number")
+
+
 def _validate_ranges(cfg: ScenarioConfig) -> None:
+    for key in _INT_KEYS:
+        if not _is_int(getattr(cfg, key)):
+            raise ConfigError(f"{key} must be an integer")
+    for key in _REAL_KEYS:
+        val = getattr(cfg, key)
+        if not (_is_real(val) or (key == "trunc" and val is None)):
+            raise ConfigError(f"{key} must be a real number")
+    for key in _BOOL_KEYS:
+        if not isinstance(getattr(cfg, key), bool):
+            raise ConfigError(f"{key} must be true or false")
     if not (3 <= int(cfg.grid) <= 4097):
         raise ConfigError("grid must be between 3 and 4097")
     if not (4 <= int(cfg.mesh) <= 20000):
@@ -216,32 +260,37 @@ def _report_lines(cfg, T, results) -> list:
 
 
 def _tracks_rows(cfg, family, T, grid):
-    """Per-lambda diagnostics: pencil eigenvalues, Souriau phases, intersections."""
+    """Per-lambda diagnostics: pencil eigenvalues, Souriau phases, intersections.
+
+    E^u and E^s come from one batched pair path; the pencils, one per row,
+    are spread over the thread pool.
+    """
     n_eigs = 4
     w = ha.pencil_window(-T, T, asym_gap=ha._asymptotic_gap(family, (grid[0], grid[-1])))
     sp = family.space
 
-    def row(lam):
+    def pencil_eigs(lam):
         op = ha.assemble_A0_operator(family, lam, T, int(cfg.mesh))
         vals = np.sort(op.eigenvalues(window=3.0 * w))
         order = np.argsort(np.abs(vals))
         vals = vals[order[:n_eigs]]
-        eigs = list(vals) + [np.nan] * (n_eigs - len(vals))
-        eu = ha.unstable_space(family, lam, 0.0, T)
-        es = ha.stable_space(family, lam, 0.0, T)
-        psi = np.angle(-np.linalg.eigvals(souriau_map(eu, es, sp)))
-        psi = psi[np.argsort(np.abs(psi))][:2]
-        phases = list(psi) + [np.nan] * (2 - len(psi))
-        dim = intersection_dimension_rank(eu, es)
-        return [float(lam)] + [float(x) for x in eigs] + [float(p) for p in phases] + [dim]
+        return list(vals) + [np.nan] * (n_eigs - len(vals))
 
     workers = _thread_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, grid))
+            eig_rows = list(pool.map(pencil_eigs, grid))
     else:
-        rows = [row(lam) for lam in grid]
-    rows.sort(key=lambda r: r[0])
+        eig_rows = [pencil_eigs(lam) for lam in grid]
+
+    path_u, path_s = ha.stable_unstable_pair_path(family, grid, 0.0, T)
+    rows = []
+    for eigs, (lam, eu), (_, es) in zip(eig_rows, path_u.samples, path_s.samples):
+        psi = np.angle(-np.linalg.eigvals(souriau_map(eu, es, sp)))
+        psi = psi[np.argsort(np.abs(psi))][:2]
+        phases = list(psi) + [np.nan] * (2 - len(psi))
+        dim = intersection_dimension_rank(eu, es)
+        rows.append([float(lam)] + [float(x) for x in eigs] + [float(p) for p in phases] + [dim])
     header = (["lambda"] + [f"eig_{i + 1}" for i in range(n_eigs)]
               + ["phase_1", "phase_2", "intersection_dim"])
     return header, rows

@@ -25,10 +25,9 @@ def _hyperbolic_B(n, rates):
     return np.diag(np.concatenate([rates, -rates]))
 
 
-def _rotation(n, theta):
+def _rotation(J, theta):
     """Block rotation cos(theta) I + sin(theta) J; commutes with J."""
-    J = standard_space(n).J
-    return np.cos(theta) * np.eye(2 * n) + np.sin(theta) * J
+    return np.cos(theta) * np.eye(len(J)) + np.sin(theta) * J
 
 
 def autonomous_family(n: int = 1, rates=None) -> HamiltonianFamily:
@@ -85,9 +84,10 @@ def rotating_asymptotics_family(n: int = 1, turns: float = 1.0, ramp_scale: floa
     """
     rates = rates if rates is not None else 1.0 + np.arange(n)
     B = _hyperbolic_B(n, rates)
+    J = standard_space(n).J
 
     def B_plus(lam):
-        R = _rotation(n, np.pi * turns * lam)
+        R = _rotation(J, np.pi * turns * lam)
         return R.T @ B @ R
 
     def sigma(t):

@@ -262,32 +262,51 @@ def fundamental_solution(family: HamiltonianFamily, lam: float, t0: float,
     raise RuntimeError(f"symplectic residual {resid:.3e} persists after step halving")
 
 
-def propagate_subspace(frame, family: HamiltonianFamily, lam: float,
-                       t_from: float, t_to: float,
-                       steps_per_unit: int = STEPS_PER_UNIT) -> LagrangianFrame:
-    """Push a frame through the flow of Ju' + S u = 0 from t_from to t_to.
+def propagate_subspaces(frames, family: HamiltonianFamily, lams, t_from: float, t_to: float,
+                        steps_per_unit: int = STEPS_PER_UNIT) -> np.ndarray:
+    """Push stacked frames (L, d, k), one per lam, through Ju' + S_lam u = 0.
 
-    Columns are integrated with RK4 and re-orthonormalized by QR every step;
-    the subspace, not the individual solutions, is the invariant object.
+    All frames share the RK4 time points from t_from to t_to and are
+    re-orthonormalized by one batched QR every step; the subspace, not the
+    individual solutions, is the invariant object.  Per step only the stage
+    generators J S_lam(t) of that step are held, so memory is O(L d^2).
+    Returns the transported frames stacked as (L, d, k).
     """
-    F = frame.columns if isinstance(frame, LagrangianFrame) else np.asarray(frame, dtype=float)
-    J = family.space.J
-
-    def rhs(t, Y):
-        return J @ family.S(lam, t) @ Y
-
+    F = np.asarray(frames, dtype=float)
     span = abs(t_to - t_from)
     if span == 0.0:
-        return LagrangianFrame(np.linalg.qr(F)[0])
+        return np.linalg.qr(F)[0]
+    J = family.space.J
+    stages = {}
+
+    def rhs(t, Y):
+        # the step's stage times repeat (t + h/2 twice, and t + h is the next
+        # step's t), so each is tabulated once for all lam
+        if t not in stages:
+            if len(stages) == 3:
+                del stages[next(iter(stages))]
+            stages[t] = J @ np.stack([family.S(lam, t) for lam in lams])
+        return stages[t] @ Y
+
     nsteps = max(16, int(np.ceil(span * steps_per_unit)))
     h = (t_to - t_from) / nsteps
     t = t_from
     for _ in range(nsteps):
         F = _rk4_matrix(rhs, F, t, h)
         F, r = np.linalg.qr(F)
-        F = F * np.sign(np.sign(np.diag(r)) + 0.5)  # keep column orientation stable
+        # keep column orientation stable
+        F = F * np.sign(np.sign(np.diagonal(r, axis1=-2, axis2=-1)) + 0.5)[:, None, :]
         t += h
-    return LagrangianFrame(F)
+    return F
+
+
+def propagate_subspace(frame, family: HamiltonianFamily, lam: float,
+                       t_from: float, t_to: float,
+                       steps_per_unit: int = STEPS_PER_UNIT) -> LagrangianFrame:
+    """Push one frame through the flow of Ju' + S u = 0 from t_from to t_to."""
+    F = frame.columns if isinstance(frame, LagrangianFrame) else np.asarray(frame, dtype=float)
+    return LagrangianFrame(propagate_subspaces(F[None], family, [lam], t_from, t_to,
+                                               steps_per_unit)[0])
 
 
 def _asymptotic_unstable(family, lam):
@@ -341,12 +360,22 @@ def stable_space(family: HamiltonianFamily, lam: float, t0: float, T: float,
 
 def stable_unstable_pair_path(family: HamiltonianFamily, lam_grid, t0: float, T: float,
                               steps_per_unit: int = STEPS_PER_UNIT):
-    """Lagrangian paths lam -> E^u_lam(t0) and lam -> E^s_lam(t0)."""
-    eu = lambda lam: unstable_space(family, lam, t0, T, steps_per_unit)
-    es = lambda lam: stable_space(family, lam, t0, T, steps_per_unit)
-    path_u = LagrangianPath.from_callable(family.space, eu, grid=lam_grid)
-    path_s = LagrangianPath.from_callable(family.space, es, grid=lam_grid)
-    return path_u, path_s
+    """Lagrangian paths lam -> E^u_lam(t0) and lam -> E^s_lam(t0).
+
+    Every grid node is transported in one batch per path; the evaluators used
+    for refinement transport a single lam.
+    """
+    lams = [float(l) for l in (np.linspace(0.0, 1.0, lam_grid) if np.isscalar(lam_grid)
+                               else np.asarray(lam_grid, dtype=float))]
+    sides = ((_asymptotic_unstable, -T, lambda lam: unstable_space(family, lam, t0, T, steps_per_unit)),
+             (_asymptotic_stable, T, lambda lam: stable_space(family, lam, t0, T, steps_per_unit)))
+    paths = []
+    for start, t_from, evaluator in sides:
+        starts = np.stack([start(family, lam).columns for lam in lams])
+        frames = propagate_subspaces(starts, family, lams, t_from, t0, steps_per_unit)
+        samples = [(lam, LagrangianFrame(F)) for lam, F in zip(lams, frames)]
+        paths.append(LagrangianPath(family.space, samples, evaluator))
+    return tuple(paths)
 
 
 def kernel_crossings(family: HamiltonianFamily, lam_grid=None, t0: float = 0.0,
@@ -356,13 +385,17 @@ def kernel_crossings(family: HamiltonianFamily, lam_grid=None, t0: float = 0.0,
 
     The scan runs on the product path against the diagonal, so it is exactly
     the crossing set of the Maslov pipeline and serves as an independent
-    oracle for the spectral-flow side.
+    oracle for the spectral-flow side.  The scan nodes are transported in the
+    same batch as the grid, so only the refinement transports single lam.
     """
     T = T if T is not None else 10.0 * family.decay_scale
-    grid = lam_grid if lam_grid is not None else np.linspace(0.0, 1.0, coarse + 1)
-    path_u, path_s = stable_unstable_pair_path(family, grid, t0, T, steps_per_unit)
+    grid = np.asarray(lam_grid if lam_grid is not None else np.linspace(0.0, 1.0, coarse + 1),
+                      dtype=float)
+    coarse = max(coarse, len(grid) - 1)
+    nodes = np.union1d(grid, np.linspace(grid[0], grid[-1], coarse + 1))
+    path_u, path_s = stable_unstable_pair_path(family, nodes, t0, T, steps_per_unit)
     product, diag = pair_to_product_path(path_u, path_s)
-    return find_crossings(product, diag, coarse=max(coarse, len(grid) - 1), tol_lambda=tol_lambda)
+    return find_crossings(product, diag, coarse=coarse, tol_lambda=tol_lambda)
 
 
 # ---------------------------------------------------------------------------
@@ -443,13 +476,6 @@ class BoundaryValueOperator:
     def smallest_magnitude(self, window: Optional[float] = None) -> float:
         vals = self.eigenvalues(window=window)
         return float(np.min(np.abs(vals))) if vals.size else float(window)
-
-    def whitened_matrix(self) -> np.ndarray:
-        """Symmetric matrix L^-1 K L^-T (M = L L^T) with the pencil's eigenvalues."""
-        L = scipy.linalg.cholesky(self.mass, lower=True)
-        Y = scipy.linalg.solve_triangular(L, self.stiffness, lower=True)
-        A = scipy.linalg.solve_triangular(L, Y.T, lower=True).T
-        return 0.5 * (A + A.T)
 
 
 def _tridiagonal_blocks(d, N, diag_block, off_block):

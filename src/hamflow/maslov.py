@@ -372,12 +372,45 @@ def _nearest_phase(path: LagrangianPath, W: LagrangianFrame, lam: float) -> floa
     return float(psi[np.argmin(np.abs(psi))])
 
 
+def _shrink_bracket(f, a, b, fa, fb, tol):
+    """Midpoint of a bracket [a, b] of a sign change of f, shrunk below tol.
+
+    Regula falsi with the Illinois rule: an end kept twice in a row has its
+    secant weight halved, so both ends converge superlinearly.  A secant
+    point outside the open bracket is replaced by the midpoint, and one
+    closer than tol/2 to an end is moved to tol/2 from it, so that an end
+    converged to the noise floor does not stall the other.  The update of
+    the ends is that of bisection, so the bracket always holds the sign
+    change.
+    """
+    wa, wb = fa, fb
+    moved = 0  # -1 when a moved last, +1 when b moved last
+    while b - a > tol:
+        m = (a * wb - b * wa) / (wb - wa) if wb != wa else 0.5 * (a + b)
+        if not a < m < b:
+            m = 0.5 * (a + b)
+        m = min(max(m, a + 0.5 * tol), b - 0.5 * tol)
+        fm = f(m)
+        if abs(fm) <= 1e-15 or np.sign(fm) == np.sign(fa):
+            a, fa, wa = m, fm, fm
+            if moved < 0:
+                wb *= 0.5
+            moved = -1
+        else:
+            b, wb = m, fm
+            if moved > 0:
+                wa *= 0.5
+            moved = 1
+    return 0.5 * (a + b)
+
+
 def find_crossings(path: LagrangianPath, W: LagrangianFrame, coarse: int = 64,
                    tol_lambda: float = 1e-10, phase_tol: float = 1e-6) -> list:
     """Locate parameter values where the path intersects W.
 
-    Scans the Souriau eigenphase nearest -1 on a coarse grid and bisects its
-    sign changes; grid points already within ``phase_tol`` of a crossing are
+    Scans the Souriau eigenphase nearest -1 on a coarse grid and shrinks the
+    bracket of each sign change below ``tol_lambda`` by bracketed secant
+    steps; grid points already within ``phase_tol`` of a crossing are
     reported directly.  Crossings at the path endpoints are flagged.
     """
     lams = np.linspace(path.lo, path.hi, coarse + 1)
@@ -404,14 +437,8 @@ def find_crossings(path: LagrangianPath, W: LagrangianFrame, coarse: int = 64,
             continue
         if np.sign(fa) == np.sign(fb):
             continue
-        while b - a > tol_lambda:
-            m = 0.5 * (a + b)
-            fm = _nearest_phase(path, W, m)
-            if abs(fm) <= 1e-15 or np.sign(fm) == np.sign(fa):
-                a, fa = m, fm
-            else:
-                b, fb = m, fm
-        record_at(0.5 * (a + b))
+        record_at(_shrink_bracket(lambda lam: _nearest_phase(path, W, lam), a, b, fa, fb,
+                                  tol_lambda))
 
     records.sort(key=lambda r: r.lam)
     return records

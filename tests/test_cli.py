@@ -114,6 +114,18 @@ def test_schema_violations(tmp_path):
     assert cli.main(["run", str(tmp_path / "missing.json")]) == cli.EXIT_SCHEMA
 
 
+@pytest.mark.parametrize("overrides", [
+    {"numeric": {"grid": "abc"}},
+    {"family": {"id": "sech-perturbation", "n": "two"}},
+    {"numeric": {"grid": 5.7}},
+    {"reports": []},
+], ids=["grid-not-a-number", "n-not-a-number", "grid-not-an-integer", "no-reports"])
+def test_schema_type_violations(tmp_path, overrides):
+    cfgp = write_config(tmp_path, **overrides)
+    assert cli.main(["run", cfgp]) == cli.EXIT_SCHEMA
+    assert not (tmp_path / "results").exists()
+
+
 def test_numeric_failure_exit_code(tmp_path):
     cfgp = write_config(tmp_path, **{
         "family": {"id": "sech-perturbation", "amplitude": 2.0},

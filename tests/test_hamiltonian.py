@@ -22,6 +22,7 @@ from hamflow.hamiltonian import (
     kernel_crossings,
     pencil_window,
     propagate_subspace,
+    propagate_subspaces,
     relative_dimension,
     stable_space,
     stable_unstable_pair_path,
@@ -30,7 +31,8 @@ from hamflow.hamiltonian import (
     theorem_B_report,
     unstable_space,
 )
-from hamflow.maslov import LagrangianPath, maslov_index_pair
+from hamflow import maslov
+from hamflow.maslov import LagrangianPath, find_crossings, maslov_index_pair, pair_to_product_path
 from hamflow.symplectic import (
     LagrangianFrame,
     gap_distance,
@@ -190,6 +192,61 @@ class TestPropagation:
         assert gap_distance(a, b) <= 1e-6
 
 
+def _loop_transport(frame, family, lam, t_from, t_to, steps_per_unit=64):
+    """Reference: one lam, one RK4 step and one QR at a time."""
+    F = np.asarray(frame, dtype=float)
+    if t_to == t_from:
+        return np.linalg.qr(F)[0]
+    J = family.space.J
+    nsteps = max(16, int(np.ceil(abs(t_to - t_from) * steps_per_unit)))
+    h = (t_to - t_from) / nsteps
+    t = t_from
+    for _ in range(nsteps):
+        k1 = J @ family.S(lam, t) @ F
+        k2 = J @ family.S(lam, t + 0.5 * h) @ (F + 0.5 * h * k1)
+        k3 = J @ family.S(lam, t + 0.5 * h) @ (F + 0.5 * h * k2)
+        k4 = J @ family.S(lam, t + h) @ (F + h * k3)
+        F = F + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        F, r = np.linalg.qr(F)
+        F = F * np.sign(np.sign(np.diag(r)) + 0.5)
+        t += h
+    return F
+
+
+BATCH_FAMILIES = {
+    "sech": lambda: sech_family(1, amplitude=2.0),
+    "rotating": lambda: rotating_asymptotics_family(1),
+    "gamma-nor": lambda: gamma_nor_embedding_family(1),
+    "random-n2": lambda: random_family(np.random.default_rng(11), n=2, kind="tanh"),
+}
+
+
+class TestBatchedTransport:
+    @pytest.mark.parametrize("name", sorted(BATCH_FAMILIES))
+    @pytest.mark.parametrize("t_from,t_to", [(-2.0, 0.5), (2.0, 0.0), (0.3, 0.3)])
+    def test_matches_per_lambda_loop(self, name, t_from, t_to):
+        fam = BATCH_FAMILIES[name]()
+        lams = np.linspace(0.0, 1.0, 5)
+        starts = np.stack([stable_unstable_splitting(fam.space.J @ fam.S_limit(lam, -1))[1]
+                           for lam in lams])
+        batch = propagate_subspaces(starts, fam, lams, t_from, t_to)
+        assert batch.shape == starts.shape
+        for lam, F0, F in zip(lams, starts, batch):
+            ref = _loop_transport(F0, fam, lam, t_from, t_to)
+            single = propagate_subspace(LagrangianFrame(F0), fam, lam, t_from, t_to)
+            assert np.abs(F - ref).max() <= 1e-13
+            assert np.abs(single.columns - ref).max() <= 1e-13
+
+    @pytest.mark.parametrize("name", ["sech", "rotating"])
+    def test_pair_path_matches_single_spaces(self, name):
+        fam = BATCH_FAMILIES[name]()
+        path_u, path_s = stable_unstable_pair_path(fam, np.linspace(0.0, 1.0, 5), 0.0, 3.0)
+        for (lam, eu), (lam_s, es) in zip(path_u.samples, path_s.samples):
+            assert lam == lam_s
+            assert np.abs(eu.columns - unstable_space(fam, lam, 0.0, 3.0).columns).max() <= 1e-13
+            assert np.abs(es.columns - stable_space(fam, lam, 0.0, 3.0).columns).max() <= 1e-13
+
+
 class TestStableUnstableSpaces:
     def test_autonomous_equals_splitting(self):
         fam = autonomous_family(1)
@@ -248,6 +305,39 @@ class TestKernelCrossings:
         low = kernel_crossings(sech_family(1, amplitude=1.2), np.linspace(0, 1, 17), T=8.0)
         high = kernel_crossings(sech_family(1, amplitude=1.8), np.linspace(0, 1, 17), T=8.0)
         assert len(high) - len(low) == 1
+
+
+class TestCrossingRefinement:
+    @pytest.mark.parametrize("fam,T", [(sech_family(1, amplitude=2.0), 1.0),
+                                       (gamma_nor_embedding_family(1), 5.0)])
+    def test_secant_is_cheap_and_matches_bisection(self, fam, T, monkeypatch):
+        coarse, tol = 64, 1e-10
+        path_u, path_s = stable_unstable_pair_path(fam, np.linspace(0.0, 1.0, coarse + 1), 0.0, T)
+        product, diag = pair_to_product_path(path_u, path_s)
+        nearest = maslov._nearest_phase
+        phase = lambda lam: nearest(product, diag, lam)
+        calls = []
+
+        def counting(path, W, lam):
+            calls.append(lam)
+            return nearest(path, W, lam)
+
+        monkeypatch.setattr(maslov, "_nearest_phase", counting)
+        recs = find_crossings(product, diag, coarse=coarse, tol_lambda=tol)
+        monkeypatch.undo()
+        assert len(recs) == 1
+        assert 0 < len(calls) - (coarse + 1) <= 10
+        # the bisection this refinement replaced, on the same coarse cell
+        a = np.floor(recs[0].lam * coarse) / coarse
+        b, fa = a + 1.0 / coarse, phase(a)
+        while b - a > tol:
+            m = 0.5 * (a + b)
+            fm = phase(m)
+            if abs(fm) <= 1e-15 or np.sign(fm) == np.sign(fa):
+                a, fa = m, fm
+            else:
+                b = m
+        assert abs(recs[0].lam - 0.5 * (a + b)) <= tol
 
 
 class TestQOperator:
