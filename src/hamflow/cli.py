@@ -35,6 +35,10 @@ EXIT_NUMERIC = 3
 
 KNOWN_REPORTS = ("theorem-a", "theorem-b", "corollary-a", "self-tests")
 
+# Pencils are dense: one of order (mesh + 1) * 2n peaks near 8.5 dense
+# matrices, about 350 MB at order 2050.  4098 is mesh 2048 at n = 1.
+MAX_PENCIL_ORDER = 4098
+
 _INT_KEYS = ("grid", "mesh", "contour_samples")
 _REAL_KEYS = ("trunc", "tol")
 _BOOL_KEYS = ("doubling", "third_opinion")
@@ -168,8 +172,13 @@ def _validate_ranges(cfg: ScenarioConfig) -> None:
             raise ConfigError(f"{key} must be true or false")
     if not (3 <= int(cfg.grid) <= 4097):
         raise ConfigError("grid must be between 3 and 4097")
-    if not (4 <= int(cfg.mesh) <= 20000):
-        raise ConfigError("mesh must be between 4 and 20000")
+    if cfg.mesh < 4:
+        raise ConfigError("mesh must be at least 4")
+    largest_mesh = 2 * cfg.mesh if cfg.doubling else cfg.mesh
+    order = (largest_mesh + 1) * 2 * cfg.family_params.get("n", 1)
+    if order > MAX_PENCIL_ORDER:
+        raise ConfigError(f"mesh {largest_mesh} gives pencils of order {order} = (mesh + 1) * 2n, "
+                          f"above the dense limit {MAX_PENCIL_ORDER}")
     if cfg.trunc is not None and not (0.5 <= float(cfg.trunc) <= 200.0):
         raise ConfigError("trunc must be between 0.5 and 200")
     if not (0 < float(cfg.tol) <= 1e-2):

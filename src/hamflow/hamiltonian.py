@@ -309,14 +309,27 @@ def propagate_subspace(frame, family: HamiltonianFamily, lam: float,
                                                steps_per_unit)[0])
 
 
-def _asymptotic_unstable(family, lam):
-    _, Vp = stable_unstable_splitting(family.space.J @ family.S_limit(lam, -1))
-    return LagrangianFrame(Vp)
+def _asymptotic_frame(family, lam, sign):
+    """Boundary frame at the end t -> sign * inf: the unstable splitting of
+    J S_lam(-inf) for sign -1, the stable splitting of J S_lam(+inf) for +1."""
+    Vm, Vp = stable_unstable_splitting(family.space.J @ family.S_limit(lam, sign))
+    return LagrangianFrame(Vp if sign < 0 else Vm)
 
 
-def _asymptotic_stable(family, lam):
-    Vm, _ = stable_unstable_splitting(family.space.J @ family.S_limit(lam, +1))
-    return LagrangianFrame(Vm)
+def _decaying_space(family, lam, t0, T, sign, steps_per_unit, certify, cert_factor, cert_tol):
+    """Solutions decaying as t -> sign * inf, at t0: the asymptotic frame
+    transported from sign * T (and, to certify, from sign * cert_factor * T)."""
+    start = _asymptotic_frame(family, lam, sign)
+    F = propagate_subspace(start, family, lam, sign * T, t0, steps_per_unit)
+    if not certify:
+        return F
+    F2 = propagate_subspace(start, family, lam, sign * cert_factor * T, t0, steps_per_unit)
+    gap = gap_distance(F, F2)
+    if gap > cert_tol:
+        name = "unstable" if sign < 0 else "stable"
+        raise TruncationError(f"{name} space not converged: gap {gap:.3e} between "
+                              f"T={T} and T={cert_factor * T}")
+    return F, gap
 
 
 def unstable_space(family: HamiltonianFamily, lam: float, t0: float, T: float,
@@ -328,34 +341,14 @@ def unstable_space(family: HamiltonianFamily, lam: float, t0: float, T: float,
     to t0.  With ``certify=True`` the result is recomputed from -cert_factor*T
     and the pair (frame, gap) is returned; a gap above ``cert_tol`` raises.
     """
-    start = _asymptotic_unstable(family, lam)
-    F = propagate_subspace(start, family, lam, -T, t0, steps_per_unit)
-    if not certify:
-        return F
-    F2 = propagate_subspace(_asymptotic_unstable(family, lam), family, lam,
-                            -cert_factor * T, t0, steps_per_unit)
-    gap = gap_distance(F, F2)
-    if gap > cert_tol:
-        raise TruncationError(f"unstable space not converged: gap {gap:.3e} between "
-                              f"T={T} and T={cert_factor * T}")
-    return F, gap
+    return _decaying_space(family, lam, t0, T, -1, steps_per_unit, certify, cert_factor, cert_tol)
 
 
 def stable_space(family: HamiltonianFamily, lam: float, t0: float, T: float,
                  steps_per_unit: int = STEPS_PER_UNIT, certify: bool = False,
                  cert_factor: float = 1.5, cert_tol: float = 1e-6):
     """E^s_lam(t0): initial values at t0 of solutions decaying as t -> +inf."""
-    start = _asymptotic_stable(family, lam)
-    F = propagate_subspace(start, family, lam, T, t0, steps_per_unit)
-    if not certify:
-        return F
-    F2 = propagate_subspace(_asymptotic_stable(family, lam), family, lam,
-                            cert_factor * T, t0, steps_per_unit)
-    gap = gap_distance(F, F2)
-    if gap > cert_tol:
-        raise TruncationError(f"stable space not converged: gap {gap:.3e} between "
-                              f"T={T} and T={cert_factor * T}")
-    return F, gap
+    return _decaying_space(family, lam, t0, T, +1, steps_per_unit, certify, cert_factor, cert_tol)
 
 
 def stable_unstable_pair_path(family: HamiltonianFamily, lam_grid, t0: float, T: float,
@@ -367,13 +360,12 @@ def stable_unstable_pair_path(family: HamiltonianFamily, lam_grid, t0: float, T:
     """
     lams = [float(l) for l in (np.linspace(0.0, 1.0, lam_grid) if np.isscalar(lam_grid)
                                else np.asarray(lam_grid, dtype=float))]
-    sides = ((_asymptotic_unstable, -T, lambda lam: unstable_space(family, lam, t0, T, steps_per_unit)),
-             (_asymptotic_stable, T, lambda lam: stable_space(family, lam, t0, T, steps_per_unit)))
     paths = []
-    for start, t_from, evaluator in sides:
-        starts = np.stack([start(family, lam).columns for lam in lams])
-        frames = propagate_subspaces(starts, family, lams, t_from, t0, steps_per_unit)
+    for sign, space_at in ((-1, unstable_space), (+1, stable_space)):
+        starts = np.stack([_asymptotic_frame(family, lam, sign).columns for lam in lams])
+        frames = propagate_subspaces(starts, family, lams, sign * T, t0, steps_per_unit)
         samples = [(lam, LagrangianFrame(F)) for lam, F in zip(lams, frames)]
+        evaluator = lambda lam, space_at=space_at: space_at(family, lam, t0, T, steps_per_unit)
         paths.append(LagrangianPath(family.space, samples, evaluator))
     return tuple(paths)
 
@@ -606,8 +598,8 @@ def assemble_A0_operator(family: HamiltonianFamily, lam: float, T: float, N: int
     +T the stable splitting of J S_lam(+inf); by that time the perturbation has
     settled, so the pencil kernel matches intersections of E^u and E^s.
     """
-    L0 = _asymptotic_unstable(family, lam)
-    L1 = _asymptotic_stable(family, lam)
+    L0 = _asymptotic_frame(family, lam, -1)
+    L1 = _asymptotic_frame(family, lam, +1)
     return _assemble(family.space, L0, L1, -T, T, N, S_fn=lambda t: family.S(lam, t),
                      stabilization=stabilization, scheme=scheme)
 
@@ -717,6 +709,27 @@ def _asymptotic_gap(family, lam_grid):
                for lam in lam_grid)
 
 
+def _a0_flow_setup(family, grid, T, N):
+    """Node spectra of the A0 pencils and their certified flow over grid.
+
+    Returns (node_fn, report_band, flow): node_fn reports the windowed pencil
+    spectrum out to report_band, and flow(node_fn, **kwargs) counts such a
+    node function (this family's or a shifted one's) with the counting window
+    below the asymptotic gap and the family's lambda-Lipschitz drift bound.
+    """
+    gap_asym = _asymptotic_gap(family, (grid[0], grid[-1]))
+    w_report = pencil_window(-T, T, asym_gap=gap_asym)
+    report_band = max(1.5 * w_report, min(6.0 * w_report, 0.45 * gap_asym))
+    lam_lip = family.lambda_lipschitz(lam_samples=np.linspace(grid[0], grid[-1], 9),
+                                      t_samples=np.linspace(-T, T, 9))
+
+    def flow(node_fn, **kwargs):
+        return _pencil_flow(node_fn, float(grid[0]), float(grid[-1]), w_report, grid,
+                            value_lipschitz=lam_lip, report_window=report_band, **kwargs)
+
+    return _a0_node_fn(family, T, N, report_band), report_band, flow
+
+
 def theorem_A_report(family: HamiltonianFamily, lam_grid=None, T: Optional[float] = None,
                      N: int = 160, t0: float = 0.0, steps_per_unit: int = STEPS_PER_UNIT,
                      third_opinion: bool = False, locate_crossings: bool = True,
@@ -734,12 +747,7 @@ def theorem_A_report(family: HamiltonianFamily, lam_grid=None, T: Optional[float
     grid = np.asarray(lam_grid if lam_grid is not None else np.linspace(0.0, 1.0, 17), dtype=float)
     family.validate(lam_samples=(grid[0], grid[len(grid) // 2], grid[-1]))
 
-    gap_asym = _asymptotic_gap(family, (grid[0], grid[-1]))
-    w_report = pencil_window(-T, T, asym_gap=gap_asym)
-    report_band = max(1.5 * w_report, min(6.0 * w_report, 0.45 * gap_asym))
-    node_fn = _a0_node_fn(family, T, N, report_band)
-    lam_lip = family.lambda_lipschitz(lam_samples=np.linspace(grid[0], grid[-1], 9),
-                                      t_samples=np.linspace(-T, T, 9))
+    node_fn, report_band, pencil_flow = _a0_flow_setup(family, grid, T, N)
 
     end_gaps = []
     for lam in (grid[0], grid[-1]):
@@ -748,9 +756,7 @@ def theorem_A_report(family: HamiltonianFamily, lam_grid=None, T: Optional[float
     general_case = min(end_gaps) < endpoint_kernel_tol
 
     zero_snap = 1e-9 if not general_case else max(1e-9, 3.0 * min(end_gaps))
-    flow, cert = _pencil_flow(node_fn, float(grid[0]), float(grid[-1]), w_report, grid,
-                              check_endpoints=False, zero_snap=zero_snap,
-                              value_lipschitz=lam_lip, report_window=report_band)
+    flow, cert = pencil_flow(node_fn, check_endpoints=False, zero_snap=zero_snap)
 
     path_u, path_s = stable_unstable_pair_path(family, grid, t0, T, steps_per_unit)
     kernel_dims = None
@@ -782,8 +788,7 @@ def theorem_A_report(family: HamiltonianFamily, lam_grid=None, T: Optional[float
         d = delta if delta is not None else _auto_delta(node_fn, grid, endpoint_kernel_tol)
         shifted = family.shifted(d)
         s_node_fn = _a0_node_fn(shifted, T, N, report_band)
-        sf_shift, _ = _pencil_flow(s_node_fn, float(grid[0]), float(grid[-1]), w_report, grid,
-                                   value_lipschitz=lam_lip, report_window=report_band)
+        sf_shift, _ = pencil_flow(s_node_fn)
         report.extras["delta"] = d
         report.extras["sfl_shifted"] = sf_shift
         report.extras["shift_corrections"] = tuple(
@@ -879,20 +884,13 @@ def corollary_A_report(family: HamiltonianFamily, lam_grid=None, T: Optional[flo
     grid = np.asarray(lam_grid if lam_grid is not None else np.linspace(0.0, 1.0, 17), dtype=float)
     space = family.space
 
-    path_u = LagrangianPath.from_callable(space, lambda lam: _asymptotic_unstable(family, lam),
-                                          grid=grid)
-    path_s = LagrangianPath.from_callable(space, lambda lam: _asymptotic_stable(family, lam),
-                                          grid=grid)
+    path_u, path_s = (LagrangianPath.from_callable(
+        space, lambda lam, sign=sign: _asymptotic_frame(family, lam, sign), grid=grid)
+        for sign in (-1, +1))
     mas = maslov_index_pair(path_u, path_s)
 
-    gap_asym = _asymptotic_gap(family, (grid[0], grid[-1]))
-    w_report = pencil_window(-T, T, asym_gap=gap_asym)
-    report_band = max(1.5 * w_report, min(6.0 * w_report, 0.45 * gap_asym))
-    node_fn = _a0_node_fn(family, T, N, report_band)
-    lam_lip = family.lambda_lipschitz(lam_samples=np.linspace(grid[0], grid[-1], 9),
-                                      t_samples=np.linspace(-T, T, 9))
-    flow, cert = _pencil_flow(node_fn, float(grid[0]), float(grid[-1]), w_report, grid,
-                              value_lipschitz=lam_lip, report_window=report_band)
+    node_fn, _, pencil_flow = _a0_flow_setup(family, grid, T, N)
+    flow, cert = pencil_flow(node_fn)
 
     return IndexReport(sfl=flow, maslov=mas, sfl_certificate=cert, truncation=T,
                        grid_sizes={"mesh": N, "lambda_nodes": len(grid)})

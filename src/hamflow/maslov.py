@@ -3,9 +3,10 @@
 The Maslov index of a path of Lagrangian subspaces against a reference
 Lagrangian W is the winding number, through the eigenvalue -1, of the path
 of unitaries obtained from the Souriau map.  Counting is certified on an
-adaptive partition: on each subinterval an angular window around -1 is
-chosen whose boundary phases are provably avoided by the spectrum, and the
-index is the telescoping sum of window counts at the partition nodes.
+adaptive partition by the engine that also counts spectral flow
+(``spectral.certified_count``): on each subinterval an angular window around
+-1 is chosen whose boundary phases are provably avoided by the spectrum, and
+the index is the telescoping sum of window counts at the partition nodes.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .spectral import FlowRefinementError as RefinementError
+from .spectral import _choose_eps, certified_count
 from .symplectic import (
     LagrangianFrame,
     SymplecticSpace,
@@ -29,10 +32,6 @@ MAX_REFINE_DEPTH = 48
 SNAP_TOL = 1e-8  # node eigenphases this close to -1 count as crossings
 
 
-class RefinementError(RuntimeError):
-    """A continuity budget could not be met on some subinterval."""
-
-
 def _eigenphases(U):
     """Signed angular distance of each eigenvalue from -1, in (-pi, pi]."""
     return np.angle(-np.linalg.eigvals(U))
@@ -42,41 +41,6 @@ def _phase_margin(dU_norm):
     """Certified bound on eigenphase motion for a unitary step of given norm."""
     half = min(1.0, 0.5 * dU_norm)
     return 2.0 * np.arcsin(half) * 1.25 + 1e-7
-
-
-def _choose_eps(psi_pair, margin):
-    """Window half-width eps with exp(i(pi +- eps)) avoided by both spectra.
-
-    Forbidden zones are intervals of width 2*margin around |psi| (and around
-    2*pi - |psi| for wrap safety).  Returns the midpoint of the first free gap
-    in (0, pi), or None when the zones cover everything.
-    """
-    centers = np.abs(np.concatenate(psi_pair))
-    centers = np.concatenate([centers, 2.0 * np.pi - centers])
-    zones = sorted((c - margin, c + margin) for c in centers)
-    lo = 1e-9
-    for zlo, zhi in zones:
-        if zhi <= lo:
-            continue
-        if zlo > lo:
-            break
-        lo = zhi
-    if lo >= np.pi - 1e-9:
-        return None
-    hi = np.pi
-    for zlo, zhi in zones:
-        if zlo > lo:
-            hi = min(hi, zlo)
-            break
-    if hi - lo < 1e-7:
-        return None
-    return 0.5 * (lo + hi)
-
-
-def _count_window(psi, eps, snap_tol):
-    """Number of eigenphases in [0, eps], snapping near-zero phases to zero."""
-    snapped = np.where(np.abs(psi) <= snap_tol, 0.0, psi)
-    return int(np.count_nonzero((snapped >= 0.0) & (snapped <= eps)))
 
 
 @dataclass
@@ -128,17 +92,23 @@ def winding_number(d: UnitaryPath, budget: float = UNITARY_BUDGET,
     at the two path endpoints; their eigenphases are snapped with a looser
     tolerance so that restrictions cut exactly at a crossing count it.
     """
-    nodes = [(lam, np.asarray(U)) for lam, U in d.samples]
+    lams = [lam for lam, _ in d.samples]
+    unitaries = {lam: np.asarray(U) for lam, U in d.samples}
     phases = {}
 
-    def psi_at(lam, U):
+    def unitary(lam):
+        if lam not in unitaries:
+            unitaries[lam] = np.asarray(d.evaluate(lam))
+        return unitaries[lam]
+
+    def psi_at(lam):
         if lam not in phases:
-            phases[lam] = _eigenphases(U)
+            phases[lam] = _eigenphases(unitary(lam))
         return phases[lam]
 
     if endpoint_kernel_dims is not None:
-        for (lam, U), k in zip((nodes[0], nodes[-1]), endpoint_kernel_dims):
-            psi = psi_at(lam, U)
+        for lam, k in zip((lams[0], lams[-1]), endpoint_kernel_dims):
+            psi = psi_at(lam)
             order = np.argsort(np.abs(psi))
             loose = max(snap_tol, 1e-5)
             if k and np.abs(psi[order[: int(k)]]).max() > loose:
@@ -147,30 +117,17 @@ def winding_number(d: UnitaryPath, budget: float = UNITARY_BUDGET,
             psi[order[: int(k)]] = 0.0
             phases[lam] = psi
 
-    total = 0
+    def drift(a, b):
+        dU = float(np.linalg.norm(unitary(b) - unitary(a), 2))
+        return _phase_margin(dU) if dU <= budget else None
 
-    def accumulate(lamL, UL, lamR, UR, depth):
-        nonlocal total
-        dU = float(np.linalg.norm(UR - UL, 2))
-        eps = None
-        if dU <= budget:
-            margin = _phase_margin(dU)
-            eps = _choose_eps((psi_at(lamL, UL), psi_at(lamR, UR)), margin)
-        if eps is None:
-            if depth >= max_depth:
-                raise RefinementError(
-                    f"refinement exhausted on [{lamL:.6g}, {lamR:.6g}] (step norm {dU:.3g})")
-            mid = 0.5 * (lamL + lamR)
-            UM = d.evaluate(mid)
-            accumulate(lamL, UL, mid, UM, depth + 1)
-            accumulate(mid, UM, lamR, UR, depth + 1)
-            return
-        kL = _count_window(psi_at(lamL, UL), eps, snap_tol)
-        kR = _count_window(psi_at(lamR, UR), eps, snap_tol)
-        total += kR - kL
+    def eps_for(psi_a, psi_b, margin):
+        # exp(i(pi +- eps)) must avoid every eigenvalue, also across the wrap at pi
+        centers = np.abs(np.concatenate((psi_a, psi_b)))
+        return _choose_eps(np.concatenate([centers, 2.0 * np.pi - centers]), margin,
+                           np.pi, 1e-9, 1e-7)
 
-    for (lamL, UL), (lamR, UR) in zip(nodes, nodes[1:]):
-        accumulate(lamL, UL, lamR, UR, 0)
+    total, _ = certified_count(psi_at, drift, eps_for, lams, snap_tol, max_depth)
     return total
 
 
@@ -411,18 +368,22 @@ def find_crossings(path: LagrangianPath, W: LagrangianFrame, coarse: int = 64,
     Scans the Souriau eigenphase nearest -1 on a coarse grid and shrinks the
     bracket of each sign change below ``tol_lambda`` by bracketed secant
     steps; grid points already within ``phase_tol`` of a crossing are
-    reported directly.  Crossings at the path endpoints are flagged.
+    reported directly.  A shrunk bracket with no eigenphase within tolerance
+    of zero is a jump of the nearest phase between branches and is dropped.
+    Crossings at the path endpoints are flagged.
     """
     lams = np.linspace(path.lo, path.hi, coarse + 1)
     vals = np.array([_nearest_phase(path, W, lam) for lam in lams])
     records = []
 
     def record_at(lam):
+        # a sign change with no eigenphase near zero is the nearest phase
+        # jumping between branches near +-pi/2, not an intersection
         psi = _eigenphases(souriau_map(W, path.frame(lam), path.space))
         dim = int(np.count_nonzero(np.abs(psi) <= max(phase_tol, 1e3 * tol_lambda)))
-        dim = max(dim, 1)
-        records.append(CrossingRecord(lam=float(lam), intersection_dim=dim,
-                                      signature=None, regular=False))
+        if dim:
+            records.append(CrossingRecord(lam=float(lam), intersection_dim=dim,
+                                          signature=None, regular=False))
 
     for i, v in enumerate(vals):
         if abs(v) <= phase_tol:

@@ -3,11 +3,12 @@
 The spectral flow is computed from a certified adaptive partition of the
 parameter interval: on each subinterval a window boundary eps is chosen so
 that +-eps provably avoids the spectrum, and the flow is the telescoping sum
-of eigenvalue counts in [0, eps] at the partition nodes.  The same counting
-engine runs on precomputed node spectra, which is how discretized operator
-pencils are handled.  The Chern route computes the winding number of
-det(A(lam) + i s I) along a rectangle enclosing the singular set; both
-integers agree for admissible paths.
+of eigenvalue counts in [0, eps] at the partition nodes.  ``certified_count``
+is that engine; it runs on precomputed node spectra, which is how
+discretized operator pencils are handled, and on Souriau eigenphases, which
+is how the Maslov winding is counted.  The Chern route computes the winding
+number of det(A(lam) + i s I) along a rectangle enclosing the singular set;
+both integers agree for admissible paths.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ class EndpointKernelError(ValueError):
 
 
 class FlowRefinementError(RuntimeError):
-    """The certified partition could not be refined to admissibility."""
+    """A certified partition could not be refined to admissibility."""
 
 
 @dataclass
@@ -62,7 +63,7 @@ class SymmetricMatrixPath:
 
 @dataclass
 class FlowCertificate:
-    """Partition, window half-widths and node counts backing a flow value."""
+    """Partition, window half-widths and node counts backing a counted integer."""
 
     nodes: np.ndarray
     eps: np.ndarray          # per subinterval
@@ -77,11 +78,15 @@ class FlowCertificate:
         return "\n".join(lines)
 
 
-def _choose_eps_line(vals_pair, margin, cap):
-    """Window bound eps in (0, cap) with +-eps at distance > margin from all values."""
-    centers = np.abs(np.concatenate(vals_pair))
+def _choose_eps(centers, margin, cap, floor, min_gap):
+    """Window bound eps in (floor, cap) at distance > margin from every centre.
+
+    Each centre c excludes the zone (c - margin, c + margin).  Returns the
+    midpoint of the first free gap above ``floor`` when that gap lies below
+    ``cap`` and is wider than ``min_gap``, else None.
+    """
     zones = sorted((c - margin, c + margin) for c in centers)
-    lo = 0.0
+    lo = floor
     for zlo, zhi in zones:
         if zhi <= lo:
             continue
@@ -97,13 +102,59 @@ def _choose_eps_line(vals_pair, margin, cap):
             break
     if np.isinf(hi):
         return lo + 1.0
-    if hi - lo <= max(1e-14, 1e-9 * margin):
+    if hi - lo <= min_gap:
         return None
     return 0.5 * (lo + hi)
 
 
-def _count_upto(vals, eps, zero_snap):
-    return int(np.count_nonzero((vals >= -zero_snap) & (vals <= eps)))
+def _min_abs(vals):
+    return float(np.min(np.abs(vals))) if len(vals) else np.inf
+
+
+def certified_count(values, drift, window, nodes, zero_snap, max_depth):
+    """Telescoping window count on an adaptive partition (Phillips 1996).
+
+    ``values(lam)`` gives the signed spectrum at a node, measured from the
+    crossing point (eigenvalues from 0, Souriau eigenphases from -1).
+    ``drift(a, b)`` bounds how far any value moves over [a, b], or returns
+    None when [a, b] must be split.  ``window(va, vb, m)`` returns a bound eps
+    whose +-eps stays clear of both node spectra by more than the drift m,
+    or None.  Each subinterval is bisected until both succeed; the total is
+    the sum over subintervals of the right count minus the left count of
+    values in [-zero_snap, eps].  Returns (total, FlowCertificate).
+    """
+    intervals = []
+
+    def process(a, b, depth):
+        va, vb = values(a), values(b)
+        m = drift(a, b)
+        eps = None if m is None else window(va, vb, m)
+        if eps is None:
+            mid = 0.5 * (a + b)
+            if depth >= max_depth or mid <= a or mid >= b:
+                detail = "over budget" if m is None else f"{m:.3g}"
+                raise FlowRefinementError(
+                    f"refinement exhausted on [{a:.6g}, {b:.6g}] (drift {detail})")
+            process(a, mid, depth + 1)
+            process(mid, b, depth + 1)
+            return
+        kL = int(np.count_nonzero((va >= -zero_snap) & (va <= eps)))
+        kR = int(np.count_nonzero((vb >= -zero_snap) & (vb <= eps)))
+        intervals.append((a, b, eps, kL, kR, m))
+
+    for a, b in zip(nodes, nodes[1:]):
+        process(a, b, 0)
+
+    total = int(sum(kR - kL for (_, _, _, kL, kR, _) in intervals))
+    cert = FlowCertificate(
+        nodes=np.array([iv[0] for iv in intervals] + [intervals[-1][1]]),
+        eps=np.array([iv[2] for iv in intervals]),
+        counts=np.array([(iv[3], iv[4]) for iv in intervals]),
+        drifts=np.array([iv[5] for iv in intervals]),
+        endpoint_gaps=(_min_abs(values(nodes[0])), _min_abs(values(nodes[-1]))),
+        total=total,
+    )
+    return total, cert
 
 
 def _set_drift(sa, sb, interior_band=None):
@@ -129,7 +180,7 @@ def _set_drift(sa, sb, interior_band=None):
 def flow_from_spectra(node_fn, lo=0.0, hi=1.0, initial_nodes=17, window=None,
                       drift_fn=None, drift_budget=None, zero_snap=1e-9,
                       max_depth=MAX_FLOW_DEPTH, endpoint_gap_min=1e-8,
-                      check_endpoints=True, drift_band=None, report_window=None):
+                      check_endpoints=True, report_window=None):
     """Certified spectral flow from node eigenvalue data.
 
     ``node_fn(lam)`` returns the (real) eigenvalues relevant for counting.
@@ -140,7 +191,8 @@ def flow_from_spectra(node_fn, lo=0.0, hi=1.0, initial_nodes=17, window=None,
     the drift.  ``drift_fn(lamL, lamR)``, when provided, must return a
     certified bound on spectral motion over the subinterval (e.g. a Weyl or
     Lipschitz bound); otherwise the sampled set distance between node spectra
-    is used.
+    is used, ignoring values beyond 0.85 report_window, which may enter or
+    leave the reported set between nodes.
     """
     cache = {}
 
@@ -154,56 +206,23 @@ def flow_from_spectra(node_fn, lo=0.0, hi=1.0, initial_nodes=17, window=None,
     else:
         nodes = sorted(set(float(x) for x in initial_nodes) | {lo, hi})
 
-    gaps = []
-    for lam in (lo, hi):
-        s = spec(lam)
-        gaps.append(float(np.min(np.abs(s))) if len(s) else np.inf)
-    if check_endpoints and min(gaps) <= endpoint_gap_min:
+    gap = min(_min_abs(spec(lo)), _min_abs(spec(hi)))
+    if check_endpoints and gap <= endpoint_gap_min:
         raise EndpointKernelError(
-            f"endpoint kernel detected: smallest |eigenvalue| at the ends is {min(gaps):.3e}")
+            f"endpoint kernel detected: smallest |eigenvalue| at the ends is {gap:.3e}")
 
     rw = report_window if report_window is not None else window
-    band = drift_band if drift_band is not None else (0.85 * rw if rw else None)
-    intervals = []
+    band = 0.85 * rw if rw else None
 
-    def process(a, b, depth):
-        sa, sb = spec(a), spec(b)
-        m = drift_fn(a, b) if drift_fn is not None else _set_drift(sa, sb, band)
-        m = m * 1.0 + 1e-12
-        budget_ok = True
-        if drift_budget is not None and m > drift_budget:
-            budget_ok = False
-        eps = None
-        if budget_ok:
-            cap = min(window, rw - m) if window is not None else np.inf
-            if cap > 0:
-                eps = _choose_eps_line((sa, sb), m, cap)
-        if eps is None:
-            mid = 0.5 * (a + b)
-            if depth >= max_depth or mid <= a or mid >= b:
-                raise FlowRefinementError(
-                    f"flow refinement exhausted on [{a:.6g}, {b:.6g}] (drift {m:.3g})")
-            process(a, mid, depth + 1)
-            process(mid, b, depth + 1)
-            return
-        kL = _count_upto(sa, eps, zero_snap)
-        kR = _count_upto(sb, eps, zero_snap)
-        intervals.append((a, b, eps, kL, kR, m))
+    def drift(a, b):
+        m = (drift_fn(a, b) if drift_fn is not None else _set_drift(spec(a), spec(b), band)) + 1e-12
+        return None if drift_budget is not None and m > drift_budget else m
 
-    for a, b in zip(nodes, nodes[1:]):
-        process(a, b, 0)
+    def eps_for(sa, sb, m):
+        cap = min(window, rw - m) if window is not None else np.inf
+        return _choose_eps(np.abs(np.concatenate((sa, sb))), m, cap, 0.0, max(1e-14, 1e-9 * m))
 
-    intervals.sort(key=lambda item: item[0])
-    total = int(sum(kR - kL for (_, _, _, kL, kR, _) in intervals))
-    cert = FlowCertificate(
-        nodes=np.array([iv[0] for iv in intervals] + [intervals[-1][1]]),
-        eps=np.array([iv[2] for iv in intervals]),
-        counts=np.array([(iv[3], iv[4]) for iv in intervals]),
-        drifts=np.array([iv[5] for iv in intervals]),
-        endpoint_gaps=(gaps[0], gaps[1]),
-        total=total,
-    )
-    return total, cert
+    return certified_count(spec, drift, eps_for, nodes, zero_snap, max_depth)
 
 
 def spectral_flow(path: SymmetricMatrixPath, initial_nodes=17,

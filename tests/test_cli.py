@@ -1,3 +1,4 @@
+import glob
 import json
 import os
 
@@ -124,6 +125,44 @@ def test_schema_type_violations(tmp_path, overrides):
     cfgp = write_config(tmp_path, **overrides)
     assert cli.main(["run", cfgp]) == cli.EXIT_SCHEMA
     assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"numeric": {"mesh": 2049}},
+    {"numeric": {"mesh": 1025, "doubling": True}},
+    {"family": {"id": "autonomous", "n": 2}, "numeric": {"mesh": 1024}},
+    {"numeric": {"mesh": 20000}},
+], ids=["n1", "doubling", "n2", "old-limit"])
+def test_pencil_order_limit(tmp_path, overrides):
+    cfgp = write_config(tmp_path, **overrides)
+    with pytest.raises(cli.ConfigError, match="order"):
+        cli.load_config(cfgp)
+    assert cli.main(["run", cfgp]) == cli.EXIT_SCHEMA
+    assert not (tmp_path / "results").exists()
+
+
+def test_pencil_order_limit_on_flag(tmp_path):
+    cfgp = write_config(tmp_path)
+    assert cli.main(["run", cfgp, "--mesh", "5000"]) == cli.EXIT_SCHEMA
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"numeric": {"mesh": 2048}},
+    {"numeric": {"mesh": 1024, "doubling": True}},
+    {"family": {"id": "autonomous", "n": 2}, "numeric": {"mesh": 1023}},
+], ids=["n1", "doubling", "n2"])
+def test_pencil_order_limit_accepts_edge(tmp_path, overrides):
+    cli.load_config(write_config(tmp_path, **overrides))
+
+
+def test_shipped_scenarios_accepted():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    paths = glob.glob(os.path.join(root, "scenarios", "*.json"))
+    paths += glob.glob(os.path.join(root, "bench", "scenarios", "*.json"))
+    assert len(paths) >= 4
+    for path in paths:
+        cli.load_config(path)
 
 
 def test_numeric_failure_exit_code(tmp_path):

@@ -306,6 +306,13 @@ class TestKernelCrossings:
         high = kernel_crossings(sech_family(1, amplitude=1.8), np.linspace(0, 1, 17), T=8.0)
         assert len(high) - len(low) == 1
 
+    def test_branch_jumps_are_not_crossings(self):
+        # the nearest Souriau phase also changes sign where it jumps between
+        # two branches at |psi| = pi/2; only the four intersections count
+        recs = kernel_crossings(sech_family(1, amplitude=5.0), np.linspace(0, 1, 9), T=4.0)
+        assert [r.lam for r in recs] == pytest.approx([0.3, 0.5, 0.7, 0.9], abs=1e-3)
+        assert all(r.intersection_dim == 1 for r in recs)
+
 
 class TestCrossingRefinement:
     @pytest.mark.parametrize("fam,T", [(sech_family(1, amplitude=2.0), 1.0),

@@ -13,6 +13,7 @@ from hamflow.maslov import (
     partial_maslov_index,
     winding_number,
 )
+from hamflow.spectral import FlowRefinementError
 from hamflow.symplectic import (
     LagrangianFrame,
     intersection_dimension,
@@ -63,6 +64,8 @@ class TestWindingNumber:
         path = UnitaryPath([(0.0, U0), (1.0, U1)])
         with pytest.raises(RefinementError):
             winding_number(path)
+        # one refinement failure type for both counting routes
+        assert RefinementError is FlowRefinementError
 
     def test_validation(self):
         with pytest.raises(ValueError):

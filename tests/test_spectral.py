@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hamflow.maslov import UnitaryPath, winding_number
 from hamflow.spectral import (
     EndpointKernelError,
     FlowRefinementError,
@@ -89,6 +90,25 @@ class TestSpectralFlow:
             b, _ = spectral_flow(mid_shift, initial_nodes=17,
                                  check_endpoints=False)
             assert total == a + b
+
+    def test_matches_cayley_winding_random(self):
+        # A crosses 0 upward exactly when (A - i)(A + i)^-1 crosses -1
+        # counterclockwise, so the two counting routes must agree
+        rng = np.random.default_rng(11)
+        flows = set()
+        for _ in range(100):
+            path = random_piecewise_linear(rng, int(rng.integers(1, 5)))
+
+            def cayley(lam, path=path):
+                A = path(lam)
+                eye = np.eye(A.shape[0])
+                return np.linalg.solve(A + 1j * eye, A - 1j * eye)
+
+            flow, _ = spectral_flow(path)
+            lams = np.linspace(0.0, 1.0, 17)
+            assert winding_number(UnitaryPath([(l, cayley(l)) for l in lams], cayley)) == flow
+            flows.add(flow)
+        assert len(flows) >= 3
 
     def test_refinement_stability(self):
         rng = np.random.default_rng(2)
