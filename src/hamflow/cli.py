@@ -15,7 +15,9 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
+# Nothing here runs a pool; the benchmark tracer patches this name, so it stays
+# bound until the tracer drops that patch.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,8 +27,6 @@ from . import hamiltonian as ha
 from . import maslov as ma
 from . import spectral as sf
 from .symplectic import souriau_map, intersection_dimension_rank, standard_space, lagrangian_from_matrix
-
-THREADS_ENV = "HAMFLOW_THREADS"
 
 EXIT_OK = 0
 EXIT_DISAGREE = 1
@@ -72,16 +72,6 @@ class RunArtifacts:
     convergence_path: str | None
     integers: dict = field(default_factory=dict)
     all_agree: bool = True
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -212,10 +202,7 @@ def _trunc(cfg, family) -> float:
     return float(cfg.trunc) if cfg.trunc is not None else 10.0 * family.decay_scale
 
 
-def _run_reports(cfg: ScenarioConfig):
-    family = _family(cfg)
-    T = _trunc(cfg, family)
-    grid = np.linspace(0.0, 1.0, int(cfg.grid))
+def _run_reports(cfg: ScenarioConfig, family, T, grid):
     results = {}
     for name in cfg.reports:
         if name == "theorem-a":
@@ -230,7 +217,7 @@ def _run_reports(cfg: ScenarioConfig):
             results[name] = ha.corollary_A_report(family, lam_grid=grid, T=T, N=int(cfg.mesh))
         elif name == "self-tests":
             results[name] = _self_test_report()
-    return family, T, grid, results
+    return results
 
 
 def _self_test_report():
@@ -269,33 +256,21 @@ def _report_lines(cfg, T, results) -> list:
 
 
 def _tracks_rows(cfg, family, T, grid):
-    """Per-lambda diagnostics: pencil eigenvalues, Souriau phases, intersections.
+    """Per-lambda diagnostics: the pencil eigenvalues nearest zero in the band
+    the spectral flow is counted on, Souriau phases and intersections.
 
-    E^u and E^s come from one batched pair path; the pencils, one per row,
-    are spread over the thread pool.
+    The spectra and E^u/E^s are the family's memoized ones, which the reports
+    then reuse.
     """
     n_eigs = 4
-    w = ha.pencil_window(-T, T, asym_gap=ha._asymptotic_gap(family, (grid[0], grid[-1])))
-    sp = family.space
-
-    def pencil_eigs(lam):
-        op = ha.assemble_A0_operator(family, lam, T, int(cfg.mesh))
-        vals = np.sort(op.eigenvalues(window=3.0 * w))
-        order = np.argsort(np.abs(vals))
-        vals = vals[order[:n_eigs]]
-        return list(vals) + [np.nan] * (n_eigs - len(vals))
-
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            eig_rows = list(pool.map(pencil_eigs, grid))
-    else:
-        eig_rows = [pencil_eigs(lam) for lam in grid]
-
+    node_fn, _, _ = ha._a0_flow_setup(family, grid, T, int(cfg.mesh))
     path_u, path_s = ha.stable_unstable_pair_path(family, grid, 0.0, T)
     rows = []
-    for eigs, (lam, eu), (_, es) in zip(eig_rows, path_u.samples, path_s.samples):
-        psi = np.angle(-np.linalg.eigvals(souriau_map(eu, es, sp)))
+    for (lam, eu), (_, es) in zip(path_u.samples, path_s.samples):
+        vals = np.sort(node_fn(lam))
+        vals = vals[np.argsort(np.abs(vals))[:n_eigs]]
+        eigs = list(vals) + [np.nan] * (n_eigs - len(vals))
+        psi = np.angle(-np.linalg.eigvals(souriau_map(eu, es, family.space)))
         psi = psi[np.argsort(np.abs(psi))][:2]
         phases = list(psi) + [np.nan] * (2 - len(psi))
         dim = intersection_dimension_rank(eu, es)
@@ -337,7 +312,7 @@ def run_scenario(config_path: str, overrides: dict | None = None,
         return RunArtifacts(report_path="", tracks_path=tracks_path,
                             crossings_path=None, convergence_path=None)
 
-    family, T, grid, results = _run_reports(cfg)
+    results = _run_reports(cfg, family, T, grid)
 
     crossings_path = os.path.join(out, "crossings.csv")
     cross_rows = []

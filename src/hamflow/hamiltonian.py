@@ -62,7 +62,9 @@ class HamiltonianFamily:
     ``B`` maps lam to the constant symmetric part, ``K`` maps (lam, t) to the
     symmetric perturbation and ``K_limits`` maps lam to the pair of limits
     (K(lam, -inf), K(lam, +inf)).  ``decay_scale`` certifies the envelope
-    |K(lam, t) - K(lam, +-inf)| <= C exp(-|t| / decay_scale).
+    |K(lam, t) - K(lam, +-inf)| <= C exp(-|t| / decay_scale).  Per-lambda
+    results are memoized on the instance, so its fields must not change after
+    use; ``shifted`` returns a new family with an empty memo.
     """
 
     n: int
@@ -75,6 +77,12 @@ class HamiltonianFamily:
 
     def __post_init__(self):
         self._space = standard_space(self.n)
+        self._memo = {}  # per-lambda frames and spectra, shared by every report
+
+    def _cached(self, key, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     @property
     def dim(self) -> int:
@@ -312,18 +320,24 @@ def propagate_subspace(frame, family: HamiltonianFamily, lam: float,
 def _asymptotic_frame(family, lam, sign):
     """Boundary frame at the end t -> sign * inf: the unstable splitting of
     J S_lam(-inf) for sign -1, the stable splitting of J S_lam(+inf) for +1."""
-    Vm, Vp = stable_unstable_splitting(family.space.J @ family.S_limit(lam, sign))
-    return LagrangianFrame(Vp if sign < 0 else Vm)
+    def splitting():
+        Vm, Vp = stable_unstable_splitting(family.space.J @ family.S_limit(lam, sign))
+        return LagrangianFrame(Vp if sign < 0 else Vm)
+    return family._cached(("frame", lam, sign), splitting)
 
 
 def _decaying_space(family, lam, t0, T, sign, steps_per_unit, certify, cert_factor, cert_tol):
     """Solutions decaying as t -> sign * inf, at t0: the asymptotic frame
-    transported from sign * T (and, to certify, from sign * cert_factor * T)."""
-    start = _asymptotic_frame(family, lam, sign)
-    F = propagate_subspace(start, family, lam, sign * T, t0, steps_per_unit)
+    transported from sign * T (and, to certify, from sign * cert_factor * T).
+    Memoized on the family, as are the batches of the pair path."""
+    def transported(T):
+        key = ("decay", lam, sign, t0, T, steps_per_unit)
+        return family._cached(key, lambda: propagate_subspace(
+            _asymptotic_frame(family, lam, sign), family, lam, sign * T, t0, steps_per_unit))
+    F = transported(T)
     if not certify:
         return F
-    F2 = propagate_subspace(start, family, lam, sign * cert_factor * T, t0, steps_per_unit)
+    F2 = transported(cert_factor * T)
     gap = gap_distance(F, F2)
     if gap > cert_tol:
         name = "unstable" if sign < 0 else "stable"
@@ -355,16 +369,20 @@ def stable_unstable_pair_path(family: HamiltonianFamily, lam_grid, t0: float, T:
                               steps_per_unit: int = STEPS_PER_UNIT):
     """Lagrangian paths lam -> E^u_lam(t0) and lam -> E^s_lam(t0).
 
-    Every grid node is transported in one batch per path; the evaluators used
-    for refinement transport a single lam.
+    Nodes missing from the family's memo are transported in one batch per
+    path; the evaluators used for refinement transport a single lam.
     """
     lams = [float(l) for l in (np.linspace(0.0, 1.0, lam_grid) if np.isscalar(lam_grid)
                                else np.asarray(lam_grid, dtype=float))]
     paths = []
     for sign, space_at in ((-1, unstable_space), (+1, stable_space)):
-        starts = np.stack([_asymptotic_frame(family, lam, sign).columns for lam in lams])
-        frames = propagate_subspaces(starts, family, lams, sign * T, t0, steps_per_unit)
-        samples = [(lam, LagrangianFrame(F)) for lam, F in zip(lams, frames)]
+        key = lambda lam: ("decay", lam, sign, t0, T, steps_per_unit)  # as in _decaying_space
+        missing = [lam for lam in lams if key(lam) not in family._memo]
+        if missing:
+            starts = np.stack([_asymptotic_frame(family, lam, sign).columns for lam in missing])
+            frames = propagate_subspaces(starts, family, missing, sign * T, t0, steps_per_unit)
+            family._memo.update((key(lam), LagrangianFrame(F)) for lam, F in zip(missing, frames))
+        samples = [(lam, family._memo[key(lam)]) for lam in lams]
         evaluator = lambda lam, space_at=space_at: space_at(family, lam, t0, T, steps_per_unit)
         paths.append(LagrangianPath(family.space, samples, evaluator))
     return tuple(paths)
@@ -377,14 +395,14 @@ def kernel_crossings(family: HamiltonianFamily, lam_grid=None, t0: float = 0.0,
 
     The scan runs on the product path against the diagonal, so it is exactly
     the crossing set of the Maslov pipeline and serves as an independent
-    oracle for the spectral-flow side.  The scan nodes are transported in the
-    same batch as the grid, so only the refinement transports single lam.
+    oracle for the spectral-flow side.  The scan nodes are transported in one
+    batch, so only the refinement transports single lam.
     """
     T = T if T is not None else 10.0 * family.decay_scale
     grid = np.asarray(lam_grid if lam_grid is not None else np.linspace(0.0, 1.0, coarse + 1),
                       dtype=float)
     coarse = max(coarse, len(grid) - 1)
-    nodes = np.union1d(grid, np.linspace(grid[0], grid[-1], coarse + 1))
+    nodes = np.linspace(grid[0], grid[-1], coarse + 1)
     path_u, path_s = stable_unstable_pair_path(family, nodes, t0, T, steps_per_unit)
     product, diag = pair_to_product_path(path_u, path_s)
     return find_crossings(product, diag, coarse=coarse, tol_lambda=tol_lambda)
@@ -698,8 +716,8 @@ def theorem_B_report(path0: LagrangianPath, path1: LagrangianPath, a: float, b: 
 
 def _a0_node_fn(family, T, N, window_report):
     def node_fn(lam):
-        op = assemble_A0_operator(family, lam, T, N)
-        return op.eigenvalues(window=window_report)
+        return family._cached(("a0", lam, T, N, window_report), lambda: assemble_A0_operator(
+            family, lam, T, N).eigenvalues(window=window_report))
     return node_fn
 
 

@@ -368,8 +368,10 @@ def find_crossings(path: LagrangianPath, W: LagrangianFrame, coarse: int = 64,
     Scans the Souriau eigenphase nearest -1 on a coarse grid and shrinks the
     bracket of each sign change below ``tol_lambda`` by bracketed secant
     steps; grid points already within ``phase_tol`` of a crossing are
-    reported directly.  A shrunk bracket with no eigenphase within tolerance
-    of zero is a jump of the nearest phase between branches and is dropped.
+    reported directly.  A sign change where the nearest phase only jumps
+    between branches is skipped before refinement when the drift rule of
+    ``winding_number`` keeps every eigenphase off zero across its cell, and
+    dropped after it when no eigenphase lies within tolerance of zero.
     Crossings at the path endpoints are flagged.
     """
     lams = np.linspace(path.lo, path.hi, coarse + 1)
@@ -397,6 +399,11 @@ def find_crossings(path: LagrangianPath, W: LagrangianFrame, coarse: int = 64,
         if abs(fa) <= phase_tol or abs(fb) <= phase_tol:
             continue
         if np.sign(fa) == np.sign(fb):
+            continue
+        # |fa|, |fb| are the ends' smallest |eigenphase|: none reaches 0 inside
+        Ua, Ub = (souriau_map(W, path.frame(lam), path.space) for lam in (a, b))
+        dU = float(np.linalg.norm(Ub - Ua, 2))
+        if dU <= UNITARY_BUDGET and min(abs(fa), abs(fb)) > _phase_margin(dU):
             continue
         record_at(_shrink_bracket(lambda lam: _nearest_phase(path, W, lam), a, b, fa, fb,
                                   tol_lambda))

@@ -216,11 +216,39 @@ def test_no_stray_tmp_files(tmp_path):
     assert leftovers == []
 
 
-def test_thread_env_honored(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.THREADS_ENV, "1")
-    assert cli._thread_count() == 1
-    monkeypatch.setenv(cli.THREADS_ENV, "junk")
-    assert cli._thread_count() >= 1
-    cfgp = write_config(tmp_path)
-    monkeypatch.setenv(cli.THREADS_ENV, "2")
-    assert cli.main(["tracks", cfgp]) == cli.EXIT_OK
+@pytest.mark.parametrize("scenario", [
+    {"family": {"id": "sech-perturbation", "amplitude": 2.0},
+     "numeric": {"grid": 9, "mesh": 32, "trunc": 1.0, "third_opinion": True}},
+    {"family": {"id": "rotating-asymptotics", "n": 1},
+     "numeric": {"grid": 9, "mesh": 32, "trunc": 0.5},
+     "reports": ["theorem-a", "corollary-a"]},
+], ids=["sech", "rotating"])
+def test_run_computes_each_pencil_and_transport_once(tmp_path, monkeypatch, scenario):
+    pencils, frames = [], []
+    assemble, transport = ha.assemble_A0_operator, ha.propagate_subspaces
+
+    def counting_assemble(family, lam, T, N, **kwargs):
+        pencils.append((id(family), float(lam), T, N))
+        return assemble(family, lam, T, N, **kwargs)
+
+    def counting_transport(F, family, lams, t_from, t_to, *args):
+        frames.extend((id(family), float(lam), t_from, t_to) for lam in lams)
+        return transport(F, family, lams, t_from, t_to, *args)
+
+    monkeypatch.setattr(ha, "assemble_A0_operator", counting_assemble)
+    monkeypatch.setattr(ha, "propagate_subspaces", counting_transport)
+    assert cli.main(["run", write_config(tmp_path, **scenario)]) == cli.EXIT_OK
+    assert pencils and frames
+    assert len(set(pencils)) == len(pencils)
+    assert len(set(frames)) == len(frames)
+
+
+def test_tracks_command_matches_run(tmp_path):
+    cfgp = write_config(tmp_path, **{
+        "family": {"id": "sech-perturbation", "amplitude": 2.0},
+        "numeric": {"grid": 9, "mesh": 32, "trunc": 1.0},
+    })
+    assert cli.main(["tracks", cfgp, "--out", str(tmp_path / "t")]) == cli.EXIT_OK
+    assert cli.main(["run", cfgp, "--out", str(tmp_path / "r")]) == cli.EXIT_OK
+    tracks = [(tmp_path / d / "tracks.csv").read_bytes() for d in ("t", "r")]
+    assert tracks[0] == tracks[1]

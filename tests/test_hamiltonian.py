@@ -313,6 +313,21 @@ class TestKernelCrossings:
         assert [r.lam for r in recs] == pytest.approx([0.3, 0.5, 0.7, 0.9], abs=1e-3)
         assert all(r.intersection_dim == 1 for r in recs)
 
+    def test_branch_jump_cells_are_not_refined(self, monkeypatch):
+        # the four jump cells keep every eigenphase away from zero, so the
+        # drift rule rejects them before any refinement evaluation
+        nearest = maslov._nearest_phase
+        calls = []
+
+        def counting(path, W, lam):
+            calls.append(lam)
+            return nearest(path, W, lam)
+
+        monkeypatch.setattr(maslov, "_nearest_phase", counting)
+        recs = kernel_crossings(sech_family(1, amplitude=5.0), np.linspace(0, 1, 9), T=4.0)
+        assert [r.lam for r in recs] == pytest.approx([0.3, 0.5, 0.7, 0.9], abs=1e-3)
+        assert len(calls) - 65 <= 30  # beyond one call per coarse node
+
 
 class TestCrossingRefinement:
     @pytest.mark.parametrize("fam,T", [(sech_family(1, amplitude=2.0), 1.0),
@@ -557,6 +572,30 @@ class TestCorollaryA:
     def test_nonperiodic_rejected(self):
         with pytest.raises(AssumptionError):
             corollary_A_report(sech_family(1, amplitude=2.0), T=6.0, N=48)
+
+
+def _certificate_bytes(cert):
+    return [np.asarray(x, dtype=float).tobytes()
+            for x in (cert.nodes, cert.eps, cert.counts, cert.drifts, cert.endpoint_gaps)]
+
+
+class TestSharedMemo:
+    def test_reports_on_one_family_match_fresh_families(self):
+        kwargs = dict(lam_grid=np.linspace(0, 1, 9), T=0.5, N=32)
+        fam = rotating_asymptotics_family(1)
+        shared = [theorem_A_report(fam, **kwargs), corollary_A_report(fam, **kwargs)]
+        fresh = [theorem_A_report(rotating_asymptotics_family(1), **kwargs),
+                 corollary_A_report(rotating_asymptotics_family(1), **kwargs)]
+        for a, b in zip(shared, fresh):
+            assert (a.sfl, a.maslov) == (b.sfl, b.maslov)
+            assert _certificate_bytes(a.sfl_certificate) == _certificate_bytes(b.sfl_certificate)
+            assert [c.lam for c in a.crossings] == [c.lam for c in b.crossings]
+
+    def test_shifted_family_does_not_share(self):
+        fam = sech_family(1, amplitude=2.0)
+        eu = unstable_space(fam, 0.5, 0.0, 4.0)
+        assert unstable_space(fam, 0.5, 0.0, 4.0) is eu
+        assert gap_distance(unstable_space(fam.shifted(0.3), 0.5, 0.0, 4.0), eu) > 1e-3
 
 
 class TestFamilyValidation:
