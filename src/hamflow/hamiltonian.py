@@ -422,7 +422,7 @@ class BoundaryValueOperator:
     opposite flow.  Ghost and genuine modes are separated by the roughness
     quotient v^T L v / v^T M v (L the second-difference form): genuine
     eigenfunctions score O(1), ghosts score ~12/h^2.  Windowed spectra are
-    therefore filtered at 6/h^2 by default.
+    therefore filtered at 2/h^2 (``rough_cut``) by default.
     """
 
     stiffness: np.ndarray
@@ -434,12 +434,20 @@ class BoundaryValueOperator:
     roughness_form: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
-        K = self.stiffness
-        resid = np.linalg.norm(K - K.T, 2)
-        if resid > 1e-12 * max(1.0, np.linalg.norm(K, 2)):
+        # 1-norm bounds with no SVD: ||R||_2 <= ||R||_1 for antisymmetric R
+        # and ||K||_1 / sqrt(n) <= ||K||_2, so this rejects whatever the
+        # spectral-norm test would
+        K, M = self.stiffness, self.mass
+        resid = np.linalg.norm(K - K.T, 1)
+        if resid > 1e-12 * max(1.0, np.linalg.norm(K, 1) / np.sqrt(K.shape[0])):
             raise ValueError(f"stiffness symmetry residual {resid:.3e} too large")
+        # a band reaching back to every row's first nonzero holds every entry
+        # a dense lower Cholesky would read
+        width = int(np.max(np.arange(len(M)) - np.argmax(M != 0, axis=1)))
+        band = np.array([np.concatenate((np.diagonal(M, -k), np.zeros(k)))
+                         for k in range(width + 1)])
         try:
-            scipy.linalg.cholesky(self.mass, lower=True)
+            scipy.linalg.cholesky_banded(band, lower=True)
         except scipy.linalg.LinAlgError as exc:
             raise ValueError("mass matrix is not positive definite") from exc
 
@@ -518,26 +526,34 @@ def _second_difference_stiffness(d, a, b, N):
 
 
 def _potential_matrix(space, a, b, N, S_fn):
-    """Assemble int <S(t) u, v> with two-point Gauss quadrature per element."""
+    """Assemble int <S(t) u, v> with two-point Gauss quadrature per element.
+
+    S is evaluated at all 2N Gauss points into one (N, 2, d, d) stack and the
+    weighted stacks are scattered by block indexing, in the order an element
+    loop adds them: element e-1's right-end terms reach block (e, e) before
+    element e's left-end terms, so the sums round as the loop's do.
+    """
     d = space.dim
     h = (b - a) / N
-    size = (N + 1) * d
-    V = np.zeros((size, size))
+    V = np.zeros(((N + 1) * d, (N + 1) * d))
     Vb = V.reshape(N + 1, d, N + 1, d)
+    tl = a + np.arange(N) * h
     offs = 0.5 * h / np.sqrt(3.0)
     w = 0.5 * h
-    for e in range(N):
-        tl = a + e * h
-        mid = tl + 0.5 * h
-        for tg in (mid - offs, mid + offs):
-            phi1 = (tg - tl) / h
-            phi0 = 1.0 - phi1
-            S = np.asarray(S_fn(tg))
-            S = 0.5 * (S + S.T)
-            Vb[e, :, e, :] += w * phi0 * phi0 * S
-            Vb[e, :, e + 1, :] += w * phi0 * phi1 * S
-            Vb[e + 1, :, e, :] += w * phi1 * phi0 * S
-            Vb[e + 1, :, e + 1, :] += w * phi1 * phi1 * S
+    tg = (tl + 0.5 * h)[:, None] + np.array([-offs, offs])
+    phi1 = ((tg - tl[:, None]) / h)[..., None, None]
+    phi0 = 1.0 - phi1
+    S = np.array([[S_fn(float(t)) for t in pair] for pair in tg])
+    S = 0.5 * (S + S.swapaxes(-1, -2))
+    P00, P01, P10, P11 = (w * p * q * S for p, q in
+                          ((phi0, phi0), (phi0, phi1), (phi1, phi0), (phi1, phi1)))
+    idx = np.arange(N)
+    for g in (0, 1):
+        Vb[idx + 1, :, idx + 1, :] += P11[:, g]
+    for g in (0, 1):
+        Vb[idx, :, idx, :] += P00[:, g]
+        Vb[idx, :, idx + 1, :] += P01[:, g]
+        Vb[idx + 1, :, idx, :] += P10[:, g]
     return V
 
 
@@ -734,12 +750,14 @@ def _a0_flow_setup(family, grid, T, N):
     spectrum out to report_band, and flow(node_fn, **kwargs) counts such a
     node function (this family's or a shifted one's) with the counting window
     below the asymptotic gap and the family's lambda-Lipschitz drift bound.
+    Both bounds are memoized on the family by (grid ends, T).
     """
-    gap_asym = _asymptotic_gap(family, (grid[0], grid[-1]))
+    gap_asym, lam_lip = family._cached(("a0-bounds", grid[0], grid[-1], T), lambda: (
+        _asymptotic_gap(family, (grid[0], grid[-1])),
+        family.lambda_lipschitz(lam_samples=np.linspace(grid[0], grid[-1], 9),
+                                t_samples=np.linspace(-T, T, 9))))
     w_report = pencil_window(-T, T, asym_gap=gap_asym)
     report_band = max(1.5 * w_report, min(6.0 * w_report, 0.45 * gap_asym))
-    lam_lip = family.lambda_lipschitz(lam_samples=np.linspace(grid[0], grid[-1], 9),
-                                      t_samples=np.linspace(-T, T, 9))
 
     def flow(node_fn, **kwargs):
         return _pencil_flow(node_fn, float(grid[0]), float(grid[-1]), w_report, grid,

@@ -216,12 +216,15 @@ def test_no_stray_tmp_files(tmp_path):
     assert leftovers == []
 
 
+ROTATING_SCENARIO = {"family": {"id": "rotating-asymptotics", "n": 1},
+                     "numeric": {"grid": 9, "mesh": 32, "trunc": 0.5},
+                     "reports": ["theorem-a", "corollary-a"]}
+
+
 @pytest.mark.parametrize("scenario", [
     {"family": {"id": "sech-perturbation", "amplitude": 2.0},
      "numeric": {"grid": 9, "mesh": 32, "trunc": 1.0, "third_opinion": True}},
-    {"family": {"id": "rotating-asymptotics", "n": 1},
-     "numeric": {"grid": 9, "mesh": 32, "trunc": 0.5},
-     "reports": ["theorem-a", "corollary-a"]},
+    ROTATING_SCENARIO,
 ], ids=["sech", "rotating"])
 def test_run_computes_each_pencil_and_transport_once(tmp_path, monkeypatch, scenario):
     pencils, frames = [], []
@@ -241,6 +244,20 @@ def test_run_computes_each_pencil_and_transport_once(tmp_path, monkeypatch, scen
     assert pencils and frames
     assert len(set(pencils)) == len(pencils)
     assert len(set(frames)) == len(frames)
+
+
+def test_run_computes_a0_bounds_once(tmp_path, monkeypatch):
+    # the tracks table, theorem A and corollary A share one A0 flow setup
+    calls = []
+    lipschitz = ha.HamiltonianFamily.lambda_lipschitz
+
+    def counting_lipschitz(self, *args, **kwargs):
+        calls.append(id(self))
+        return lipschitz(self, *args, **kwargs)
+
+    monkeypatch.setattr(ha.HamiltonianFamily, "lambda_lipschitz", counting_lipschitz)
+    assert cli.main(["run", write_config(tmp_path, **ROTATING_SCENARIO)]) == cli.EXIT_OK
+    assert len(calls) == 1
 
 
 def test_tracks_command_matches_run(tmp_path):

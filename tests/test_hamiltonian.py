@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,6 +14,7 @@ from hamflow.families import (
 )
 from hamflow.hamiltonian import (
     AssumptionError,
+    BoundaryValueOperator,
     TruncationError,
     assemble_A0_operator,
     assemble_Q_operator,
@@ -31,6 +34,7 @@ from hamflow.hamiltonian import (
     theorem_B_report,
     unstable_space,
 )
+from hamflow import hamiltonian as ha
 from hamflow import maslov
 from hamflow.maslov import LagrangianPath, find_crossings, maslov_index_pair, pair_to_product_path
 from hamflow.symplectic import (
@@ -459,6 +463,120 @@ class TestA0Operator:
         w = pencil_window(-T, T, asym_gap=1.0)
         near_zero = np.abs(a0.eigenvalues(window=w))
         assert np.count_nonzero(near_zero < 5e-3) == 1
+
+
+def _loop_potential_matrix(space, a, b, N, S_fn):
+    """Reference: the potential form assembled one element and Gauss point at a time."""
+    d = space.dim
+    h = (b - a) / N
+    V = np.zeros(((N + 1) * d, (N + 1) * d))
+    Vb = V.reshape(N + 1, d, N + 1, d)
+    offs = 0.5 * h / np.sqrt(3.0)
+    w = 0.5 * h
+    for e in range(N):
+        tl = a + e * h
+        mid = tl + 0.5 * h
+        for tg in (mid - offs, mid + offs):
+            phi1 = (tg - tl) / h
+            phi0 = 1.0 - phi1
+            S = np.asarray(S_fn(tg))
+            S = 0.5 * (S + S.T)
+            Vb[e, :, e, :] += w * phi0 * phi0 * S
+            Vb[e, :, e + 1, :] += w * phi0 * phi1 * S
+            Vb[e + 1, :, e, :] += w * phi1 * phi0 * S
+            Vb[e + 1, :, e + 1, :] += w * phi1 * phi1 * S
+    return V
+
+
+def _svd_symmetry_rejects(K):
+    """Reference: the spectral-norm symmetry test, by SVD."""
+    return np.linalg.norm(K - K.T, 2) > 1e-12 * max(1.0, np.linalg.norm(K, 2))
+
+
+def _operator(K, M):
+    return BoundaryValueOperator(stiffness=K, mass=M, frames=(), interval=(0.0, 1.0), mesh=4)
+
+
+class TestPencilAssembly:
+    @pytest.mark.parametrize("name", sorted(BATCH_FAMILIES))
+    @pytest.mark.parametrize("N", [4, 32, 96])
+    def test_matches_element_loop_bitwise(self, name, N, monkeypatch):
+        fam = BATCH_FAMILIES[name]()
+        S_fn = lambda t: fam.S(0.4, t)
+        assert np.array_equal(ha._potential_matrix(fam.space, -3.0, 3.0, N, S_fn),
+                              _loop_potential_matrix(fam.space, -3.0, 3.0, N, S_fn))
+        op = assemble_A0_operator(fam, 0.4, 3.0, N)
+        monkeypatch.setattr(ha, "_potential_matrix", _loop_potential_matrix)
+        ref = assemble_A0_operator(fam, 0.4, 3.0, N)
+        for attr in ("stiffness", "mass", "roughness_form"):
+            assert np.array_equal(getattr(op, attr), getattr(ref, attr))
+
+    def test_pencil_build_calls_no_svd_or_dense_cholesky(self, monkeypatch):
+        fam = sech_family(2, amplitude=2.0)
+        W = lagrangian_from_matrix(np.vstack([np.eye(2), np.zeros((2, 2))]), fam.space)
+        calls = []
+        svd, cholesky = np.linalg.svd, scipy.linalg.cholesky
+
+        def counting_svd(a, *args, **kwargs):
+            calls.append(("svd", np.shape(a)))
+            return svd(a, *args, **kwargs)
+
+        def counting_cholesky(a, *args, **kwargs):
+            calls.append(("cholesky", np.shape(a)))
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        # np.linalg.norm(., 2) calls the svd bound in its own module
+        monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", counting_svd)
+        monkeypatch.setattr(scipy.linalg, "cholesky", counting_cholesky)
+        assemble_A0_operator(fam, 0.4, 2.0, 32)
+        assemble_Q_operator(W, W, 0.0, 1.0, 32, fam.space)
+        assert calls, "the wrappers saw no call at all"
+        # only the boundary frames' checks and splittings (at most 2n x 2n) use SVDs
+        assert [c for c in calls if c[0] == "cholesky" or max(c[1]) > fam.dim] == []
+
+
+class TestOperatorChecks:
+    def test_nonsymmetric_stiffness_rejected(self):
+        K = np.diag([1.0, 2.0, 3.0])
+        K[0, 2] = 1e-6
+        with pytest.raises(ValueError, match="symmetry residual"):
+            _operator(K, np.eye(3))
+
+    def test_indefinite_mass_rejected(self):
+        with pytest.raises(ValueError, match="not positive definite"):
+            _operator(np.eye(3), np.diag([1.0, -1.0, 1.0]))
+
+    def test_symmetry_check_rejects_whatever_svd_test_rejects(self):
+        rng = np.random.default_rng(20)
+        svd_raises = 0
+        for _ in range(400):
+            n = int(rng.integers(2, 30))
+            A = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+            A = A + A.T
+            R = rng.standard_normal((n, n))
+            R = (R - R.T) / np.linalg.norm(R - R.T, 2)
+            # perturbations straddling the 1e-12 relative threshold
+            eps = 1e-12 * max(1.0, np.linalg.norm(A, 2)) * 10.0 ** rng.uniform(-1.5, 0.5)
+            K = A + eps * R
+            _operator(A, np.eye(n))  # exactly symmetric: never rejected
+            if _svd_symmetry_rejects(K):
+                svd_raises += 1
+                with pytest.raises(ValueError, match="symmetry residual"):
+                    _operator(K, np.eye(n))
+        assert 50 < svd_raises < 350
+
+    def test_mass_band_read_from_nonzero_pattern(self):
+        # entries far outside the block band decide definiteness; a band cut
+        # at the block width would miss them
+        M = np.eye(12)
+        M[0, 11] = M[11, 0] = 0.5
+        _operator(np.eye(12), M)
+        M[0, 11] = M[11, 0] = 2.0
+        with pytest.raises(scipy.linalg.LinAlgError):
+            scipy.linalg.cholesky(M, lower=True)
+        with pytest.raises(ValueError, match="not positive definite"):
+            _operator(np.eye(12), M)
 
 
 class TestTheoremB:
