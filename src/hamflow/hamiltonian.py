@@ -23,10 +23,13 @@ from .symplectic import (
     SymplecticError,
     gap_distance,
     intersection_dimension_rank,
+    souriau_map,
     standard_space,
 )
 from .maslov import (
     LagrangianPath,
+    _eigenphases,
+    _phase_margin,
     find_crossings,
     maslov_index_pair,
     pair_to_product_path,
@@ -685,30 +688,17 @@ class IndexReport:
         return " ".join(parts)
 
 
-def _pencil_flow(node_fn, lam_lo, lam_hi, window, initial_nodes,
-                 value_lipschitz=None, report_window=None, **kwargs):
-    """Certified flow of a pencil path.
-
-    When a bound on the eigenvalue speed is available it serves as the drift
-    estimate: the admissibility cap report_window - L*(step) then forces
-    lambda refinement until no branch can traverse the reported band between
-    two nodes unseen, which closes the only hole in sampled certification.
-    """
-    drift_fn = None
-    budget = 0.5 * window
-    if value_lipschitz is not None:
-        drift_fn = lambda a, b: value_lipschitz * (b - a)
-        budget = None  # the cap report_window - L*step already limits steps
-    return flow_from_spectra(node_fn, lam_lo, lam_hi, initial_nodes=initial_nodes,
-                             window=window, drift_budget=budget,
-                             drift_fn=drift_fn, report_window=report_window, **kwargs)
-
-
 def theorem_B_report(path0: LagrangianPath, path1: LagrangianPath, a: float, b: float,
                      N: int, initial_nodes=None) -> IndexReport:
     """Spectral flow of the boundary-condition pencil vs the pair Maslov index.
 
     The pair path must be admissible: transversal at both parameter endpoints.
+    The operator u -> Ju' with u(a) in L0, u(b) in L1 has the explicit spectrum
+    (2 pi k - theta_j) / (2(b - a)), where e^{i theta_j} are the eigenvalues of
+    -U and U = souriau_map(L0, L1).  So between two nodes its eigenvalues move
+    at most _phase_margin(|U(hi) - U(lo)|) / (2(b - a)), the unitary-step rule
+    the Maslov side counts with; the drift adds each node's measured gap from
+    the windowed pencil eigenvalues to that spectrum.
     """
     space = path0.space
     if path1.space.dim != space.dim:
@@ -718,13 +708,29 @@ def theorem_B_report(path0: LagrangianPath, path1: LagrangianPath, a: float, b: 
             raise SymplecticError("inadmissible endpoints: the boundary pair is not transversal")
 
     w = pencil_window(a, b)
+    length = 2.0 * (b - a)
+    nodes = {}
 
-    def node_fn(lam):
-        op = assemble_Q_operator(path0.frame(lam), path1.frame(lam), a, b, N, space)
-        return op.eigenvalues(window=1.5 * w)
+    def node(lam):
+        # (windowed pencil eigenvalues, Souriau unitary, gap to the explicit spectrum);
+        # k in {-1, 0, 1} suffices since the report window 3 pi / (4 length) < pi / length
+        if lam not in nodes:
+            L0, L1 = path0.frame(lam), path1.frame(lam)
+            vals = assemble_Q_operator(L0, L1, a, b, N, space).eigenvalues(window=1.5 * w)
+            U = souriau_map(L0, L1, space)
+            exact = (2.0 * np.pi * np.arange(-1, 2)[:, None] - _eigenphases(U)).ravel() / length
+            gap = float(np.abs(vals[:, None] - exact).min(axis=1).max()) if vals.size else 0.0
+            nodes[lam] = (vals, U, gap)
+        return nodes[lam]
 
-    nodes = initial_nodes if initial_nodes is not None else [s[0] for s in path0.samples]
-    flow, cert = _pencil_flow(node_fn, path0.lo, path0.hi, w, nodes, report_window=1.5 * w)
+    def drift_fn(lo, hi):
+        (_, U_lo, gap_lo), (_, U_hi, gap_hi) = node(lo), node(hi)
+        step = float(np.linalg.norm(U_hi - U_lo, 2))
+        return _phase_margin(step) / length + gap_lo + gap_hi
+
+    initial = initial_nodes if initial_nodes is not None else [s[0] for s in path0.samples]
+    flow, cert = flow_from_spectra(lambda lam: node(lam)[0], drift_fn, path0.lo, path0.hi,
+                                   initial_nodes=initial, window=w, report_window=1.5 * w)
     mas = maslov_index_pair(path0, path1)
     return IndexReport(sfl=flow, maslov=mas, sfl_certificate=cert,
                        grid_sizes={"mesh": N, "lambda_nodes": len(cert.nodes)})
@@ -760,8 +766,9 @@ def _a0_flow_setup(family, grid, T, N):
     report_band = max(1.5 * w_report, min(6.0 * w_report, 0.45 * gap_asym))
 
     def flow(node_fn, **kwargs):
-        return _pencil_flow(node_fn, float(grid[0]), float(grid[-1]), w_report, grid,
-                            value_lipschitz=lam_lip, report_window=report_band, **kwargs)
+        return flow_from_spectra(node_fn, lambda lo, hi: lam_lip * (hi - lo), float(grid[0]),
+                                 float(grid[-1]), initial_nodes=grid, window=w_report,
+                                 report_window=report_band, **kwargs)
 
     return _a0_node_fn(family, T, N, report_band), report_band, flow
 

@@ -65,7 +65,7 @@ class UnitaryPath:
         for lam, U in self.samples:
             U = np.asarray(U)
             n = U.shape[0]
-            resid = np.linalg.norm(U @ U.conj().T - np.eye(n), 2)
+            resid = np.linalg.norm(U @ U.conj().T - np.eye(n))  # Frobenius >= spectral
             if resid > self.tol_unitary:
                 raise ValueError(f"sample at lam={lam} is not unitary (residual {resid:.2e})")
 

@@ -6,9 +6,11 @@ that +-eps provably avoids the spectrum, and the flow is the telescoping sum
 of eigenvalue counts in [0, eps] at the partition nodes.  ``certified_count``
 is that engine; it runs on precomputed node spectra, which is how
 discretized operator pencils are handled, and on Souriau eigenphases, which
-is how the Maslov winding is counted.  The Chern route computes the winding
-number of det(A(lam) + i s I) along a rectangle enclosing the singular set;
-both integers agree for admissible paths.
+is how the Maslov winding is counted.  Every count takes its drift from a
+bound the caller supplies (Weyl, Lipschitz or unitary step); there is no
+sampled fallback that compares node spectra.  The Chern route computes the
+winding number of det(A(lam) + i s I) along a rectangle enclosing the
+singular set; both integers agree for admissible paths.
 """
 
 from __future__ import annotations
@@ -157,42 +159,20 @@ def certified_count(values, drift, window, nodes, zero_snap, max_depth):
     return total, cert
 
 
-def _set_drift(sa, sb, interior_band=None):
-    """Symmetric set distance between two spectra (drift proxy).
-
-    Values beyond ``interior_band`` are reporting-boundary traffic: they may
-    enter or leave the reported set between nodes, so they are excluded from
-    the drift maximum (their exclusion zones are still honored elsewhere).
-    """
-    def filt(x):
-        return x if interior_band is None else x[np.abs(x) <= interior_band]
-
-    def one_sided(x, y):
-        if len(x) == 0:
-            return 0.0
-        if len(y) == 0:
-            return np.inf
-        return float(np.min(np.abs(x[:, None] - y[None, :]), axis=1).max())
-
-    return max(one_sided(filt(sa), sb), one_sided(filt(sb), sa))
-
-
-def flow_from_spectra(node_fn, lo=0.0, hi=1.0, initial_nodes=17, window=None,
-                      drift_fn=None, drift_budget=None, zero_snap=1e-9,
-                      max_depth=MAX_FLOW_DEPTH, endpoint_gap_min=1e-8,
+def flow_from_spectra(node_fn, drift_fn, lo=0.0, hi=1.0, initial_nodes=17, window=None,
+                      zero_snap=1e-9, max_depth=MAX_FLOW_DEPTH, endpoint_gap_min=1e-8,
                       check_endpoints=True, report_window=None):
     """Certified spectral flow from node eigenvalue data.
 
-    ``node_fn(lam)`` returns the (real) eigenvalues relevant for counting.
+    ``node_fn(lam)`` returns the (real) eigenvalues relevant for counting, and
+    ``drift_fn(lamL, lamR)`` a certified bound on how far any of them moves
+    over the subinterval (e.g. a Weyl, Lipschitz or unitary-step bound).
     With a ``window``, counting boundaries stay below it; ``report_window``
     (>= window, default equal) declares how far out ``node_fn`` reports, so
     unreported eigenvalues are known to be at least that far from zero at the
     nodes and the boundary eps additionally stays below report_window minus
-    the drift.  ``drift_fn(lamL, lamR)``, when provided, must return a
-    certified bound on spectral motion over the subinterval (e.g. a Weyl or
-    Lipschitz bound); otherwise the sampled set distance between node spectra
-    is used, ignoring values beyond 0.85 report_window, which may enter or
-    leave the reported set between nodes.
+    the drift, which refines every subinterval whose drift could carry a
+    branch across the reported band unseen.
     """
     cache = {}
 
@@ -212,17 +192,13 @@ def flow_from_spectra(node_fn, lo=0.0, hi=1.0, initial_nodes=17, window=None,
             f"endpoint kernel detected: smallest |eigenvalue| at the ends is {gap:.3e}")
 
     rw = report_window if report_window is not None else window
-    band = 0.85 * rw if rw else None
-
-    def drift(a, b):
-        m = (drift_fn(a, b) if drift_fn is not None else _set_drift(spec(a), spec(b), band)) + 1e-12
-        return None if drift_budget is not None and m > drift_budget else m
 
     def eps_for(sa, sb, m):
         cap = min(window, rw - m) if window is not None else np.inf
         return _choose_eps(np.abs(np.concatenate((sa, sb))), m, cap, 0.0, max(1e-14, 1e-9 * m))
 
-    return certified_count(spec, drift, eps_for, nodes, zero_snap, max_depth)
+    return certified_count(spec, lambda a, b: drift_fn(a, b) + 1e-12, eps_for, nodes,
+                           zero_snap, max_depth)
 
 
 def spectral_flow(path: SymmetricMatrixPath, initial_nodes=17,
@@ -249,8 +225,8 @@ def spectral_flow(path: SymmetricMatrixPath, initial_nodes=17,
             step = min(step if step > 0 else np.inf, path.lipschitz * (b - a))
         return step
 
-    return flow_from_spectra(node_fn, 0.0, 1.0, initial_nodes=initial_nodes,
-                             drift_fn=drift_fn, endpoint_gap_min=endpoint_gap_min,
+    return flow_from_spectra(node_fn, drift_fn, 0.0, 1.0, initial_nodes=initial_nodes,
+                             endpoint_gap_min=endpoint_gap_min,
                              check_endpoints=check_endpoints, max_depth=max_depth)
 
 

@@ -139,10 +139,11 @@ class LagrangianFrame:
         return self.columns @ self.columns.T
 
     def check(self, space: SymplecticSpace, tol: float = TOL_FRAME) -> None:
+        # Frobenius norms bound the spectral norms from above, without an SVD
         F = self.columns
-        if _spectral_norm(F.T @ F - np.eye(self.dim)) > tol:
+        if np.linalg.norm(F.T @ F - np.eye(self.dim)) > tol:
             raise SymplecticError("frame columns are not orthonormal within tolerance")
-        if _spectral_norm(F.T @ space.J @ F) > tol:
+        if np.linalg.norm(F.T @ space.J @ F) > tol:
             raise SymplecticError("frame is not isotropic within tolerance")
 
 
@@ -247,16 +248,27 @@ def complexify_commuting_operator(M, space: SymplecticSpace, tol: float = 1e-8) 
     return A - 1j * B
 
 
+def _reflection(F: LagrangianFrame, space: SymplecticSpace) -> np.ndarray:
+    """Z Z^T, where z -> Z Z^T conj(z) is the reflection 2 P_F - I on C^n.
+
+    Z = X + iY holds the frame's columns in the adapted basis.
+    """
+    G = space.adapted_basis.T @ F.columns
+    Z = G[:space.n] + 1j * G[space.n:]
+    return Z @ Z.T
+
+
 def souriau_map(W: LagrangianFrame, L: LagrangianFrame, space: SymplecticSpace,
                 tol_unitary: float = 1e-8) -> np.ndarray:
     """Unitary -(I - 2 P_L)(I - 2 P_W) on C^n for Lagrangian L, W.
 
-    dim(L /\\ W) equals the multiplicity of -1 in the spectrum of the result.
+    Both reflections are antilinear, z -> Z Z^T conj(z), so the product is
+    -(Z_L Z_L^T) conj(Z_W Z_W^T).  dim(L /\\ W) equals the multiplicity of -1
+    in the spectrum of the result.
     """
-    eye = np.eye(space.dim)
-    S = -(eye - 2.0 * L.projection()) @ (eye - 2.0 * W.projection())
-    U = complexify_commuting_operator(S, space)
-    resid = _spectral_norm(U @ U.conj().T - np.eye(space.n))
+    U = -_reflection(L, space) @ _reflection(W, space).conj()
+    # the Frobenius norm bounds the spectral norm from above
+    resid = float(np.linalg.norm(U @ U.conj().T - np.eye(space.n)))
     if resid > tol_unitary:
         raise SymplecticError(f"Souriau image is not unitary: residual {resid:.3e}; inputs likely not Lagrangian")
     return U

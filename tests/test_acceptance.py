@@ -148,6 +148,28 @@ def test_criterion_4_theorem_b_random_pairs():
             f"50 pairs (R^4 and R^6), mismatches={mismatches} ({elapsed:.1f}s)")
 
 
+@pytest.mark.parametrize("seed, skip_n3", [(4, 3), (803, 11)])
+def test_theorem_b_pairs_once_miscounted_by_a_sampled_drift(seed, skip_n3):
+    # boundary-pairs pair-7-R6 of seed 4 and pair-23-R6 of seed 803; a drift
+    # sampled from node spectra counted -4 and -2 against maslov -5 and -3
+    rng = np.random.default_rng(seed)
+    for n in [2] * 25 + [3] * skip_n3:
+        _random_admissible_pair(rng, n)
+    p0, p1 = _random_admissible_pair(rng, 3)
+    rep = theorem_B_report(p0, p1, 0.0, 1.0, 24)
+    assert rep.sfl == rep.maslov
+    # the windowed pencil spectrum is (2 pi k - theta_j) / 2 on [0, 1], with
+    # e^{i theta_j} the eigenvalues of minus the Souriau map of the pair
+    for lam in (0.1, 0.35, 0.6, 0.85):
+        L0, L1 = p0.frame(lam), p1.frame(lam)
+        theta = np.angle(-np.linalg.eigvals(souriau_map(L0, L1, p0.space)))
+        exact = ((2.0 * np.pi * np.arange(-1, 2)[:, None] - theta) / 2.0).ravel()
+        vals = assemble_Q_operator(L0, L1, 0.0, 1.0, 24, p0.space).eigenvalues(
+            window=3.0 * np.pi / 8.0)
+        assert vals.size
+        assert np.abs(vals[:, None] - exact).min(axis=1).max() <= 2e-4
+
+
 def test_criterion_5_theorem_c_random_paths():
     start = time.time()
     rng = np.random.default_rng(20240002)

@@ -530,10 +530,12 @@ class TestPencilAssembly:
         monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", counting_svd)
         monkeypatch.setattr(scipy.linalg, "cholesky", counting_cholesky)
         assemble_A0_operator(fam, 0.4, 2.0, 32)
-        assemble_Q_operator(W, W, 0.0, 1.0, 32, fam.space)
         assert calls, "the wrappers saw no call at all"
-        # only the boundary frames' checks and splittings (at most 2n x 2n) use SVDs
+        # only the asymptotic splittings (at most 2n x 2n) use SVDs
         assert [c for c in calls if c[0] == "cholesky" or max(c[1]) > fam.dim] == []
+        calls.clear()
+        assemble_Q_operator(W, W, 0.0, 1.0, 32, fam.space)
+        assert calls == []
 
 
 class TestOperatorChecks:

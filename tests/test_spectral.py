@@ -224,7 +224,9 @@ class TestFlowFromSpectra:
             vals = np.array([2 * lam - 1.0, 5.0, -5.0, 7.0])
             return vals[np.abs(vals) <= 2.0]
 
-        flow, cert = flow_from_spectra(node_fn, window=2.0, initial_nodes=17)
+        # the branch 2 lam - 1 moves at speed 2
+        flow, cert = flow_from_spectra(node_fn, drift_fn=lambda a, b: 2.0 * (b - a),
+                                       window=2.0, initial_nodes=17)
         assert flow == 1
 
     def test_refinement_exhaustion(self):
@@ -234,4 +236,5 @@ class TestFlowFromSpectra:
             return rng.standard_normal(3)  # discontinuous garbage
 
         with pytest.raises((FlowRefinementError, EndpointKernelError)):
-            flow_from_spectra(node_fn, window=1.0, initial_nodes=5, max_depth=6)
+            flow_from_spectra(node_fn, drift_fn=lambda a, b: 1e3 * (b - a), window=1.0,
+                              initial_nodes=5, max_depth=6)

@@ -165,6 +165,45 @@ def test_souriau_unitarity_random():
         assert np.linalg.norm(U @ U.conj().T - np.eye(n), 2) <= 1e-10
 
 
+def _souriau_by_reflections(W, L, space):
+    """Reference: the 2n x 2n reflection product, complexified."""
+    eye = np.eye(space.dim)
+    S = -(eye - 2.0 * L.projection()) @ (eye - 2.0 * W.projection())
+    return complexify_commuting_operator(S, space)
+
+
+def test_souriau_closed_form_matches_reflection_product():
+    from hamflow.maslov import _diagonal_frame, _product_frame
+    from hamflow.symplectic import LagrangianFrame
+
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 3, 4):
+        sp = standard_space(n)
+        q = _random_orthogonal(rng, 2 * n)
+        rotated = SymplecticSpace(q @ sp.J @ q.T)
+        product = sp.product(sp)
+        for _ in range(40):
+            W, L = random_lagrangian_frame(rng, n), random_lagrangian_frame(rng, n)
+            Wq, Lq = LagrangianFrame(q @ W.columns), LagrangianFrame(q @ L.columns)
+            P, D = _product_frame(W, L), _diagonal_frame(2 * n)
+            for A, B, space in ((W, L, sp), (Wq, Lq, rotated), (D, P, product)):
+                assert np.abs(souriau_map(A, B, space)
+                              - _souriau_by_reflections(A, B, space)).max() <= 1e-14
+
+
+def test_souriau_rejects_non_lagrangian_frames():
+    from hamflow.symplectic import LagrangianFrame
+
+    sp = standard_space(2)
+    W = lagrangian_from_matrix(np.eye(4)[:, :2], sp)
+    not_isotropic = LagrangianFrame(np.eye(4)[:, [0, 2]])
+    not_orthonormal = LagrangianFrame(1.001 * np.eye(4)[:, :2])
+    for bad in (not_isotropic, not_orthonormal):
+        for args in ((W, bad), (bad, W)):
+            with pytest.raises(SymplecticError):
+                souriau_map(*args, sp)
+
+
 def test_intersection_dimension_special():
     for n in (1, 2, 3):
         sp = standard_space(n)
