@@ -5,6 +5,12 @@ parser: an autonomous reference, a sech-profile perturbation that creates
 kernel crossings as its amplitude sweeps past a threshold, a lambda-periodic
 family whose asymptotic splittings rotate, and a localized rotation whose
 stable/unstable boundary data reproduces the normalization path.
+
+Every ``B(lam)`` and ``K(lam, t)`` here broadcasts: arrays of lam and t that
+broadcast against each other give a stack of shape
+``np.broadcast_shapes(shape(lam), shape(t)) + (d, d)``, and scalars give one
+``(d, d)`` matrix.  Each scalar profile is lifted by ``[..., None, None]``
+before it scales a matrix, so every entry rounds as the scalar call's does.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ def _hyperbolic_B(n, rates):
 
 def _rotation(J, theta):
     """Block rotation cos(theta) I + sin(theta) J; commutes with J."""
-    return np.cos(theta) * np.eye(len(J)) + np.sin(theta) * J
+    return np.cos(theta)[..., None, None] * np.eye(len(J)) + np.sin(theta)[..., None, None] * J
 
 
 def autonomous_family(n: int = 1, rates=None) -> HamiltonianFamily:
@@ -60,7 +66,7 @@ def sech_family(n: int = 1, amplitude: float = 2.0, width: float = 1.0,
     zero = np.zeros((2 * n, 2 * n))
 
     def K(lam, t):
-        return amplitude * lam / np.cosh(t / width) * eye
+        return (amplitude * lam / np.cosh(t / width))[..., None, None] * eye
 
     return HamiltonianFamily(
         n=n,
@@ -88,7 +94,7 @@ def rotating_asymptotics_family(n: int = 1, turns: float = 1.0, ramp_scale: floa
 
     def B_plus(lam):
         R = _rotation(J, np.pi * turns * lam)
-        return R.T @ B @ R
+        return R.swapaxes(-1, -2) @ B @ R
 
     def sigma(t):
         return 0.5 * (1.0 + np.tanh(t / ramp_scale))
@@ -96,7 +102,7 @@ def rotating_asymptotics_family(n: int = 1, turns: float = 1.0, ramp_scale: floa
     return HamiltonianFamily(
         n=n,
         B=lambda lam: B,
-        K=lambda lam, t: sigma(t) * (B_plus(lam) - B),
+        K=lambda lam, t: sigma(t)[..., None, None] * (B_plus(lam) - B),
         K_limits=lambda lam: (np.zeros((2 * n, 2 * n)), B_plus(lam) - B),
         decay_scale=ramp_scale,
         name="rotating-asymptotics",
@@ -125,7 +131,7 @@ def gamma_nor_embedding_family(n: int = 1, angle: float = np.pi, bump_width: flo
     return HamiltonianFamily(
         n=n,
         B=lambda lam: B,
-        K=lambda lam, t: angle * lam * bump(t) * eye,
+        K=lambda lam, t: (angle * lam * bump(t))[..., None, None] * eye,
         K_limits=lambda lam: (zero, zero),
         decay_scale=max(bump_width, 0.5),
         name="gamma-nor-embedding",
@@ -206,7 +212,8 @@ def random_family(rng, n: int = 1, kind: str = "sech", amplitude_scale: float = 
     zero = np.zeros((d, d))
 
     if kind == "sech":
-        K = lambda lam, t: (G0 + lam * G1) / np.cosh(t)
+        K = lambda lam, t: ((G0 + np.asarray(lam)[..., None, None] * G1)
+                            / np.cosh(t)[..., None, None])
         K_limits = lambda lam: (zero, zero)
     elif kind == "tanh":
         while True:
@@ -217,7 +224,8 @@ def random_family(rng, n: int = 1, kind: str = "sech", amplitude_scale: float = 
             if min(margins) > min_margin:
                 break
         sigma = lambda t: 0.5 * (1.0 + np.tanh(t))
-        K = lambda lam, t: sigma(t) * lam * Gp + (G0 / np.cosh(t))
+        K = lambda lam, t: ((sigma(t) * lam)[..., None, None] * Gp
+                            + G0 / np.cosh(t)[..., None, None])
         K_limits = lambda lam: (zero, lam * Gp)
     else:
         raise ValueError("kind must be 'sech' or 'tanh'")

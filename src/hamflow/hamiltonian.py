@@ -64,7 +64,13 @@ class HamiltonianFamily:
 
     ``B`` maps lam to the constant symmetric part, ``K`` maps (lam, t) to the
     symmetric perturbation and ``K_limits`` maps lam to the pair of limits
-    (K(lam, -inf), K(lam, +inf)).  ``decay_scale`` certifies the envelope
+    (K(lam, -inf), K(lam, +inf)).  ``B`` and ``K`` broadcast: given arrays of
+    lam and t that broadcast against each other they return a stack whose
+    leading shape broadcasts to ``np.broadcast_shapes(shape(lam), shape(t))``,
+    followed by ``(d, d)``; scalars give one ``(d, d)`` matrix, and a
+    lam-independent ``(d, d)`` return is legal because it broadcasts.  So
+    ``S`` evaluates a whole (lam, t) grid in one call; ``validate`` checks
+    the contract.  ``decay_scale`` certifies the envelope
     |K(lam, t) - K(lam, +-inf)| <= C exp(-|t| / decay_scale).  Per-lambda
     results are memoized on the instance, so its fields must not change after
     use; ``shifted`` returns a new family with an empty memo.
@@ -104,14 +110,32 @@ class HamiltonianFamily:
 
     def validate(self, lam_samples=(0.0, 0.25, 0.5, 0.75, 1.0), t_samples=(-3.0, 0.0, 3.0),
                  sym_tol: float = 1e-9, hyp_tol: float = 1e-8) -> dict:
-        """Check symmetry and the hyperbolicity assumptions on sample points."""
+        """Check the broadcasting contract, symmetry and the hyperbolicity
+        assumptions on sample points.
+
+        ``S`` is evaluated once on the (lam, t) sample grid as a broadcast call
+        and compared with the stacked scalar calls, to 1e-12 max(1, ||S||).
+        """
         J = self.space.J
+        lams = np.asarray(lam_samples, dtype=float)
+        ts = np.asarray(t_samples, dtype=float)
+        scalar = np.array([[self.S(lam, t) for t in ts] for lam in lams])
+        contract = ("B and K must broadcast over arrays of lam and t (the HamiltonianFamily "
+                    "contract); on the sample grid the broadcast call")
+        try:
+            S = np.broadcast_to(self.S(lams[:, None], ts[None, :]), scalar.shape)
+        except (TypeError, ValueError, IndexError) as exc:
+            raise AssumptionError(f"{contract} failed: {exc}") from exc
+        scale = np.maximum(1.0, np.linalg.norm(scalar, 2, axis=(-2, -1)))
+        if not np.all(np.linalg.norm(S - scalar, 2, axis=(-2, -1)) <= 1e-12 * scale):
+            raise AssumptionError(f"{contract} differs from the scalar calls")
+        asym = np.linalg.norm(S - S.swapaxes(-1, -2), 2, axis=(-2, -1))
+        bad = np.argwhere(asym > sym_tol * np.maximum(1.0, np.linalg.norm(S, 2, axis=(-2, -1))))
+        if bad.size:
+            i, j = bad[0]
+            raise AssumptionError(f"S is not symmetric at (lam={lams[i]}, t={ts[j]})")
         margin = np.inf
         for lam in lam_samples:
-            for t in t_samples:
-                S = self.S(lam, t)
-                if np.linalg.norm(S - S.T, 2) > sym_tol * max(1.0, np.linalg.norm(S, 2)):
-                    raise AssumptionError(f"S is not symmetric at (lam={lam}, t={t})")
             for M in (J @ np.asarray(self.B(lam)),
                       J @ self.S_limit(lam, -1), J @ self.S_limit(lam, +1)):
                 m = hyperbolicity_margin(M)
@@ -134,16 +158,14 @@ class HamiltonianFamily:
 
     def lambda_lipschitz(self, lam_samples=None, t_samples=None, safety: float = 1.5) -> float:
         """Bound on sup_t ||d S / d lam||, certifying pencil eigenvalue speed."""
-        lams = lam_samples if lam_samples is not None else np.linspace(0.0, 1.0, 9)
-        ts = t_samples if t_samples is not None else np.linspace(-3.0, 3.0, 7)
+        lams = np.asarray(lam_samples if lam_samples is not None else np.linspace(0.0, 1.0, 9),
+                          dtype=float)[:, None]
+        ts = np.asarray(t_samples if t_samples is not None else np.linspace(-3.0, 3.0, 7),
+                        dtype=float)
         h = 1e-4
-        worst = 0.0
-        for lam in lams:
-            lo, hi = max(0.0, lam - h), min(1.0, lam + h)
-            for t in ts:
-                rate = np.linalg.norm(self.S(hi, t) - self.S(lo, t), 2) / (hi - lo)
-                worst = max(worst, rate)
-        return safety * worst + 1e-9
+        lo, hi = np.maximum(0.0, lams - h), np.minimum(1.0, lams + h)
+        rates = np.linalg.norm(self.S(hi, ts) - self.S(lo, ts), 2, axis=(-2, -1)) / (hi - lo)
+        return safety * float(np.max(rates)) + 1e-9
 
     def shifted(self, delta: float) -> "HamiltonianFamily":
         """Family with S replaced by S + delta I (B absorbs the shift)."""
@@ -279,7 +301,8 @@ def propagate_subspaces(frames, family: HamiltonianFamily, lams, t_from: float, 
 
     All frames share the RK4 time points from t_from to t_to and are
     re-orthonormalized by one batched QR every step; the subspace, not the
-    individual solutions, is the invariant object.  Per step only the stage
+    individual solutions, is the invariant object.  Each stage time costs one
+    family call ``S(lams, t)`` for all lam.  Per step only the stage
     generators J S_lam(t) of that step are held, so memory is O(L d^2).
     Returns the transported frames stacked as (L, d, k).
     """
@@ -288,6 +311,7 @@ def propagate_subspaces(frames, family: HamiltonianFamily, lams, t_from: float, 
     if span == 0.0:
         return np.linalg.qr(F)[0]
     J = family.space.J
+    lams = np.asarray(lams, dtype=float)
     stages = {}
 
     def rhs(t, Y):
@@ -296,7 +320,7 @@ def propagate_subspaces(frames, family: HamiltonianFamily, lams, t_from: float, 
         if t not in stages:
             if len(stages) == 3:
                 del stages[next(iter(stages))]
-            stages[t] = J @ np.stack([family.S(lam, t) for lam in lams])
+            stages[t] = J @ family.S(lams, t)
         return stages[t] @ Y
 
     nsteps = max(16, int(np.ceil(span * steps_per_unit)))
@@ -531,7 +555,8 @@ def _second_difference_stiffness(d, a, b, N):
 def _potential_matrix(space, a, b, N, S_fn):
     """Assemble int <S(t) u, v> with two-point Gauss quadrature per element.
 
-    S is evaluated at all 2N Gauss points into one (N, 2, d, d) stack and the
+    S_fn broadcasts over t: one call on the (N, 2) Gauss points gives the
+    (N, 2, d, d) stack (a t-independent (d, d) return is broadcast), and the
     weighted stacks are scattered by block indexing, in the order an element
     loop adds them: element e-1's right-end terms reach block (e, e) before
     element e's left-end terms, so the sums round as the loop's do.
@@ -546,7 +571,7 @@ def _potential_matrix(space, a, b, N, S_fn):
     tg = (tl + 0.5 * h)[:, None] + np.array([-offs, offs])
     phi1 = ((tg - tl[:, None]) / h)[..., None, None]
     phi0 = 1.0 - phi1
-    S = np.array([[S_fn(float(t)) for t in pair] for pair in tg])
+    S = np.broadcast_to(S_fn(tg), tg.shape + (d, d))
     S = 0.5 * (S + S.swapaxes(-1, -2))
     P00, P01, P10, P11 = (w * p * q * S for p, q in
                           ((phi0, phi0), (phi0, phi1), (phi1, phi0), (phi1, phi1)))
@@ -917,11 +942,13 @@ def corollary_A_report(family: HamiltonianFamily, lam_grid=None, T: Optional[flo
     them (the opposite end assignment reverses every crossing orientation;
     see the orientation tests).
     """
-    for t in (-7.0, -1.0, 0.0, 1.0, 7.0):
-        drift = np.linalg.norm(family.S(0.0, t) - family.S(1.0, t), 2)
-        if drift > periodicity_tol:
+    ts = np.array([-7.0, -1.0, 0.0, 1.0, 7.0])
+    drift = np.broadcast_to(
+        np.linalg.norm(family.S(0.0, ts) - family.S(1.0, ts), 2, axis=(-2, -1)), ts.shape)
+    for t, dt in zip(ts, drift):
+        if dt > periodicity_tol:
             raise AssumptionError(
-                f"family is not lambda-periodic: |S_0 - S_1| = {drift:.3e} at t={t}")
+                f"family is not lambda-periodic: |S_0 - S_1| = {dt:.3e} at t={t}")
 
     T = T if T is not None else 10.0 * family.decay_scale
     grid = np.asarray(lam_grid if lam_grid is not None else np.linspace(0.0, 1.0, 17), dtype=float)

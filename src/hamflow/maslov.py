@@ -323,10 +323,13 @@ def crossing_form_index(path: LagrangianPath, W: LagrangianFrame, lam0: float,
                           signature=signature, regular=regular, form=gamma)
 
 
+def _nearest(psi) -> float:
+    return float(psi[np.argmin(np.abs(psi))])
+
+
 def _nearest_phase(path: LagrangianPath, W: LagrangianFrame, lam: float) -> float:
     """Signed Souriau eigenphase closest to -1 (zero exactly at a crossing)."""
-    psi = _eigenphases(souriau_map(W, path.frame(lam), path.space))
-    return float(psi[np.argmin(np.abs(psi))])
+    return _nearest(_eigenphases(souriau_map(W, path.frame(lam), path.space)))
 
 
 def _shrink_bracket(f, a, b, fa, fb, tol):
@@ -372,16 +375,19 @@ def find_crossings(path: LagrangianPath, W: LagrangianFrame, coarse: int = 64,
     between branches is skipped before refinement when the drift rule of
     ``winding_number`` keeps every eigenphase off zero across its cell, and
     dropped after it when no eigenphase lies within tolerance of zero.
-    Crossings at the path endpoints are flagged.
+    Crossings at the path endpoints are flagged.  Each coarse node's
+    Souriau unitary is computed once and serves its phase, its record and
+    the drift rule of both cells it bounds.
     """
     lams = np.linspace(path.lo, path.hi, coarse + 1)
-    vals = np.array([_nearest_phase(path, W, lam) for lam in lams])
+    Us = [souriau_map(W, path.frame(lam), path.space) for lam in lams]
+    psis = [_eigenphases(U) for U in Us]
+    vals = np.array([_nearest(psi) for psi in psis])
     records = []
 
-    def record_at(lam):
+    def record_at(lam, psi):
         # a sign change with no eigenphase near zero is the nearest phase
         # jumping between branches near +-pi/2, not an intersection
-        psi = _eigenphases(souriau_map(W, path.frame(lam), path.space))
         dim = int(np.count_nonzero(np.abs(psi) <= max(phase_tol, 1e3 * tol_lambda)))
         if dim:
             records.append(CrossingRecord(lam=float(lam), intersection_dim=dim,
@@ -391,7 +397,7 @@ def find_crossings(path: LagrangianPath, W: LagrangianFrame, coarse: int = 64,
         if abs(v) <= phase_tol:
             if i in (0, len(vals) - 1):
                 warnings.warn(f"crossing at path endpoint lam={lams[i]:.6g}", RuntimeWarning)
-            record_at(lams[i])
+            record_at(lams[i], psis[i])
 
     for i in range(len(lams) - 1):
         a, b = lams[i], lams[i + 1]
@@ -401,12 +407,12 @@ def find_crossings(path: LagrangianPath, W: LagrangianFrame, coarse: int = 64,
         if np.sign(fa) == np.sign(fb):
             continue
         # |fa|, |fb| are the ends' smallest |eigenphase|: none reaches 0 inside
-        Ua, Ub = (souriau_map(W, path.frame(lam), path.space) for lam in (a, b))
-        dU = float(np.linalg.norm(Ub - Ua, 2))
+        dU = float(np.linalg.norm(Us[i + 1] - Us[i], 2))
         if dU <= UNITARY_BUDGET and min(abs(fa), abs(fb)) > _phase_margin(dU):
             continue
-        record_at(_shrink_bracket(lambda lam: _nearest_phase(path, W, lam), a, b, fa, fb,
-                                  tol_lambda))
+        lam = _shrink_bracket(lambda lam: _nearest_phase(path, W, lam), a, b, fa, fb,
+                              tol_lambda)
+        record_at(lam, _eigenphases(souriau_map(W, path.frame(lam), path.space)))
 
     records.sort(key=lambda r: r.lam)
     return records

@@ -1,4 +1,5 @@
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hamflow.families import (
 from hamflow.hamiltonian import (
     AssumptionError,
     BoundaryValueOperator,
+    HamiltonianFamily,
     TruncationError,
     assemble_A0_operator,
     assemble_Q_operator,
@@ -217,15 +219,67 @@ def _loop_transport(frame, family, lam, t_from, t_to, steps_per_unit=64):
     return F
 
 
+def _loop_lipschitz(family, lams, ts, safety=1.5):
+    """Reference: one S difference and one 2-norm per (lam, t) sample."""
+    h = 1e-4
+    worst = 0.0
+    for lam in lams:
+        lo, hi = max(0.0, lam - h), min(1.0, lam + h)
+        for t in ts:
+            rate = np.linalg.norm(family.S(hi, t) - family.S(lo, t), 2) / (hi - lo)
+            worst = max(worst, rate)
+    return safety * worst + 1e-9
+
+
 BATCH_FAMILIES = {
+    "autonomous": lambda: autonomous_family(2),
     "sech": lambda: sech_family(1, amplitude=2.0),
     "rotating": lambda: rotating_asymptotics_family(1),
+    "rotating-n3": lambda: rotating_asymptotics_family(3, turns=1.5),
     "gamma-nor": lambda: gamma_nor_embedding_family(1),
     "random-n2": lambda: random_family(np.random.default_rng(11), n=2, kind="tanh"),
+    "random-sech-n2": lambda: random_family(np.random.default_rng(12), n=2, kind="sech"),
 }
 
 
 class TestBatchedTransport:
+    @pytest.mark.parametrize("name", sorted(BATCH_FAMILIES))
+    def test_family_broadcasts_bitwise(self, name):
+        fam = BATCH_FAMILIES[name]()
+        lams, ts = np.linspace(0.0, 1.0, 7), np.linspace(-4.0, 4.0, 9)
+        scalar = np.array([[fam.S(lam, t) for t in ts] for lam in lams])
+        assert scalar.shape == (7, 9, fam.dim, fam.dim)
+        batch = fam.S(lams[:, None], ts[None, :])
+        assert np.array_equal(np.broadcast_to(batch, scalar.shape), scalar)
+        assert fam.S(0.3, -0.7).shape == (fam.dim, fam.dim)
+
+    @pytest.mark.parametrize("name", sorted(BATCH_FAMILIES))
+    def test_lipschitz_matches_double_loop_bitwise(self, name):
+        fam = BATCH_FAMILIES[name]()
+        assert fam.lambda_lipschitz() == _loop_lipschitz(
+            fam, np.linspace(0.0, 1.0, 9), np.linspace(-3.0, 3.0, 7))
+        lams, ts = np.linspace(0.2, 0.9, 5), np.linspace(-5.0, 5.0, 11)
+        assert (fam.lambda_lipschitz(lam_samples=lams, t_samples=ts, safety=2.0)
+                == _loop_lipschitz(fam, lams, ts, safety=2.0))
+
+    @pytest.mark.parametrize("L", [1, 5])
+    def test_one_family_call_per_stage_time(self, L, monkeypatch):
+        fam = sech_family(1, amplitude=2.0)
+        calls = []
+        S = fam.S
+
+        def counting(lam, t):
+            calls.append(t)
+            return S(lam, t)
+
+        monkeypatch.setattr(fam, "S", counting)
+        lams = np.linspace(0.0, 1.0, L)
+        starts = np.stack([stable_unstable_splitting(fam.space.J @ fam.S_limit(lam, -1))[1]
+                           for lam in lams])
+        propagate_subspaces(starts, fam, lams, -2.0, 0.5)
+        nsteps = int(np.ceil(2.5 * 64))
+        assert 0 < len(calls) <= 2 * nsteps + 1
+
     @pytest.mark.parametrize("name", sorted(BATCH_FAMILIES))
     @pytest.mark.parametrize("t_from,t_to", [(-2.0, 0.5), (2.0, 0.0), (0.3, 0.3)])
     def test_matches_per_lambda_loop(self, name, t_from, t_to):
@@ -352,7 +406,7 @@ class TestCrossingRefinement:
         recs = find_crossings(product, diag, coarse=coarse, tol_lambda=tol)
         monkeypatch.undo()
         assert len(recs) == 1
-        assert 0 < len(calls) - (coarse + 1) <= 10
+        assert 0 < len(calls) <= 10
         # the bisection this refinement replaced, on the same coarse cell
         a = np.floor(recs[0].lam * coarse) / coarse
         b, fa = a + 1.0 / coarse, phase(a)
@@ -732,6 +786,22 @@ class TestFamilyValidation:
                            K_limits=lambda lam: (zero, zero))
         with pytest.raises(AssumptionError):
             broken.validate()
+
+    @pytest.mark.parametrize("profile,message", [
+        (lambda t: 1.0 / math.cosh(t), "failed"),             # scalar-only
+        (lambda t: np.exp(-np.linalg.norm(t)), "differs"),     # reduces over all of t
+    ], ids=["scalar-only", "reduces-over-t"])
+    def test_family_breaking_the_broadcast_contract_fails_fast(self, profile, message):
+        zero = np.zeros((2, 2))
+        fam = HamiltonianFamily(
+            n=1, B=lambda lam: B_HYP,
+            K=lambda lam, t: np.asarray(lam * profile(t))[..., None, None] * np.eye(2),
+            K_limits=lambda lam: (zero, zero))
+        assert fam.S(0.5, 0.3).shape == (2, 2)
+        with pytest.raises(AssumptionError, match=f"broadcast call {message}"):
+            fam.validate()
+        with pytest.raises(AssumptionError, match=f"broadcast call {message}"):
+            theorem_A_report(fam, lam_grid=np.linspace(0.0, 1.0, 5), T=2.0, N=16)
 
     def test_catalog_roundtrip(self):
         fam = make_family("sech-perturbation", amplitude=1.0)
