@@ -69,8 +69,9 @@ class HamiltonianFamily:
     leading shape broadcasts to ``np.broadcast_shapes(shape(lam), shape(t))``,
     followed by ``(d, d)``; scalars give one ``(d, d)`` matrix, and a
     lam-independent ``(d, d)`` return is legal because it broadcasts.  So
-    ``S`` evaluates a whole (lam, t) grid in one call; ``validate`` checks
-    the contract.  ``decay_scale`` certifies the envelope
+    ``S`` evaluates a whole (lam, t) grid in one call; ``check_contract``
+    checks the contract once per family, before any such call.
+    ``decay_scale`` certifies the envelope
     |K(lam, t) - K(lam, +-inf)| <= C exp(-|t| / decay_scale).  Per-lambda
     results are memoized on the instance, so its fields must not change after
     use; ``shifted`` returns a new family with an empty memo.
@@ -108,27 +109,40 @@ class HamiltonianFamily:
         km, kp = self.K_limits(lam)
         return np.asarray(self.B(lam)) + np.asarray(kp if sign > 0 else km)
 
+    def check_contract(self) -> None:
+        """Check the broadcasting contract, once per family.
+
+        ``S`` is evaluated on a (lam, t) sample grid as one broadcast call and
+        compared with the stacked scalar calls, to 1e-12 max(1, ||S||_F).  If the
+        call raises or differs, ``AssumptionError`` names the contract.  Every
+        operation that hands ``S`` an array of lam or t calls this first.
+        """
+        def check():
+            lams = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+            ts = np.array([-3.0, 0.0, 3.0])
+            scalar = np.array([[self.S(lam, t) for t in ts] for lam in lams])
+            contract = ("B and K must broadcast over arrays of lam and t (the HamiltonianFamily "
+                        "contract); on the sample grid the broadcast call")
+            try:
+                S = np.broadcast_to(self.S(lams[:, None], ts[None, :]), scalar.shape)
+            except (TypeError, ValueError, IndexError) as exc:
+                raise AssumptionError(f"{contract} failed: {exc}") from exc
+            scale = np.maximum(1.0, np.linalg.norm(scalar, axis=(-2, -1)))
+            if not np.all(np.linalg.norm(S - scalar, axis=(-2, -1)) <= 1e-12 * scale):
+                raise AssumptionError(f"{contract} differs from the scalar calls")
+            return True
+        self._cached(("contract",), check)
+
     def validate(self, lam_samples=(0.0, 0.25, 0.5, 0.75, 1.0), t_samples=(-3.0, 0.0, 3.0),
                  sym_tol: float = 1e-9, hyp_tol: float = 1e-8) -> dict:
-        """Check the broadcasting contract, symmetry and the hyperbolicity
-        assumptions on sample points.
-
-        ``S`` is evaluated once on the (lam, t) sample grid as a broadcast call
-        and compared with the stacked scalar calls, to 1e-12 max(1, ||S||).
-        """
+        """Check the broadcasting contract (``check_contract``), symmetry and
+        the hyperbolicity assumptions on sample points."""
+        self.check_contract()
         J = self.space.J
         lams = np.asarray(lam_samples, dtype=float)
         ts = np.asarray(t_samples, dtype=float)
-        scalar = np.array([[self.S(lam, t) for t in ts] for lam in lams])
-        contract = ("B and K must broadcast over arrays of lam and t (the HamiltonianFamily "
-                    "contract); on the sample grid the broadcast call")
-        try:
-            S = np.broadcast_to(self.S(lams[:, None], ts[None, :]), scalar.shape)
-        except (TypeError, ValueError, IndexError) as exc:
-            raise AssumptionError(f"{contract} failed: {exc}") from exc
-        scale = np.maximum(1.0, np.linalg.norm(scalar, 2, axis=(-2, -1)))
-        if not np.all(np.linalg.norm(S - scalar, 2, axis=(-2, -1)) <= 1e-12 * scale):
-            raise AssumptionError(f"{contract} differs from the scalar calls")
+        S = np.broadcast_to(self.S(lams[:, None], ts[None, :]),
+                            lams.shape + ts.shape + (self.dim, self.dim))
         asym = np.linalg.norm(S - S.swapaxes(-1, -2), 2, axis=(-2, -1))
         bad = np.argwhere(asym > sym_tol * np.maximum(1.0, np.linalg.norm(S, 2, axis=(-2, -1))))
         if bad.size:
@@ -158,6 +172,7 @@ class HamiltonianFamily:
 
     def lambda_lipschitz(self, lam_samples=None, t_samples=None, safety: float = 1.5) -> float:
         """Bound on sup_t ||d S / d lam||, certifying pencil eigenvalue speed."""
+        self.check_contract()
         lams = np.asarray(lam_samples if lam_samples is not None else np.linspace(0.0, 1.0, 9),
                           dtype=float)[:, None]
         ts = np.asarray(t_samples if t_samples is not None else np.linspace(-3.0, 3.0, 7),
@@ -306,6 +321,7 @@ def propagate_subspaces(frames, family: HamiltonianFamily, lams, t_from: float, 
     generators J S_lam(t) of that step are held, so memory is O(L d^2).
     Returns the transported frames stacked as (L, d, k).
     """
+    family.check_contract()
     F = np.asarray(frames, dtype=float)
     span = abs(t_to - t_from)
     if span == 0.0:
@@ -660,6 +676,7 @@ def assemble_A0_operator(family: HamiltonianFamily, lam: float, T: float, N: int
     +T the stable splitting of J S_lam(+inf); by that time the perturbation has
     settled, so the pencil kernel matches intersections of E^u and E^s.
     """
+    family.check_contract()
     L0 = _asymptotic_frame(family, lam, -1)
     L1 = _asymptotic_frame(family, lam, +1)
     return _assemble(family.space, L0, L1, -T, T, N, S_fn=lambda t: family.S(lam, t),
@@ -942,13 +959,12 @@ def corollary_A_report(family: HamiltonianFamily, lam_grid=None, T: Optional[flo
     them (the opposite end assignment reverses every crossing orientation;
     see the orientation tests).
     """
+    family.check_contract()
     ts = np.array([-7.0, -1.0, 0.0, 1.0, 7.0])
-    drift = np.broadcast_to(
-        np.linalg.norm(family.S(0.0, ts) - family.S(1.0, ts), 2, axis=(-2, -1)), ts.shape)
-    for t, dt in zip(ts, drift):
-        if dt > periodicity_tol:
-            raise AssumptionError(
-                f"family is not lambda-periodic: |S_0 - S_1| = {dt:.3e} at t={t}")
+    drift = np.linalg.norm(family.S(0.0, ts) - family.S(1.0, ts), 2, axis=(-2, -1))
+    if np.max(drift) > periodicity_tol:
+        raise AssumptionError(f"family is not lambda-periodic: |S_0 - S_1| = "
+                              f"{np.max(drift):.3e} at t={ts[np.argmax(drift)]}")
 
     T = T if T is not None else 10.0 * family.decay_scale
     grid = np.asarray(lam_grid if lam_grid is not None else np.linspace(0.0, 1.0, 17), dtype=float)

@@ -272,6 +272,7 @@ class TestBatchedTransport:
             calls.append(t)
             return S(lam, t)
 
+        fam.check_contract()  # once per family, not per transport
         monkeypatch.setattr(fam, "S", counting)
         lams = np.linspace(0.0, 1.0, L)
         starts = np.stack([stable_unstable_splitting(fam.space.J @ fam.S_limit(lam, -1))[1]
@@ -384,7 +385,7 @@ class TestKernelCrossings:
         monkeypatch.setattr(maslov, "_nearest_phase", counting)
         recs = kernel_crossings(sech_family(1, amplitude=5.0), np.linspace(0, 1, 9), T=4.0)
         assert [r.lam for r in recs] == pytest.approx([0.3, 0.5, 0.7, 0.9], abs=1e-3)
-        assert len(calls) - 65 <= 30  # beyond one call per coarse node
+        assert len(calls) <= 30  # refinement evaluations only; the scan keeps its unitaries
 
 
 class TestCrossingRefinement:
@@ -802,6 +803,25 @@ class TestFamilyValidation:
             fam.validate()
         with pytest.raises(AssumptionError, match=f"broadcast call {message}"):
             theorem_A_report(fam, lam_grid=np.linspace(0.0, 1.0, 5), T=2.0, N=16)
+        with pytest.raises(AssumptionError, match=f"broadcast call {message}"):
+            corollary_A_report(fam, T=2.0, N=16)
+
+    def test_unlifted_family_fails_fast_where_its_batch_would_broadcast(self):
+        # written for a scalar contract, K scales the columns of M by lam when
+        # two lam nodes (L == d) are transported together, so every entry point
+        # that evaluates a stack checks the contract first
+        M = np.array([[0.0, 1.0], [1.0, 0.0]])
+        zero = np.zeros((2, 2))
+        fam = HamiltonianFamily(n=1, B=lambda lam: B_HYP,
+                                K=lambda lam, t: lam * np.exp(-t ** 2) * M,
+                                K_limits=lambda lam: (zero, zero))
+        assert fam.S(np.array([0.2, 0.8]), 0.0).shape == (2, 2)
+        with pytest.raises(AssumptionError, match="broadcast call failed"):
+            stable_unstable_pair_path(fam, [0.2, 0.8], 0.0, 2.0)
+        for op in (lambda: fam.lambda_lipschitz(),
+                   lambda: assemble_A0_operator(fam, 0.5, 2.0, 16)):
+            with pytest.raises(AssumptionError, match="broadcast call failed"):
+                op()
 
     def test_catalog_roundtrip(self):
         fam = make_family("sech-perturbation", amplitude=1.0)
