@@ -23,7 +23,7 @@ from hamflow import (
 
 # plain winding of a scalar loop
 loop = lambda lam: np.array([[np.exp(2j * np.pi * lam)]])
-path = UnitaryPath([(l, loop(l)) for l in np.linspace(0, 1, 9)], loop)
+path = UnitaryPath.from_callable(loop, grid=9)
 print("winding of exp(2 pi i lambda):", winding_number(path))
 
 # the rotating Lagrangian line against the horizontal axis

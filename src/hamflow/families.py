@@ -31,9 +31,9 @@ def _hyperbolic_B(n, rates):
     return np.diag(np.concatenate([rates, -rates]))
 
 
-def _rotation(J, theta):
+def _rotation(eye, J, theta):
     """Block rotation cos(theta) I + sin(theta) J; commutes with J."""
-    return np.cos(theta)[..., None, None] * np.eye(len(J)) + np.sin(theta)[..., None, None] * J
+    return np.cos(theta)[..., None, None] * eye + np.sin(theta)[..., None, None] * J
 
 
 def autonomous_family(n: int = 1, rates=None) -> HamiltonianFamily:
@@ -91,9 +91,10 @@ def rotating_asymptotics_family(n: int = 1, turns: float = 1.0, ramp_scale: floa
     rates = rates if rates is not None else 1.0 + np.arange(n)
     B = _hyperbolic_B(n, rates)
     J = standard_space(n).J
+    eye = np.eye(2 * n)
 
     def B_plus(lam):
-        R = _rotation(J, np.pi * turns * lam)
+        R = _rotation(eye, J, np.pi * turns * lam)
         return R.swapaxes(-1, -2) @ B @ R
 
     def sigma(t):

@@ -369,18 +369,26 @@ def _asymptotic_frame(family, lam, sign):
     return family._cached(("frame", lam, sign), splitting)
 
 
+def _decaying_frames(family, lams, sign, t0, T, steps_per_unit):
+    """Solutions decaying as t -> sign * inf, at t0, for each lam: the
+    asymptotic frame transported from sign * T.  Memoized on the family; the
+    lam missing from the memo are transported in one batch."""
+    key = lambda lam: ("decay", lam, sign, t0, T, steps_per_unit)
+    missing = [lam for lam in dict.fromkeys(lams) if key(lam) not in family._memo]
+    if missing:
+        starts = np.stack([_asymptotic_frame(family, lam, sign).columns for lam in missing])
+        frames = propagate_subspaces(starts, family, missing, sign * T, t0, steps_per_unit)
+        family._memo.update((key(lam), LagrangianFrame(F)) for lam, F in zip(missing, frames))
+    return [family._memo[key(lam)] for lam in lams]
+
+
 def _decaying_space(family, lam, t0, T, sign, steps_per_unit, certify, cert_factor, cert_tol):
-    """Solutions decaying as t -> sign * inf, at t0: the asymptotic frame
-    transported from sign * T (and, to certify, from sign * cert_factor * T).
-    Memoized on the family, as are the batches of the pair path."""
-    def transported(T):
-        key = ("decay", lam, sign, t0, T, steps_per_unit)
-        return family._cached(key, lambda: propagate_subspace(
-            _asymptotic_frame(family, lam, sign), family, lam, sign * T, t0, steps_per_unit))
-    F = transported(T)
+    """``_decaying_frames`` at one lam (and, to certify, also transported
+    from sign * cert_factor * T)."""
+    F = _decaying_frames(family, [lam], sign, t0, T, steps_per_unit)[0]
     if not certify:
         return F
-    F2 = transported(cert_factor * T)
+    F2 = _decaying_frames(family, [lam], sign, t0, cert_factor * T, steps_per_unit)[0]
     gap = gap_distance(F, F2)
     if gap > cert_tol:
         name = "unstable" if sign < 0 else "stable"
@@ -412,22 +420,16 @@ def stable_unstable_pair_path(family: HamiltonianFamily, lam_grid, t0: float, T:
                               steps_per_unit: int = STEPS_PER_UNIT):
     """Lagrangian paths lam -> E^u_lam(t0) and lam -> E^s_lam(t0).
 
-    Nodes missing from the family's memo are transported in one batch per
-    path; the evaluators used for refinement transport a single lam.
+    The samples and every evaluator call (one per refinement round of a
+    Maslov count) transport the lam missing from the family's memo in one
+    batch per path.
     """
     lams = [float(l) for l in (np.linspace(0.0, 1.0, lam_grid) if np.isscalar(lam_grid)
                                else np.asarray(lam_grid, dtype=float))]
     paths = []
-    for sign, space_at in ((-1, unstable_space), (+1, stable_space)):
-        key = lambda lam: ("decay", lam, sign, t0, T, steps_per_unit)  # as in _decaying_space
-        missing = [lam for lam in lams if key(lam) not in family._memo]
-        if missing:
-            starts = np.stack([_asymptotic_frame(family, lam, sign).columns for lam in missing])
-            frames = propagate_subspaces(starts, family, missing, sign * T, t0, steps_per_unit)
-            family._memo.update((key(lam), LagrangianFrame(F)) for lam, F in zip(missing, frames))
-        samples = [(lam, family._memo[key(lam)]) for lam in lams]
-        evaluator = lambda lam, space_at=space_at: space_at(family, lam, t0, T, steps_per_unit)
-        paths.append(LagrangianPath(family.space, samples, evaluator))
+    for sign in (-1, +1):
+        ev = lambda lams, sign=sign: _decaying_frames(family, lams, sign, t0, T, steps_per_unit)
+        paths.append(LagrangianPath(family.space, list(zip(lams, ev(lams))), ev))
     return tuple(paths)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -43,17 +43,36 @@ def _phase_margin(dU_norm):
     return 2.0 * np.arcsin(half) * 1.25 + 1e-7
 
 
+def _lookup(samples, evaluator, lams):
+    """Path values at lams: sampled ones from samples, the rest from one
+    ``evaluator`` call."""
+    known = dict(samples)
+    missing = [lam for lam in dict.fromkeys(lams) if lam not in known]
+    if missing:
+        if evaluator is None:
+            raise RefinementError(f"path is not refinable and lam={missing[0]} is not sampled")
+        got = list(evaluator(missing))
+        if len(got) != len(missing):
+            raise ValueError(f"a path evaluator maps a sequence of lam to a list of values; "
+                             f"asked for {len(missing)}, it returned {len(got)}")
+        known.update(zip(missing, got))
+    return [known[lam] for lam in lams]
+
+
 @dataclass
 class UnitaryPath:
     """Sampled path of complex unitaries, optionally refinable.
 
     ``samples`` is a list of (lam, U) with strictly increasing lam; the
     canonical parameter domain is [0, 1].  When ``evaluator`` is provided it
-    is used to insert midpoints during certification.
+    is used to insert midpoints during certification: it maps a sequence of
+    lam to the list of their unitaries, and each refinement round of
+    ``winding_number`` makes one call.  ``from_callable`` adapts a function
+    of one lam.
     """
 
     samples: list
-    evaluator: Optional[Callable[[float], np.ndarray]] = None
+    evaluator: Optional[Callable[[Sequence[float]], list]] = None
     tol_unitary: float = 1e-8
 
     def __post_init__(self):
@@ -69,13 +88,15 @@ class UnitaryPath:
             if resid > self.tol_unitary:
                 raise ValueError(f"sample at lam={lam} is not unitary (residual {resid:.2e})")
 
+    @classmethod
+    def from_callable(cls, fn: Callable[[float], np.ndarray], grid=17, lo: float = 0.0,
+                      hi: float = 1.0) -> "UnitaryPath":
+        lams = np.linspace(lo, hi, grid) if np.isscalar(grid) else np.asarray(grid, dtype=float)
+        return cls([(float(l), fn(float(l))) for l in lams],
+                   lambda lams: [fn(float(l)) for l in lams])
+
     def evaluate(self, lam):
-        for s_lam, U in self.samples:
-            if s_lam == lam:
-                return U
-        if self.evaluator is None:
-            raise RefinementError(f"path is not refinable and lam={lam} is not sampled")
-        return np.asarray(self.evaluator(lam))
+        return np.asarray(_lookup(self.samples, self.evaluator, [lam])[0])
 
 
 def winding_number(d: UnitaryPath, budget: float = UNITARY_BUDGET,
@@ -96,19 +117,19 @@ def winding_number(d: UnitaryPath, budget: float = UNITARY_BUDGET,
     unitaries = {lam: np.asarray(U) for lam, U in d.samples}
     phases = {}
 
-    def unitary(lam):
-        if lam not in unitaries:
-            unitaries[lam] = np.asarray(d.evaluate(lam))
-        return unitaries[lam]
-
-    def psi_at(lam):
-        if lam not in phases:
-            phases[lam] = _eigenphases(unitary(lam))
-        return phases[lam]
+    def phases_at(lams):
+        # a refinement round's new unitaries come from one evaluator call
+        new = [lam for lam in lams if lam not in unitaries]
+        unitaries.update((lam, np.asarray(U))
+                         for lam, U in zip(new, _lookup(d.samples, d.evaluator, new)))
+        for lam in lams:
+            if lam not in phases:
+                phases[lam] = _eigenphases(unitaries[lam])
+        return [phases[lam] for lam in lams]
 
     if endpoint_kernel_dims is not None:
         for lam, k in zip((lams[0], lams[-1]), endpoint_kernel_dims):
-            psi = psi_at(lam)
+            psi = phases_at([lam])[0]
             order = np.argsort(np.abs(psi))
             loose = max(snap_tol, 1e-5)
             if k and np.abs(psi[order[: int(k)]]).max() > loose:
@@ -118,7 +139,7 @@ def winding_number(d: UnitaryPath, budget: float = UNITARY_BUDGET,
             phases[lam] = psi
 
     def drift(a, b):
-        dU = float(np.linalg.norm(unitary(b) - unitary(a), 2))
+        dU = float(np.linalg.norm(unitaries[b] - unitaries[a], 2))
         return _phase_margin(dU) if dU <= budget else None
 
     def eps_for(psi_a, psi_b, margin):
@@ -127,7 +148,7 @@ def winding_number(d: UnitaryPath, budget: float = UNITARY_BUDGET,
         return _choose_eps(np.concatenate([centers, 2.0 * np.pi - centers]), margin,
                            np.pi, 1e-9, 1e-7)
 
-    total, _ = certified_count(psi_at, drift, eps_for, lams, snap_tol, max_depth)
+    total, _ = certified_count(phases_at, drift, eps_for, lams, snap_tol, max_depth)
     return total
 
 
@@ -136,12 +157,16 @@ class LagrangianPath:
     """Path of Lagrangian subspaces of a fixed symplectic space.
 
     Carries samples (lam, LagrangianFrame) and, optionally, a frame evaluator
-    used for adaptive refinement and restriction.
+    used for adaptive refinement and restriction.  The evaluator maps a
+    sequence of lam to the list of their frames, so a refinement round asks
+    for all its new lam in one call (the pair path of a Hamiltonian family
+    transports them in one batch); ``from_callable`` adapts a function of
+    one lam, and ``frame(lam)`` evaluates one.
     """
 
     space: SymplecticSpace
     samples: list
-    evaluator: Optional[Callable[[float], LagrangianFrame]] = None
+    evaluator: Optional[Callable[[Sequence[float]], list]] = None
 
     def __post_init__(self):
         lams = [s[0] for s in self.samples]
@@ -154,7 +179,8 @@ class LagrangianPath:
     def from_callable(cls, space: SymplecticSpace, fn: Callable[[float], LagrangianFrame],
                       grid=17, lo: float = 0.0, hi: float = 1.0) -> "LagrangianPath":
         lams = np.linspace(lo, hi, grid) if np.isscalar(grid) else np.asarray(grid, dtype=float)
-        return cls(space, [(float(l), fn(float(l))) for l in lams], evaluator=fn)
+        return cls(space, [(float(l), fn(float(l))) for l in lams],
+                   lambda lams: [fn(float(l)) for l in lams])
 
     @property
     def lo(self) -> float:
@@ -164,13 +190,12 @@ class LagrangianPath:
     def hi(self) -> float:
         return self.samples[-1][0]
 
+    def frames(self, lams) -> list:
+        """Frames at lams: sampled ones looked up, the rest from one evaluator call."""
+        return _lookup(self.samples, self.evaluator, lams)
+
     def frame(self, lam) -> LagrangianFrame:
-        for s_lam, F in self.samples:
-            if s_lam == lam:
-                return F
-        if self.evaluator is None:
-            raise RefinementError(f"path is not refinable and lam={lam} is not sampled")
-        return self.evaluator(lam)
+        return self.frames([lam])[0]
 
     def reverse(self) -> "LagrangianPath":
         lo, hi = self.lo, self.hi
@@ -178,13 +203,13 @@ class LagrangianPath:
         ev = None
         if self.evaluator is not None:
             fn = self.evaluator
-            ev = lambda lam: fn(lo + hi - lam)
+            ev = lambda lams: fn([lo + hi - lam for lam in lams])
         return LagrangianPath(self.space, rev, ev)
 
     def restrict(self, a: float, b: float) -> "LagrangianPath":
         inner = [(lam, F) for lam, F in self.samples if a < lam < b]
-        ends = [(a, self.frame(a))], [(b, self.frame(b))]
-        return LagrangianPath(self.space, ends[0] + inner + ends[1], self.evaluator)
+        Fa, Fb = self.frames([a, b])
+        return LagrangianPath(self.space, [(a, Fa)] + inner + [(b, Fb)], self.evaluator)
 
     def souriau_path(self, W: LagrangianFrame) -> UnitaryPath:
         space = self.space
@@ -192,7 +217,7 @@ class LagrangianPath:
         ev = None
         if self.evaluator is not None:
             fn = self.evaluator
-            ev = lambda lam: souriau_map(W, fn(lam), space)
+            ev = lambda lams: [souriau_map(W, F, space) for F in fn(lams)]
         return UnitaryPath(samples, ev)
 
 
@@ -241,11 +266,12 @@ def pair_to_product_path(path1: LagrangianPath, path2: LagrangianPath):
         if path1.evaluator is None or path2.evaluator is None:
             raise RefinementError("pair paths sampled on different grids and not refinable")
         lams1 = sorted(set(lams1) | set(lams2))
-    samples = [(lam, _product_frame(path1.frame(lam), path2.frame(lam))) for lam in lams1]
+    samples = [(lam, _product_frame(F1, F2))
+               for lam, F1, F2 in zip(lams1, path1.frames(lams1), path2.frames(lams1))]
     ev = None
     if path1.evaluator is not None and path2.evaluator is not None:
         f1, f2 = path1.evaluator, path2.evaluator
-        ev = lambda lam: _product_frame(f1(lam), f2(lam))
+        ev = lambda lams: [_product_frame(F1, F2) for F1, F2 in zip(f1(lams), f2(lams))]
     product = LagrangianPath(prod_space, samples, ev)
     return product, _diagonal_frame(path1.space.dim)
 

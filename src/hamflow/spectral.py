@@ -116,44 +116,64 @@ def _min_abs(vals):
 def certified_count(values, drift, window, nodes, zero_snap, max_depth):
     """Telescoping window count on an adaptive partition (Phillips 1996).
 
-    ``values(lam)`` gives the signed spectrum at a node, measured from the
-    crossing point (eigenvalues from 0, Souriau eigenphases from -1).
-    ``drift(a, b)`` bounds how far any value moves over [a, b], or returns
-    None when [a, b] must be split.  ``window(va, vb, m)`` returns a bound eps
-    whose +-eps stays clear of both node spectra by more than the drift m,
-    or None.  Each subinterval is bisected until both succeed; the total is
-    the sum over subintervals of the right count minus the left count of
-    values in [-zero_snap, eps].  Returns (total, FlowCertificate).
+    ``values(lams)`` maps a list of nodes to the list of their signed spectra,
+    measured from the crossing point (eigenvalues from 0, Souriau eigenphases
+    from -1).  ``drift(a, b)`` bounds how far any value moves over [a, b], or
+    returns None when [a, b] must be split.  ``window(va, vb, m)`` returns a
+    bound eps whose +-eps stays clear of both node spectra by more than the
+    drift m, or None.  The total is the sum over subintervals of the right
+    count minus the left count of values in [-zero_snap, eps].
+
+    The partition is refined in rounds.  Each round decides every subinterval
+    whose ends are known, raising ``FlowRefinementError`` on one that fails
+    at ``max_depth`` or cannot be halved, then halves the leftmost failing
+    subintervals and asks for all their midpoints in one ``values`` call, so
+    a batched evaluator (the transport behind a Maslov winding) serves a
+    whole round.  A round halves at most as many subintervals as the initial
+    partition has: a path that never settles (a discontinuous one) would
+    otherwise double the work of every round up to the depth limit, while
+    with the cap it fails after about that many times ``max_depth``
+    evaluations.  Every failing subinterval is halved in some round, so a
+    successful count evaluates the nodes of the bisection tree, whatever the
+    order of the rounds.  Returns (total, FlowCertificate).
     """
-    intervals = []
+    nodes = list(nodes)
+    known = dict(zip(nodes, values(nodes)))
+    width = len(nodes) - 1
+    todo = [(a, b, 0) for a, b in zip(nodes, nodes[1:])]
+    failing, intervals = [], []
+    while todo:
+        for a, b, depth in todo:
+            va, vb = known[a], known[b]
+            m = drift(a, b)
+            eps = None if m is None else window(va, vb, m)
+            if eps is None:
+                mid = 0.5 * (a + b)
+                if depth >= max_depth or mid <= a or mid >= b:
+                    detail = "over budget" if m is None else f"{m:.3g}"
+                    raise FlowRefinementError(
+                        f"refinement exhausted on [{a:.6g}, {b:.6g}] (drift {detail})")
+                failing.append((a, b, depth))
+                continue
+            kL = int(np.count_nonzero((va >= -zero_snap) & (va <= eps)))
+            kR = int(np.count_nonzero((vb >= -zero_snap) & (vb <= eps)))
+            intervals.append((a, b, eps, kL, kR, m))
+        failing.sort()
+        split, failing = failing[:width], failing[width:]
+        mids = [0.5 * (a + b) for a, b, _ in split]
+        if mids:
+            known.update(zip(mids, values(mids)))
+        todo = [half for (a, b, depth), mid in zip(split, mids)
+                for half in ((a, mid, depth + 1), (mid, b, depth + 1))]
 
-    def process(a, b, depth):
-        va, vb = values(a), values(b)
-        m = drift(a, b)
-        eps = None if m is None else window(va, vb, m)
-        if eps is None:
-            mid = 0.5 * (a + b)
-            if depth >= max_depth or mid <= a or mid >= b:
-                detail = "over budget" if m is None else f"{m:.3g}"
-                raise FlowRefinementError(
-                    f"refinement exhausted on [{a:.6g}, {b:.6g}] (drift {detail})")
-            process(a, mid, depth + 1)
-            process(mid, b, depth + 1)
-            return
-        kL = int(np.count_nonzero((va >= -zero_snap) & (va <= eps)))
-        kR = int(np.count_nonzero((vb >= -zero_snap) & (vb <= eps)))
-        intervals.append((a, b, eps, kL, kR, m))
-
-    for a, b in zip(nodes, nodes[1:]):
-        process(a, b, 0)
-
+    intervals.sort(key=lambda iv: iv[0])
     total = int(sum(kR - kL for (_, _, _, kL, kR, _) in intervals))
     cert = FlowCertificate(
         nodes=np.array([iv[0] for iv in intervals] + [intervals[-1][1]]),
         eps=np.array([iv[2] for iv in intervals]),
         counts=np.array([(iv[3], iv[4]) for iv in intervals]),
         drifts=np.array([iv[5] for iv in intervals]),
-        endpoint_gaps=(_min_abs(values(nodes[0])), _min_abs(values(nodes[-1]))),
+        endpoint_gaps=(_min_abs(known[nodes[0]]), _min_abs(known[nodes[-1]])),
         total=total,
     )
     return total, cert
@@ -197,7 +217,8 @@ def flow_from_spectra(node_fn, drift_fn, lo=0.0, hi=1.0, initial_nodes=17, windo
         cap = min(window, rw - m) if window is not None else np.inf
         return _choose_eps(np.abs(np.concatenate((sa, sb))), m, cap, 0.0, max(1e-14, 1e-9 * m))
 
-    return certified_count(spec, lambda a, b: drift_fn(a, b) + 1e-12, eps_for, nodes,
+    return certified_count(lambda lams: [spec(lam) for lam in lams],
+                           lambda a, b: drift_fn(a, b) + 1e-12, eps_for, nodes,
                            zero_snap, max_depth)
 
 

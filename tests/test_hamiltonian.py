@@ -281,6 +281,30 @@ class TestBatchedTransport:
         nsteps = int(np.ceil(2.5 * 64))
         assert 0 < len(calls) <= 2 * nsteps + 1
 
+    def test_refinement_rounds_transport_in_batches(self, monkeypatch):
+        sizes, batches = [], []
+        transport, count = ha.propagate_subspaces, maslov.certified_count
+
+        def counting_transport(frames, family, lams, *args):
+            sizes.append(len(lams))
+            return transport(frames, family, lams, *args)
+
+        def counting_count(values, *args):
+            def batch(lams):
+                batches.append(len(lams))
+                return values(lams)
+            return count(batch, *args)
+
+        monkeypatch.setattr(ha, "propagate_subspaces", counting_transport)
+        monkeypatch.setattr(maslov, "certified_count", counting_count)
+        rep = theorem_A_report(rotating_asymptotics_family(1), np.linspace(0.0, 1.0, 9),
+                               T=0.5, N=32, locate_crossings=False)
+        assert rep.maslov == rep.sfl == 1
+        rounds = len(batches) - 1  # the first batch is the sampled grid
+        assert rounds > 0
+        assert sizes and min(sizes) > 1
+        assert len(sizes) <= 2 * (1 + rounds)
+
     @pytest.mark.parametrize("name", sorted(BATCH_FAMILIES))
     @pytest.mark.parametrize("t_from,t_to", [(-2.0, 0.5), (2.0, 0.0), (0.3, 0.3)])
     def test_matches_per_lambda_loop(self, name, t_from, t_to):

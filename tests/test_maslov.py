@@ -34,14 +34,13 @@ from helpers import (
 
 def scalar_path(sign, grid=9):
     ev = lambda lam: np.array([[np.exp(sign * 2j * np.pi * lam)]])
-    lams = np.linspace(0.0, 1.0, grid)
-    return UnitaryPath([(float(l), ev(l)) for l in lams], ev)
+    return UnitaryPath.from_callable(ev, grid=grid)
 
 
 class TestWindingNumber:
     def test_constant_path(self):
         U0 = unitary_from_hermitian(random_hermitian(np.random.default_rng(0), 3))
-        path = UnitaryPath([(0.0, U0), (1.0, U0)], lambda lam: U0)
+        path = UnitaryPath.from_callable(lambda lam: U0, grid=2)
         assert winding_number(path) == 0
 
     def test_scalar_loops(self):
@@ -54,7 +53,7 @@ class TestWindingNumber:
 
     def test_multiple_turns(self):
         ev = lambda lam: np.array([[np.exp(4j * np.pi * lam)]])
-        path = UnitaryPath([(l, ev(l)) for l in np.linspace(0, 1, 17)], ev)
+        path = UnitaryPath.from_callable(ev, grid=17)
         assert winding_number(path) == 2
 
     def test_refinement_exhaustion_reported(self):
@@ -66,6 +65,34 @@ class TestWindingNumber:
             winding_number(path)
         # one refinement failure type for both counting routes
         assert RefinementError is FlowRefinementError
+
+    def test_discontinuous_path_fails_fast(self):
+        rng = np.random.default_rng(4)
+        calls = []
+
+        def random_phase(lam):
+            calls.append(lam)
+            return np.array([[np.exp(2j * np.pi * rng.random())]])
+
+        with pytest.raises(RefinementError,
+                           match=r"^refinement exhausted on \[[^,]+, [^\]]+\] \(drift "):
+            winding_number(UnitaryPath.from_callable(random_phase, grid=2))
+        assert len(calls) <= 100
+
+    def test_evaluator_maps_a_sequence(self):
+        asked = []
+
+        def evaluator(lams):
+            asked.append(len(lams))
+            return [np.array([[np.exp(2j * np.pi * (lam + 0.1))]]) for lam in lams]
+
+        path = UnitaryPath([(l, evaluator([l])[0]) for l in (0.0, 0.5, 1.0)], evaluator)
+        asked.clear()
+        assert winding_number(path) == 1
+        assert asked and min(asked) > 1  # each refinement round is one call
+        broken = UnitaryPath([(0.0, np.eye(1)), (1.0, np.eye(1))], lambda lams: [])
+        with pytest.raises(ValueError, match="sequence of lam"):
+            broken.evaluate(0.5)
 
     def test_validation(self):
         with pytest.raises(ValueError):

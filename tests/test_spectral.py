@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
+from hamflow import maslov, spectral
+from hamflow.families import rotating_asymptotics_family
+from hamflow.hamiltonian import theorem_A_report
 from hamflow.maslov import UnitaryPath, winding_number
 from hamflow.spectral import (
+    MAX_FLOW_DEPTH,
     EndpointKernelError,
+    FlowCertificate,
     FlowRefinementError,
     SymmetricMatrixPath,
     chern_winding,
@@ -12,6 +17,12 @@ from hamflow.spectral import (
     normalization_path,
     shifted_flow,
     spectral_flow,
+)
+from helpers import (
+    frame_from_unitary,
+    random_hermitian,
+    random_lagrangian_path,
+    unitary_from_hermitian,
 )
 
 
@@ -106,7 +117,7 @@ class TestSpectralFlow:
 
             flow, _ = spectral_flow(path)
             lams = np.linspace(0.0, 1.0, 17)
-            assert winding_number(UnitaryPath([(l, cayley(l)) for l in lams], cayley)) == flow
+            assert winding_number(UnitaryPath.from_callable(cayley, grid=lams)) == flow
             flows.add(flow)
         assert len(flows) >= 3
 
@@ -238,3 +249,111 @@ class TestFlowFromSpectra:
         with pytest.raises((FlowRefinementError, EndpointKernelError)):
             flow_from_spectra(node_fn, drift_fn=lambda a, b: 1e3 * (b - a), window=1.0,
                               initial_nodes=5, max_depth=6)
+
+    def test_failing_count_stops_at_the_width_cap(self):
+        # every subinterval fails, so rounds must not widen with the tree
+        calls = []
+
+        def node_fn(lam):
+            calls.append(lam)
+            return np.array([0.5])
+
+        with pytest.raises(FlowRefinementError,
+                           match=r"^refinement exhausted on \[[^,]+, [^\]]+\] \(drift 10\)$"):
+            flow_from_spectra(node_fn, drift_fn=lambda a, b: 10.0, window=1.0, initial_nodes=17)
+        assert len(calls) <= 16 * (MAX_FLOW_DEPTH + 1) + 17
+
+
+def _recursive_certified_count(values, drift, window, nodes, zero_snap, max_depth):
+    """Reference: the depth-first bisection, one scalar ``values(lam)`` at a time."""
+    intervals = []
+
+    def process(a, b, depth):
+        va, vb = values(a), values(b)
+        m = drift(a, b)
+        eps = None if m is None else window(va, vb, m)
+        if eps is None:
+            mid = 0.5 * (a + b)
+            if depth >= max_depth or mid <= a or mid >= b:
+                detail = "over budget" if m is None else f"{m:.3g}"
+                raise FlowRefinementError(
+                    f"refinement exhausted on [{a:.6g}, {b:.6g}] (drift {detail})")
+            process(a, mid, depth + 1)
+            process(mid, b, depth + 1)
+            return
+        kL = int(np.count_nonzero((va >= -zero_snap) & (va <= eps)))
+        kR = int(np.count_nonzero((vb >= -zero_snap) & (vb <= eps)))
+        intervals.append((a, b, eps, kL, kR, m))
+
+    for a, b in zip(nodes, nodes[1:]):
+        process(a, b, 0)
+
+    total = int(sum(kR - kL for (_, _, _, kL, kR, _) in intervals))
+    cert = FlowCertificate(
+        nodes=np.array([iv[0] for iv in intervals] + [intervals[-1][1]]),
+        eps=np.array([iv[2] for iv in intervals]),
+        counts=np.array([(iv[3], iv[4]) for iv in intervals]),
+        drifts=np.array([iv[5] for iv in intervals]),
+        endpoint_gaps=(spectral._min_abs(values(nodes[0])),
+                       spectral._min_abs(values(nodes[-1]))),
+        total=total,
+    )
+    return total, cert
+
+
+def _random_flows():
+    rng = np.random.default_rng(21)
+    for _ in range(12):
+        path = random_piecewise_linear(rng, int(rng.integers(1, 5)))
+        spectral_flow(path)
+        # a window below the spectrum's spread makes the count refine
+        flow_from_spectra(lambda lam: np.linalg.eigvalsh(path(lam)),
+                          lambda a, b: float(np.linalg.norm(path(b) - path(a), 2)),
+                          window=0.5, initial_nodes=5)
+
+
+def _random_windings():
+    rng = np.random.default_rng(22)
+    for _ in range(12):
+        n = int(rng.integers(1, 3))
+        path = random_lagrangian_path(rng, n, speed=2.0, grid=9)
+        maslov.maslov_index(path, frame_from_unitary(unitary_from_hermitian(
+            random_hermitian(rng, n))))
+
+
+def _rotating_theorem_A():
+    theorem_A_report(rotating_asymptotics_family(1), np.linspace(0.0, 1.0, 9), T=0.5, N=32,
+                     locate_crossings=False)
+
+
+class TestRoundsMatchRecursion:
+    @pytest.mark.parametrize("case", [_random_flows, _random_windings, _rotating_theorem_A],
+                             ids=["spectral-flow-random", "winding-random-lagrangian",
+                                  "theorem-A-rotating"])
+    def test_total_and_certificate_bitwise(self, case, monkeypatch):
+        def recorded(engine, log):
+            def count(values, drift, window, nodes, zero_snap, max_depth):
+                total, cert = engine(values, drift, window, nodes, zero_snap, max_depth)
+                log.append((total, cert, len(nodes)))
+                return total, cert
+            return count
+
+        def recursion(values, *args):
+            return _recursive_certified_count(lambda lam: values([lam])[0], *args)
+
+        runs = []
+        for engine in (spectral.certified_count, recursion):
+            log = []
+            monkeypatch.setattr(spectral, "certified_count", recorded(engine, log))
+            monkeypatch.setattr(maslov, "certified_count", recorded(engine, log))
+            case()
+            runs.append(log)
+        rounds, recursive = runs
+        assert len(rounds) == len(recursive) > 0
+        assert any(len(cert.nodes) > initial for _, cert, initial in rounds)
+        for (total, cert, _), (ref_total, ref, _) in zip(rounds, recursive):
+            assert total == ref_total == cert.total == ref.total
+            for field in ("nodes", "eps", "counts", "drifts"):
+                a, b = getattr(cert, field), getattr(ref, field)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+            assert cert.endpoint_gaps == ref.endpoint_gaps
