@@ -53,7 +53,6 @@ from .hamiltonian import (
     relative_dimension,
     fundamental_solution,
     propagate_subspace,
-    propagate_subspaces,
     unstable_space,
     stable_space,
     kernel_crossings,

@@ -310,24 +310,29 @@ def fundamental_solution(family: HamiltonianFamily, lam: float, t0: float,
     raise RuntimeError(f"symplectic residual {resid:.3e} persists after step halving")
 
 
-def propagate_subspaces(frames, family: HamiltonianFamily, lams, t_from: float, t_to: float,
-                        steps_per_unit: int = STEPS_PER_UNIT) -> np.ndarray:
-    """Push stacked frames (L, d, k), one per lam, through Ju' + S_lam u = 0.
+def propagate_subspace(frame, family: HamiltonianFamily, lam, t_from: float, t_to: float,
+                       steps_per_unit: int = STEPS_PER_UNIT):
+    """Push frames through the flow of Ju' + S_lam u = 0 from t_from to t_to.
 
-    All frames share the RK4 time points from t_from to t_to and are
-    re-orthonormalized by one batched QR every step; the subspace, not the
-    individual solutions, is the invariant object.  Each stage time costs one
-    family call ``S(lams, t)`` for all lam.  Per step only the stage
-    generators J S_lam(t) of that step are held, so memory is O(L d^2).
-    Returns the transported frames stacked as (L, d, k).
+    Broadcasts over lam as ``S`` does: one (d, k) frame at a float lam gives
+    a LagrangianFrame, and an (L, d, k) stack, one frame per entry of a
+    sequence lam, gives the transported (L, d, k) stack.  All frames share
+    the RK4 time points and are re-orthonormalized by one batched QR every
+    step; the subspace, not the individual solutions, is the invariant
+    object.  Each stage time costs one family call ``S(lam, t)`` for all
+    lam.  Per step only the stage generators J S_lam(t) of that step are
+    held, so memory is O(L d^2).
     """
     family.check_contract()
-    F = np.asarray(frames, dtype=float)
+    one = np.ndim(lam) == 0
+    F = frame.columns if isinstance(frame, LagrangianFrame) else np.asarray(frame, dtype=float)
+    F = F[None] if one else F
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
     span = abs(t_to - t_from)
     if span == 0.0:
-        return np.linalg.qr(F)[0]
+        F = np.linalg.qr(F)[0]
+        return LagrangianFrame(F[0]) if one else F
     J = family.space.J
-    lams = np.asarray(lams, dtype=float)
     stages = {}
 
     def rhs(t, Y):
@@ -348,16 +353,7 @@ def propagate_subspaces(frames, family: HamiltonianFamily, lams, t_from: float, 
         # keep column orientation stable
         F = F * np.sign(np.sign(np.diagonal(r, axis1=-2, axis2=-1)) + 0.5)[:, None, :]
         t += h
-    return F
-
-
-def propagate_subspace(frame, family: HamiltonianFamily, lam: float,
-                       t_from: float, t_to: float,
-                       steps_per_unit: int = STEPS_PER_UNIT) -> LagrangianFrame:
-    """Push one frame through the flow of Ju' + S u = 0 from t_from to t_to."""
-    F = frame.columns if isinstance(frame, LagrangianFrame) else np.asarray(frame, dtype=float)
-    return LagrangianFrame(propagate_subspaces(F[None], family, [lam], t_from, t_to,
-                                               steps_per_unit)[0])
+    return LagrangianFrame(F[0]) if one else F
 
 
 def _asymptotic_frame(family, lam, sign):
@@ -374,10 +370,10 @@ def _decaying_frames(family, lams, sign, t0, T, steps_per_unit):
     asymptotic frame transported from sign * T.  Memoized on the family; the
     lam missing from the memo are transported in one batch."""
     key = lambda lam: ("decay", lam, sign, t0, T, steps_per_unit)
-    missing = [lam for lam in dict.fromkeys(lams) if key(lam) not in family._memo]
+    missing = tuple(lam for lam in dict.fromkeys(lams) if key(lam) not in family._memo)
     if missing:
         starts = np.stack([_asymptotic_frame(family, lam, sign).columns for lam in missing])
-        frames = propagate_subspaces(starts, family, missing, sign * T, t0, steps_per_unit)
+        frames = propagate_subspace(starts, family, missing, sign * T, t0, steps_per_unit)
         family._memo.update((key(lam), LagrangianFrame(F)) for lam, F in zip(missing, frames))
     return [family._memo[key(lam)] for lam in lams]
 

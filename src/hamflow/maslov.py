@@ -43,10 +43,9 @@ def _phase_margin(dU_norm):
     return 2.0 * np.arcsin(half) * 1.25 + 1e-7
 
 
-def _lookup(samples, evaluator, lams):
-    """Path values at lams: sampled ones from samples, the rest from one
-    ``evaluator`` call."""
-    known = dict(samples)
+def _lookup(known, evaluator, lams):
+    """Path values at lams: known ones from the dict ``known``, the rest from
+    one ``evaluator`` call, which are added to ``known``."""
     missing = [lam for lam in dict.fromkeys(lams) if lam not in known]
     if missing:
         if evaluator is None:
@@ -96,7 +95,7 @@ class UnitaryPath:
                    lambda lams: [fn(float(l)) for l in lams])
 
     def evaluate(self, lam):
-        return np.asarray(_lookup(self.samples, self.evaluator, [lam])[0])
+        return np.asarray(_lookup(dict(self.samples), self.evaluator, [lam])[0])
 
 
 def winding_number(d: UnitaryPath, budget: float = UNITARY_BUDGET,
@@ -114,17 +113,14 @@ def winding_number(d: UnitaryPath, budget: float = UNITARY_BUDGET,
     tolerance so that restrictions cut exactly at a crossing count it.
     """
     lams = [lam for lam, _ in d.samples]
-    unitaries = {lam: np.asarray(U) for lam, U in d.samples}
+    unitaries = dict(d.samples)
     phases = {}
 
     def phases_at(lams):
         # a refinement round's new unitaries come from one evaluator call
-        new = [lam for lam in lams if lam not in unitaries]
-        unitaries.update((lam, np.asarray(U))
-                         for lam, U in zip(new, _lookup(d.samples, d.evaluator, new)))
-        for lam in lams:
+        for lam, U in zip(lams, _lookup(unitaries, d.evaluator, lams)):
             if lam not in phases:
-                phases[lam] = _eigenphases(unitaries[lam])
+                phases[lam] = _eigenphases(np.asarray(U))
         return [phases[lam] for lam in lams]
 
     if endpoint_kernel_dims is not None:
@@ -139,7 +135,7 @@ def winding_number(d: UnitaryPath, budget: float = UNITARY_BUDGET,
             phases[lam] = psi
 
     def drift(a, b):
-        dU = float(np.linalg.norm(unitaries[b] - unitaries[a], 2))
+        dU = float(np.linalg.norm(np.asarray(unitaries[b]) - np.asarray(unitaries[a]), 2))
         return _phase_margin(dU) if dU <= budget else None
 
     def eps_for(psi_a, psi_b, margin):
@@ -192,7 +188,7 @@ class LagrangianPath:
 
     def frames(self, lams) -> list:
         """Frames at lams: sampled ones looked up, the rest from one evaluator call."""
-        return _lookup(self.samples, self.evaluator, lams)
+        return _lookup(dict(self.samples), self.evaluator, lams)
 
     def frame(self, lam) -> LagrangianFrame:
         return self.frames([lam])[0]

@@ -228,18 +228,18 @@ ROTATING_SCENARIO = {"family": {"id": "rotating-asymptotics", "n": 1},
 ], ids=["sech", "rotating"])
 def test_run_computes_each_pencil_and_transport_once(tmp_path, monkeypatch, scenario):
     pencils, frames = [], []
-    assemble, transport = ha.assemble_A0_operator, ha.propagate_subspaces
+    assemble, transport = ha.assemble_A0_operator, ha.propagate_subspace
 
     def counting_assemble(family, lam, T, N, **kwargs):
         pencils.append((id(family), float(lam), T, N))
         return assemble(family, lam, T, N, **kwargs)
 
     def counting_transport(F, family, lams, t_from, t_to, *args):
-        frames.extend((id(family), float(lam), t_from, t_to) for lam in lams)
+        frames.extend((id(family), float(lam), t_from, t_to) for lam in np.atleast_1d(lams))
         return transport(F, family, lams, t_from, t_to, *args)
 
     monkeypatch.setattr(ha, "assemble_A0_operator", counting_assemble)
-    monkeypatch.setattr(ha, "propagate_subspaces", counting_transport)
+    monkeypatch.setattr(ha, "propagate_subspace", counting_transport)
     assert cli.main(["run", write_config(tmp_path, **scenario)]) == cli.EXIT_OK
     assert pencils and frames
     assert len(set(pencils)) == len(pencils)

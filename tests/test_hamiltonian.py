@@ -27,7 +27,6 @@ from hamflow.hamiltonian import (
     kernel_crossings,
     pencil_window,
     propagate_subspace,
-    propagate_subspaces,
     relative_dimension,
     stable_space,
     stable_unstable_pair_path,
@@ -277,16 +276,16 @@ class TestBatchedTransport:
         lams = np.linspace(0.0, 1.0, L)
         starts = np.stack([stable_unstable_splitting(fam.space.J @ fam.S_limit(lam, -1))[1]
                            for lam in lams])
-        propagate_subspaces(starts, fam, lams, -2.0, 0.5)
+        propagate_subspace(starts, fam, lams, -2.0, 0.5)
         nsteps = int(np.ceil(2.5 * 64))
         assert 0 < len(calls) <= 2 * nsteps + 1
 
     def test_refinement_rounds_transport_in_batches(self, monkeypatch):
         sizes, batches = [], []
-        transport, count = ha.propagate_subspaces, maslov.certified_count
+        transport, count = ha.propagate_subspace, maslov.certified_count
 
         def counting_transport(frames, family, lams, *args):
-            sizes.append(len(lams))
+            sizes.append(np.size(lams))
             return transport(frames, family, lams, *args)
 
         def counting_count(values, *args):
@@ -295,7 +294,7 @@ class TestBatchedTransport:
                 return values(lams)
             return count(batch, *args)
 
-        monkeypatch.setattr(ha, "propagate_subspaces", counting_transport)
+        monkeypatch.setattr(ha, "propagate_subspace", counting_transport)
         monkeypatch.setattr(maslov, "certified_count", counting_count)
         rep = theorem_A_report(rotating_asymptotics_family(1), np.linspace(0.0, 1.0, 9),
                                T=0.5, N=32, locate_crossings=False)
@@ -312,7 +311,7 @@ class TestBatchedTransport:
         lams = np.linspace(0.0, 1.0, 5)
         starts = np.stack([stable_unstable_splitting(fam.space.J @ fam.S_limit(lam, -1))[1]
                            for lam in lams])
-        batch = propagate_subspaces(starts, fam, lams, t_from, t_to)
+        batch = propagate_subspace(starts, fam, lams, t_from, t_to)
         assert batch.shape == starts.shape
         for lam, F0, F in zip(lams, starts, batch):
             ref = _loop_transport(F0, fam, lam, t_from, t_to)
