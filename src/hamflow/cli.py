@@ -4,7 +4,8 @@ Scenarios are JSON files naming a builtin family, numeric knobs and a report
 selection; runs write a key-value report plus CSV tables (eigenvalue tracks,
 crossings, convergence) suitable for external plotting.  Exit codes: 0 all
 agreement flags true, 1 disagreement, 2 config/schema violation, 3 numeric
-failure.
+failure (any ``ValueError`` or ``RuntimeError`` a pipeline raises; other
+exceptions are programming errors and propagate).
 """
 
 from __future__ import annotations
@@ -398,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", type=int, default=None, help="lambda grid size")
         p.add_argument("--trunc", type=float, default=None, help="time truncation T")
         p.add_argument("--mesh", type=int, default=None, help="Galerkin mesh intervals")
-        p.add_argument("--tol", type=float, default=None, help="tolerance knob")
+        p.add_argument("--tol", type=float, default=None, help="endpoint-kernel tolerance")
         p.add_argument("--third-opinion", action="store_true", dest="third_opinion",
                        help="also compute the determinant-winding Chern number")
 
@@ -421,7 +422,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except Exception as exc:  # numeric failure of any pipeline
+    except (ValueError, RuntimeError) as exc:
+        # every numeric failure type subclasses one of these (TruncationError,
+        # AssumptionError, FlowRefinementError, EndpointKernelError,
+        # SymplecticError, LinAlgError)
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     if args.command == "tracks":

@@ -83,7 +83,6 @@ class HamiltonianFamily:
     K_limits: Callable[[float], tuple]
     decay_scale: float = 1.0
     name: str = "custom"
-    satisfies: tuple = ("A1", "A2")
 
     def __post_init__(self):
         self._space = standard_space(self.n)
@@ -133,18 +132,17 @@ class HamiltonianFamily:
             return True
         self._cached(("contract",), check)
 
-    def validate(self, lam_samples=(0.0, 0.25, 0.5, 0.75, 1.0), t_samples=(-3.0, 0.0, 3.0),
-                 sym_tol: float = 1e-9, hyp_tol: float = 1e-8) -> dict:
+    def validate(self, lam_samples=(0.0, 0.25, 0.5, 0.75, 1.0)) -> dict:
         """Check the broadcasting contract (``check_contract``), symmetry and
         the hyperbolicity assumptions on sample points."""
         self.check_contract()
         J = self.space.J
         lams = np.asarray(lam_samples, dtype=float)
-        ts = np.asarray(t_samples, dtype=float)
+        ts = np.array([-3.0, 0.0, 3.0])
         S = np.broadcast_to(self.S(lams[:, None], ts[None, :]),
                             lams.shape + ts.shape + (self.dim, self.dim))
         asym = np.linalg.norm(S - S.swapaxes(-1, -2), 2, axis=(-2, -1))
-        bad = np.argwhere(asym > sym_tol * np.maximum(1.0, np.linalg.norm(S, 2, axis=(-2, -1))))
+        bad = np.argwhere(asym > 1e-9 * np.maximum(1.0, np.linalg.norm(S, 2, axis=(-2, -1))))
         if bad.size:
             i, j = bad[0]
             raise AssumptionError(f"S is not symmetric at (lam={lams[i]}, t={ts[j]})")
@@ -154,7 +152,7 @@ class HamiltonianFamily:
                       J @ self.S_limit(lam, -1), J @ self.S_limit(lam, +1)):
                 m = hyperbolicity_margin(M)
                 margin = min(margin, m)
-                if m <= hyp_tol:
+                if m <= 1e-8:
                     raise AssumptionError(
                         f"asymptotic coefficient matrix at lam={lam} is not hyperbolic "
                         f"(margin {m:.3e})")
@@ -193,7 +191,6 @@ class HamiltonianFamily:
             K_limits=KL,
             decay_scale=self.decay_scale,
             name=f"{self.name}+{delta:g}I",
-            satisfies=self.satisfies,
         )
 
 
@@ -202,12 +199,12 @@ def hyperbolicity_margin(M) -> float:
     return float(np.min(np.abs(np.linalg.eigvals(np.asarray(M, dtype=float)).real)))
 
 
-def is_hyperbolic(M, tol: float = 1e-8) -> bool:
-    """True when no eigenvalue of M has |Re| <= tol."""
-    return hyperbolicity_margin(M) > tol
+def is_hyperbolic(M) -> bool:
+    """True when no eigenvalue of M has |Re| <= 1e-8."""
+    return hyperbolicity_margin(M) > 1e-8
 
 
-def stable_unstable_splitting(M, space: Optional[SymplecticSpace] = None, tol: float = 1e-9):
+def stable_unstable_splitting(M, space: Optional[SymplecticSpace] = None):
     """Orthonormal frames for the stable (Re < 0) and unstable (Re > 0) subspaces.
 
     Uses an ordered real Schur decomposition.  When ``space`` is given, the
@@ -226,7 +223,7 @@ def stable_unstable_splitting(M, space: Optional[SymplecticSpace] = None, tol: f
     for V in (Vm, Vp):
         P = V @ V.T
         resid = np.linalg.norm((np.eye(M.shape[0]) - P) @ M @ P, 2)
-        if resid > 100 * tol * scale:
+        if resid > 1e-7 * scale:
             raise ValueError(f"invariant-subspace residual {resid:.3e} too large")
     if space is None:
         return Vm, Vp
@@ -279,11 +276,11 @@ def _rk4_matrix(f, Y, t, h):
 
 
 def fundamental_solution(family: HamiltonianFamily, lam: float, t0: float,
-                         steps: int = 256, tol_symp: float = TOL_SYMPLECTIC) -> FundamentalSolution:
+                         steps: int = 256) -> FundamentalSolution:
     """Integrate Psi' = J S_lam(t) Psi on [-t0, t0] with classical RK4.
 
     The symplectic residual max ||Psi^T J Psi - J|| is monitored; the step is
-    halved (up to three times) if it exceeds ``tol_symp``.
+    halved (up to three times) if it exceeds ``TOL_SYMPLECTIC``.
     """
     J = family.space.J
     d = family.dim
@@ -303,7 +300,7 @@ def fundamental_solution(family: HamiltonianFamily, lam: float, t0: float,
         for i in range(attempt, 0, -1):
             Psi[i - 1] = _rk4_matrix(rhs, Psi[i], ts[i], -h)
         resid = max(float(np.linalg.norm(P.T @ J @ P - J, 2)) for P in Psi)
-        if resid <= tol_symp:
+        if resid <= TOL_SYMPLECTIC:
             return FundamentalSolution(lam=lam, ts=ts, Psi=Psi,
                                        symplectic_residual=resid, space=family.space)
         attempt *= 2
@@ -365,55 +362,52 @@ def _asymptotic_frame(family, lam, sign):
     return family._cached(("frame", lam, sign), splitting)
 
 
-def _decaying_frames(family, lams, sign, t0, T, steps_per_unit):
+def _decaying_frames(family, lams, sign, t0, T):
     """Solutions decaying as t -> sign * inf, at t0, for each lam: the
     asymptotic frame transported from sign * T.  Memoized on the family; the
     lam missing from the memo are transported in one batch."""
-    key = lambda lam: ("decay", lam, sign, t0, T, steps_per_unit)
+    key = lambda lam: ("decay", lam, sign, t0, T)
     missing = tuple(lam for lam in dict.fromkeys(lams) if key(lam) not in family._memo)
     if missing:
         starts = np.stack([_asymptotic_frame(family, lam, sign).columns for lam in missing])
-        frames = propagate_subspace(starts, family, missing, sign * T, t0, steps_per_unit)
+        frames = propagate_subspace(starts, family, missing, sign * T, t0)
         family._memo.update((key(lam), LagrangianFrame(F)) for lam, F in zip(missing, frames))
     return [family._memo[key(lam)] for lam in lams]
 
 
-def _decaying_space(family, lam, t0, T, sign, steps_per_unit, certify, cert_factor, cert_tol):
+def _decaying_space(family, lam, t0, T, sign, certify, cert_tol):
     """``_decaying_frames`` at one lam (and, to certify, also transported
-    from sign * cert_factor * T)."""
-    F = _decaying_frames(family, [lam], sign, t0, T, steps_per_unit)[0]
+    from sign * 1.5 * T)."""
+    F = _decaying_frames(family, [lam], sign, t0, T)[0]
     if not certify:
         return F
-    F2 = _decaying_frames(family, [lam], sign, t0, cert_factor * T, steps_per_unit)[0]
+    F2 = _decaying_frames(family, [lam], sign, t0, 1.5 * T)[0]
     gap = gap_distance(F, F2)
     if gap > cert_tol:
         name = "unstable" if sign < 0 else "stable"
         raise TruncationError(f"{name} space not converged: gap {gap:.3e} between "
-                              f"T={T} and T={cert_factor * T}")
+                              f"T={T} and T={1.5 * T}")
     return F, gap
 
 
 def unstable_space(family: HamiltonianFamily, lam: float, t0: float, T: float,
-                   steps_per_unit: int = STEPS_PER_UNIT, certify: bool = False,
-                   cert_factor: float = 1.5, cert_tol: float = 1e-6):
+                   certify: bool = False, cert_tol: float = 1e-6):
     """E^u_lam(t0): initial values at t0 of solutions decaying as t -> -inf.
 
     Computed by transporting the unstable splitting of J S_lam(-inf) from -T
-    to t0.  With ``certify=True`` the result is recomputed from -cert_factor*T
-    and the pair (frame, gap) is returned; a gap above ``cert_tol`` raises.
+    to t0.  With ``certify=True`` the result is recomputed from -1.5 T and
+    the pair (frame, gap) is returned; a gap above ``cert_tol`` raises.
     """
-    return _decaying_space(family, lam, t0, T, -1, steps_per_unit, certify, cert_factor, cert_tol)
+    return _decaying_space(family, lam, t0, T, -1, certify, cert_tol)
 
 
 def stable_space(family: HamiltonianFamily, lam: float, t0: float, T: float,
-                 steps_per_unit: int = STEPS_PER_UNIT, certify: bool = False,
-                 cert_factor: float = 1.5, cert_tol: float = 1e-6):
+                 certify: bool = False, cert_tol: float = 1e-6):
     """E^s_lam(t0): initial values at t0 of solutions decaying as t -> +inf."""
-    return _decaying_space(family, lam, t0, T, +1, steps_per_unit, certify, cert_factor, cert_tol)
+    return _decaying_space(family, lam, t0, T, +1, certify, cert_tol)
 
 
-def stable_unstable_pair_path(family: HamiltonianFamily, lam_grid, t0: float, T: float,
-                              steps_per_unit: int = STEPS_PER_UNIT):
+def stable_unstable_pair_path(family: HamiltonianFamily, lam_grid, t0: float, T: float):
     """Lagrangian paths lam -> E^u_lam(t0) and lam -> E^s_lam(t0).
 
     The samples and every evaluator call (one per refinement round of a
@@ -424,29 +418,29 @@ def stable_unstable_pair_path(family: HamiltonianFamily, lam_grid, t0: float, T:
                                else np.asarray(lam_grid, dtype=float))]
     paths = []
     for sign in (-1, +1):
-        ev = lambda lams, sign=sign: _decaying_frames(family, lams, sign, t0, T, steps_per_unit)
+        ev = lambda lams, sign=sign: _decaying_frames(family, lams, sign, t0, T)
         paths.append(LagrangianPath(family.space, list(zip(lams, ev(lams))), ev))
     return tuple(paths)
 
 
 def kernel_crossings(family: HamiltonianFamily, lam_grid=None, t0: float = 0.0,
-                     T: Optional[float] = None, steps_per_unit: int = STEPS_PER_UNIT,
-                     coarse: int = 64, tol_lambda: float = 1e-10) -> list:
+                     T: Optional[float] = None) -> list:
     """Parameter values where E^u_lam(t0) and E^s_lam(t0) intersect.
 
     The scan runs on the product path against the diagonal, so it is exactly
     the crossing set of the Maslov pipeline and serves as an independent
-    oracle for the spectral-flow side.  The scan nodes are transported in one
-    batch, so only the refinement transports single lam.
+    oracle for the spectral-flow side.  It scans at least 64 cells, and at
+    least one per cell of ``lam_grid``.  The scan nodes are transported in
+    one batch, so only the refinement transports single lam.
     """
     T = T if T is not None else 10.0 * family.decay_scale
-    grid = np.asarray(lam_grid if lam_grid is not None else np.linspace(0.0, 1.0, coarse + 1),
+    grid = np.asarray(lam_grid if lam_grid is not None else np.linspace(0.0, 1.0, 65),
                       dtype=float)
-    coarse = max(coarse, len(grid) - 1)
+    coarse = max(64, len(grid) - 1)
     nodes = np.linspace(grid[0], grid[-1], coarse + 1)
-    path_u, path_s = stable_unstable_pair_path(family, nodes, t0, T, steps_per_unit)
+    path_u, path_s = stable_unstable_pair_path(family, nodes, t0, T)
     product, diag = pair_to_product_path(path_u, path_s)
-    return find_crossings(product, diag, coarse=coarse, tol_lambda=tol_lambda)
+    return find_crossings(product, diag, coarse=coarse)
 
 
 # ---------------------------------------------------------------------------
@@ -507,15 +501,12 @@ class BoundaryValueOperator:
         # 12/h^2 (consistent mass) or 4/h^2 (lumped); 2/h^2 separates both
         return 2.0 / self.step ** 2
 
-    def eigenvalues(self, window: Optional[float] = None, drop_rough: bool = True) -> np.ndarray:
-        """Generalized symmetric eigenvalues, optionally windowed to |mu| <= window.
+    def eigenvalues(self, window: float, drop_rough: bool = True) -> np.ndarray:
+        """Generalized symmetric eigenvalues in the window |mu| <= window.
 
-        With ``drop_rough`` (and a window), parity-ghost modes are removed by
-        the roughness filter; values falling ambiguously near the cut raise a
-        warning.
+        With ``drop_rough``, parity-ghost modes are removed by the roughness
+        filter; values falling ambiguously near the cut raise a warning.
         """
-        if window is None:
-            return scipy.linalg.eigh(self.stiffness, self.mass, eigvals_only=True)
         if not drop_rough or self.roughness_form is None:
             return scipy.linalg.eigh(self.stiffness, self.mass, eigvals_only=True,
                                      subset_by_value=(-window, window))
@@ -532,7 +523,7 @@ class BoundaryValueOperator:
                           "refine the mesh to separate the sectors", RuntimeWarning)
         return vals[rough < cut]
 
-    def smallest_magnitude(self, window: Optional[float] = None) -> float:
+    def smallest_magnitude(self, window: float) -> float:
         vals = self.eigenvalues(window=window)
         return float(np.min(np.abs(vals))) if vals.size else float(window)
 
@@ -729,7 +720,7 @@ class IndexReport:
 
 
 def theorem_B_report(path0: LagrangianPath, path1: LagrangianPath, a: float, b: float,
-                     N: int, initial_nodes=None) -> IndexReport:
+                     N: int) -> IndexReport:
     """Spectral flow of the boundary-condition pencil vs the pair Maslov index.
 
     The pair path must be admissible: transversal at both parameter endpoints.
@@ -768,9 +759,9 @@ def theorem_B_report(path0: LagrangianPath, path1: LagrangianPath, a: float, b: 
         step = float(np.linalg.norm(U_hi - U_lo, 2))
         return _phase_margin(step) / length + gap_lo + gap_hi
 
-    initial = initial_nodes if initial_nodes is not None else [s[0] for s in path0.samples]
     flow, cert = flow_from_spectra(lambda lam: node(lam)[0], drift_fn, path0.lo, path0.hi,
-                                   initial_nodes=initial, window=w, report_window=1.5 * w)
+                                   initial_nodes=[s[0] for s in path0.samples], window=w,
+                                   report_window=1.5 * w)
     mas = maslov_index_pair(path0, path1)
     return IndexReport(sfl=flow, maslov=mas, sfl_certificate=cert,
                        grid_sizes={"mesh": N, "lambda_nodes": len(cert.nodes)})
@@ -814,17 +805,17 @@ def _a0_flow_setup(family, grid, T, N):
 
 
 def theorem_A_report(family: HamiltonianFamily, lam_grid=None, T: Optional[float] = None,
-                     N: int = 160, t0: float = 0.0, steps_per_unit: int = STEPS_PER_UNIT,
-                     third_opinion: bool = False, locate_crossings: bool = True,
-                     endpoint_kernel_tol: float = 1e-6, delta: Optional[float] = None,
+                     N: int = 160, t0: float = 0.0, third_opinion: bool = False,
+                     locate_crossings: bool = True, endpoint_kernel_tol: float = 1e-6,
                      chern_samples: int = 256) -> IndexReport:
     """Spectral flow of the truncated homoclinic pencil path vs the Maslov
     index of the stable/unstable pair path at t = t0.
 
     When the endpoints carry kernels the report follows the shift recipe: it
     computes the raw integers (kernel eigenvalues counted at the nodes), the
-    spectral flow of the delta-shifted family, and the one-sided partial
-    Maslov indices of the shift segments at both endpoints.
+    spectral flow of the family shifted by a delta between the endpoint
+    kernels and the first genuine gap, and the one-sided partial Maslov
+    indices of the shift segments at both endpoints.
     """
     T = T if T is not None else 10.0 * family.decay_scale
     grid = np.asarray(lam_grid if lam_grid is not None else np.linspace(0.0, 1.0, 17), dtype=float)
@@ -841,7 +832,7 @@ def theorem_A_report(family: HamiltonianFamily, lam_grid=None, T: Optional[float
     zero_snap = 1e-9 if not general_case else max(1e-9, 3.0 * min(end_gaps))
     flow, cert = pencil_flow(node_fn, check_endpoints=False, zero_snap=zero_snap)
 
-    path_u, path_s = stable_unstable_pair_path(family, grid, t0, T, steps_per_unit)
+    path_u, path_s = stable_unstable_pair_path(family, grid, t0, T)
     kernel_dims = None
     if general_case:
         kernel_dims = tuple(
@@ -851,7 +842,7 @@ def theorem_A_report(family: HamiltonianFamily, lam_grid=None, T: Optional[float
 
     crossings = []
     if locate_crossings:
-        crossings = kernel_crossings(family, grid, t0, T, steps_per_unit)
+        crossings = kernel_crossings(family, grid, t0, T)
 
     report = IndexReport(sfl=flow, maslov=mas, sfl_certificate=cert, crossings=crossings,
                          truncation=T, grid_sizes={"mesh": N, "lambda_nodes": len(grid)})
@@ -868,14 +859,14 @@ def theorem_A_report(family: HamiltonianFamily, lam_grid=None, T: Optional[float
 
     if general_case:
         report.extras["endpoint_gaps"] = tuple(end_gaps)
-        d = delta if delta is not None else _auto_delta(node_fn, grid, endpoint_kernel_tol)
+        d = _auto_delta(node_fn, grid, endpoint_kernel_tol)
         shifted = family.shifted(d)
         s_node_fn = _a0_node_fn(shifted, T, N, report_band)
         sf_shift, _ = pencil_flow(s_node_fn)
         report.extras["delta"] = d
         report.extras["sfl_shifted"] = sf_shift
         report.extras["shift_corrections"] = tuple(
-            _shift_partial_correction(family, lam, t0, T, d, steps_per_unit)
+            _shift_partial_correction(family, lam, t0, T, d)
             for lam in (grid[0], grid[-1]))
     return report
 
@@ -926,15 +917,15 @@ def _auto_delta(node_fn, grid, kernel_tol):
     return float(min(candidates))
 
 
-def _shift_partial_correction(family, lam, t0, T, delta, steps_per_unit):
+def _shift_partial_correction(family, lam, t0, T, delta):
     """Right partial Maslov index of the shift segment s -> spaces of S + s*delta*I."""
     space = family.space
 
     def eu(s):
-        return unstable_space(family.shifted(s * delta), lam, t0, T, steps_per_unit)
+        return unstable_space(family.shifted(s * delta), lam, t0, T)
 
     def es(s):
-        return stable_space(family.shifted(s * delta), lam, t0, T, steps_per_unit)
+        return stable_space(family.shifted(s * delta), lam, t0, T)
 
     su = LagrangianPath.from_callable(space, eu, grid=9, lo=-1.0, hi=1.0)
     ss = LagrangianPath.from_callable(space, es, grid=9, lo=-1.0, hi=1.0)
@@ -943,8 +934,7 @@ def _shift_partial_correction(family, lam, t0, T, delta, steps_per_unit):
 
 
 def corollary_A_report(family: HamiltonianFamily, lam_grid=None, T: Optional[float] = None,
-                       N: int = 160, steps_per_unit: int = STEPS_PER_UNIT,
-                       periodicity_tol: float = 1e-9) -> IndexReport:
+                       N: int = 160) -> IndexReport:
     """Spectral flow vs the Maslov index of the asymptotic-splitting pair path.
 
     Requires the family to be lambda-periodic (the coefficients at lam = 0 and
@@ -960,7 +950,7 @@ def corollary_A_report(family: HamiltonianFamily, lam_grid=None, T: Optional[flo
     family.check_contract()
     ts = np.array([-7.0, -1.0, 0.0, 1.0, 7.0])
     drift = np.linalg.norm(family.S(0.0, ts) - family.S(1.0, ts), 2, axis=(-2, -1))
-    if np.max(drift) > periodicity_tol:
+    if np.max(drift) > 1e-9:
         raise AssumptionError(f"family is not lambda-periodic: |S_0 - S_1| = "
                               f"{np.max(drift):.3e} at t={ts[np.argmax(drift)]}")
 

@@ -72,7 +72,6 @@ class UnitaryPath:
 
     samples: list
     evaluator: Optional[Callable[[Sequence[float]], list]] = None
-    tol_unitary: float = 1e-8
 
     def __post_init__(self):
         if len(self.samples) < 2:
@@ -84,7 +83,7 @@ class UnitaryPath:
             U = np.asarray(U)
             n = U.shape[0]
             resid = np.linalg.norm(U @ U.conj().T - np.eye(n))  # Frobenius >= spectral
-            if resid > self.tol_unitary:
+            if resid > 1e-8:
                 raise ValueError(f"sample at lam={lam} is not unitary (residual {resid:.2e})")
 
     @classmethod
@@ -98,19 +97,19 @@ class UnitaryPath:
         return np.asarray(_lookup(dict(self.samples), self.evaluator, [lam])[0])
 
 
-def winding_number(d: UnitaryPath, budget: float = UNITARY_BUDGET,
-                   snap_tol: float = SNAP_TOL, max_depth: int = MAX_REFINE_DEPTH,
-                   endpoint_kernel_dims=None) -> int:
+def winding_number(d: UnitaryPath, endpoint_kernel_dims=None) -> int:
     """Winding number of a path of unitaries through the eigenvalue -1.
 
     Counts, with sign, the net number of eigenvalues crossing -1 counter-
-    clockwise.  The partition is refined adaptively until on each subinterval
-    the step norm is below ``budget`` and an admissible counting window
-    exists; the result is independent of the admissible partition.
+    clockwise.  The partition is refined adaptively, at most
+    ``MAX_REFINE_DEPTH`` halvings deep, until on each subinterval the step
+    norm is below ``UNITARY_BUDGET`` and an admissible counting window
+    exists; the result is independent of the admissible partition.  Node
+    eigenphases within ``SNAP_TOL`` of -1 count as crossings.
 
     ``endpoint_kernel_dims`` optionally declares (k0, k1) eigenvalues at -1
     at the two path endpoints; their eigenphases are snapped with a looser
-    tolerance so that restrictions cut exactly at a crossing count it.
+    tolerance (1e-5) so that restrictions cut exactly at a crossing count it.
     """
     lams = [lam for lam, _ in d.samples]
     unitaries = dict(d.samples)
@@ -127,8 +126,7 @@ def winding_number(d: UnitaryPath, budget: float = UNITARY_BUDGET,
         for lam, k in zip((lams[0], lams[-1]), endpoint_kernel_dims):
             psi = phases_at([lam])[0]
             order = np.argsort(np.abs(psi))
-            loose = max(snap_tol, 1e-5)
-            if k and np.abs(psi[order[: int(k)]]).max() > loose:
+            if k and np.abs(psi[order[: int(k)]]).max() > 1e-5:
                 warnings.warn("declared endpoint kernel not visible in eigenphases", RuntimeWarning)
             psi = psi.copy()
             psi[order[: int(k)]] = 0.0
@@ -136,7 +134,7 @@ def winding_number(d: UnitaryPath, budget: float = UNITARY_BUDGET,
 
     def drift(a, b):
         dU = float(np.linalg.norm(np.asarray(unitaries[b]) - np.asarray(unitaries[a]), 2))
-        return _phase_margin(dU) if dU <= budget else None
+        return _phase_margin(dU) if dU <= UNITARY_BUDGET else None
 
     def eps_for(psi_a, psi_b, margin):
         # exp(i(pi +- eps)) must avoid every eigenvalue, also across the wrap at pi
@@ -144,7 +142,7 @@ def winding_number(d: UnitaryPath, budget: float = UNITARY_BUDGET,
         return _choose_eps(np.concatenate([centers, 2.0 * np.pi - centers]), margin,
                            np.pi, 1e-9, 1e-7)
 
-    total, _ = certified_count(phases_at, drift, eps_for, lams, snap_tol, max_depth)
+    total, _ = certified_count(phases_at, drift, eps_for, lams, SNAP_TOL, MAX_REFINE_DEPTH)
     return total
 
 
@@ -232,9 +230,9 @@ class CrossingRecord:
             raise ValueError("signature cannot exceed the intersection dimension")
 
 
-def maslov_index(path: LagrangianPath, W: LagrangianFrame, **winding_kwargs) -> int:
+def maslov_index(path: LagrangianPath, W: LagrangianFrame) -> int:
     """Maslov index of a Lagrangian path against the reference W."""
-    return winding_number(path.souriau_path(W), **winding_kwargs)
+    return winding_number(path.souriau_path(W))
 
 
 def _product_frame(F1: LagrangianFrame, F2: LagrangianFrame) -> LagrangianFrame:
@@ -272,19 +270,21 @@ def pair_to_product_path(path1: LagrangianPath, path2: LagrangianPath):
     return product, _diagonal_frame(path1.space.dim)
 
 
-def maslov_index_pair(path1: LagrangianPath, path2: LagrangianPath, **winding_kwargs) -> int:
+def maslov_index_pair(path1: LagrangianPath, path2: LagrangianPath,
+                      endpoint_kernel_dims=None) -> int:
     """Maslov index of a path of Lagrangian pairs.
 
     Computed as the index of Lam1(.) x Lam2(.) against the diagonal in the
     product space with form w x (-w); for constant path2 this agrees with
-    ``maslov_index(path1, W)``.
+    ``maslov_index(path1, W)``.  ``endpoint_kernel_dims`` declares the
+    intersection dimensions at the two endpoints, as in ``winding_number``.
     """
     product, diag = pair_to_product_path(path1, path2)
-    return maslov_index(product, diag, **winding_kwargs)
+    return winding_number(product.souriau_path(diag), endpoint_kernel_dims)
 
 
 def partial_maslov_index(path: LagrangianPath, W: LagrangianFrame, lam0: float,
-                         side: str, **winding_kwargs) -> int:
+                         side: str) -> int:
     """Maslov index of the restriction to [lo, lam0] ('left') or [lam0, hi] ('right')."""
     if not (path.lo < lam0 < path.hi):
         raise ValueError(f"lam0 must lie strictly inside ({path.lo}, {path.hi})")
@@ -294,27 +294,28 @@ def partial_maslov_index(path: LagrangianPath, W: LagrangianFrame, lam0: float,
         sub = path.restrict(path.lo, lam0)
     else:
         sub = path.restrict(lam0, path.hi)
-    return maslov_index(sub, W, **winding_kwargs)
+    return maslov_index(sub, W)
 
 
-def _graph_operator(F0: LagrangianFrame, F: LagrangianFrame, J, cond_max=1e8):
+def _graph_operator(F0: LagrangianFrame, F: LagrangianFrame, J):
     """Operator A with span(F) = {u + J A u : u in span(F0)}, in F0 coordinates."""
     Uc = F0.columns.T @ F.columns
     Wc = -(F0.columns.T @ J @ F.columns)
-    if np.linalg.cond(Uc) > cond_max:
+    if np.linalg.cond(Uc) > 1e8:
         raise SymplecticError("graph representation over the crossing frame is unsolvable")
     A = Wc @ np.linalg.inv(Uc)
     return 0.5 * (A + A.T)
 
 
-def crossing_form_index(path: LagrangianPath, W: LagrangianFrame, lam0: float,
-                        h: float = 1e-4, reg_rtol: float = 1e-3) -> CrossingRecord:
+def crossing_form_index(path: LagrangianPath, W: LagrangianFrame, lam0: float) -> CrossingRecord:
     """Signature of the crossing form at an isolated crossing.
 
     Near lam0 the path is written as a graph {u + J A(lam) u : u in Lam(lam0)};
     the form is the derivative of <u, A(lam) u> on the intersection with W,
-    obtained by central differences with a Richardson consistency check at
-    h/2.  For regular crossings the signature is the local index contribution.
+    obtained by central differences at step h = 1e-4 with a Richardson
+    consistency check at h/2.  The crossing is regular when every eigenvalue
+    of the form exceeds 1e-3 of the largest; for regular crossings the
+    signature is the local index contribution.
     """
     space = path.space
     F0 = path.frame(lam0)
@@ -330,6 +331,7 @@ def crossing_form_index(path: LagrangianPath, W: LagrangianFrame, lam0: float,
         Am = _graph_operator(F0, path.frame(lam0 - step), space.J)
         return bcoef.T @ ((Ap - Am) / (2.0 * step)) @ bcoef
 
+    h = 1e-4
     gamma = form_at(h)
     gamma_half = form_at(h / 2.0)
     if np.linalg.norm(gamma_half - gamma, 2) > 0.25 * max(1.0, np.linalg.norm(gamma_half, 2)):
@@ -339,7 +341,7 @@ def crossing_form_index(path: LagrangianPath, W: LagrangianFrame, lam0: float,
 
     eigs = np.linalg.eigvalsh(gamma)
     scale = max(np.abs(eigs).max(), 1e-12)
-    regular = bool(np.all(np.abs(eigs) > reg_rtol * scale)) and np.abs(eigs).min() > 1e-10
+    regular = bool(np.all(np.abs(eigs) > 1e-3 * scale)) and np.abs(eigs).min() > 1e-10
     signature = int(np.count_nonzero(eigs > 0) - np.count_nonzero(eigs < 0)) if regular else None
     return CrossingRecord(lam=float(lam0), intersection_dim=int(k),
                           signature=signature, regular=regular, form=gamma)
@@ -386,21 +388,22 @@ def _shrink_bracket(f, a, b, fa, fb, tol):
     return 0.5 * (a + b)
 
 
-def find_crossings(path: LagrangianPath, W: LagrangianFrame, coarse: int = 64,
-                   tol_lambda: float = 1e-10, phase_tol: float = 1e-6) -> list:
+def find_crossings(path: LagrangianPath, W: LagrangianFrame, coarse: int = 64) -> list:
     """Locate parameter values where the path intersects W.
 
-    Scans the Souriau eigenphase nearest -1 on a coarse grid and shrinks the
-    bracket of each sign change below ``tol_lambda`` by bracketed secant
-    steps; grid points already within ``phase_tol`` of a crossing are
-    reported directly.  A sign change where the nearest phase only jumps
-    between branches is skipped before refinement when the drift rule of
-    ``winding_number`` keeps every eigenphase off zero across its cell, and
-    dropped after it when no eigenphase lies within tolerance of zero.
+    Scans the Souriau eigenphase nearest -1 on ``coarse`` cells and shrinks
+    the bracket of each sign change below 1e-10 in lam by bracketed secant
+    steps; grid points already within 1e-6 of a crossing are reported
+    directly, and a record's dimension counts the eigenphases within 1e-6.
+    A sign change where the nearest phase only jumps between branches is
+    skipped before refinement when the drift rule of ``winding_number``
+    keeps every eigenphase off zero across its cell, and dropped after it
+    when no eigenphase lies within 1e-6 of zero.
     Crossings at the path endpoints are flagged.  Each coarse node's
     Souriau unitary is computed once and serves its phase, its record and
     the drift rule of both cells it bounds.
     """
+    phase_tol = 1e-6
     lams = np.linspace(path.lo, path.hi, coarse + 1)
     Us = [souriau_map(W, path.frame(lam), path.space) for lam in lams]
     psis = [_eigenphases(U) for U in Us]
@@ -410,7 +413,7 @@ def find_crossings(path: LagrangianPath, W: LagrangianFrame, coarse: int = 64,
     def record_at(lam, psi):
         # a sign change with no eigenphase near zero is the nearest phase
         # jumping between branches near +-pi/2, not an intersection
-        dim = int(np.count_nonzero(np.abs(psi) <= max(phase_tol, 1e3 * tol_lambda)))
+        dim = int(np.count_nonzero(np.abs(psi) <= phase_tol))
         if dim:
             records.append(CrossingRecord(lam=float(lam), intersection_dim=dim,
                                           signature=None, regular=False))
@@ -432,8 +435,7 @@ def find_crossings(path: LagrangianPath, W: LagrangianFrame, coarse: int = 64,
         dU = float(np.linalg.norm(Us[i + 1] - Us[i], 2))
         if dU <= UNITARY_BUDGET and min(abs(fa), abs(fb)) > _phase_margin(dU):
             continue
-        lam = _shrink_bracket(lambda lam: _nearest_phase(path, W, lam), a, b, fa, fb,
-                              tol_lambda)
+        lam = _shrink_bracket(lambda lam: _nearest_phase(path, W, lam), a, b, fa, fb, 1e-10)
         record_at(lam, _eigenphases(souriau_map(W, path.frame(lam), path.space)))
 
     records.sort(key=lambda r: r.lam)

@@ -34,16 +34,17 @@ class FlowRefinementError(RuntimeError):
 
 @dataclass
 class SymmetricMatrixPath:
-    """Path lam in [0,1] -> symmetric (or Hermitian) N x N matrix."""
+    """Path lam in [0,1] -> symmetric (or Hermitian) N x N matrix.
+
+    Each value must be symmetric to 1e-9 of max(1, its norm)."""
 
     evaluator: Callable[[float], np.ndarray]
     lipschitz: Optional[float] = None
-    sym_tol: float = 1e-9
 
     def evaluate(self, lam: float) -> np.ndarray:
         A = np.asarray(self.evaluator(float(lam)))
         resid = np.linalg.norm(A - A.conj().T, 2)
-        if resid > self.sym_tol * max(1.0, np.linalg.norm(A, 2)):
+        if resid > 1e-9 * max(1.0, np.linalg.norm(A, 2)):
             raise ValueError(f"path value at lam={lam} is not symmetric (residual {resid:.2e})")
         return 0.5 * (A + A.conj().T)
 
@@ -51,7 +52,7 @@ class SymmetricMatrixPath:
 
     def reverse(self) -> "SymmetricMatrixPath":
         fn = self.evaluator
-        return SymmetricMatrixPath(lambda lam: fn(1.0 - lam), self.lipschitz, self.sym_tol)
+        return SymmetricMatrixPath(lambda lam: fn(1.0 - lam), self.lipschitz)
 
     def shifted(self, delta: float) -> "SymmetricMatrixPath":
         fn = self.evaluator
@@ -60,7 +61,7 @@ class SymmetricMatrixPath:
             A = np.asarray(fn(lam))
             return A + delta * np.eye(A.shape[0], dtype=A.dtype)
 
-        return SymmetricMatrixPath(shifted_eval, self.lipschitz, self.sym_tol)
+        return SymmetricMatrixPath(shifted_eval, self.lipschitz)
 
 
 @dataclass
@@ -180,8 +181,8 @@ def certified_count(values, drift, window, nodes, zero_snap, max_depth):
 
 
 def flow_from_spectra(node_fn, drift_fn, lo=0.0, hi=1.0, initial_nodes=17, window=None,
-                      zero_snap=1e-9, max_depth=MAX_FLOW_DEPTH, endpoint_gap_min=1e-8,
-                      check_endpoints=True, report_window=None):
+                      zero_snap=1e-9, max_depth=MAX_FLOW_DEPTH, check_endpoints=True,
+                      report_window=None):
     """Certified spectral flow from node eigenvalue data.
 
     ``node_fn(lam)`` returns the (real) eigenvalues relevant for counting, and
@@ -192,7 +193,8 @@ def flow_from_spectra(node_fn, drift_fn, lo=0.0, hi=1.0, initial_nodes=17, windo
     unreported eigenvalues are known to be at least that far from zero at the
     nodes and the boundary eps additionally stays below report_window minus
     the drift, which refines every subinterval whose drift could carry a
-    branch across the reported band unseen.
+    branch across the reported band unseen.  With ``check_endpoints``, an
+    endpoint eigenvalue within 1e-8 of zero raises ``EndpointKernelError``.
     """
     cache = {}
 
@@ -207,7 +209,7 @@ def flow_from_spectra(node_fn, drift_fn, lo=0.0, hi=1.0, initial_nodes=17, windo
         nodes = sorted(set(float(x) for x in initial_nodes) | {lo, hi})
 
     gap = min(_min_abs(spec(lo)), _min_abs(spec(hi)))
-    if check_endpoints and gap <= endpoint_gap_min:
+    if check_endpoints and gap <= 1e-8:
         raise EndpointKernelError(
             f"endpoint kernel detected: smallest |eigenvalue| at the ends is {gap:.3e}")
 
@@ -222,8 +224,7 @@ def flow_from_spectra(node_fn, drift_fn, lo=0.0, hi=1.0, initial_nodes=17, windo
                            zero_snap, max_depth)
 
 
-def spectral_flow(path: SymmetricMatrixPath, initial_nodes=17,
-                  endpoint_gap_min=1e-8, check_endpoints=True, max_depth=MAX_FLOW_DEPTH):
+def spectral_flow(path: SymmetricMatrixPath, initial_nodes=17, check_endpoints=True):
     """Net signed count of eigenvalues of A(lam) crossing zero on [0, 1].
 
     Returns (flow, certificate).  Subintervals are refined until the window
@@ -247,8 +248,7 @@ def spectral_flow(path: SymmetricMatrixPath, initial_nodes=17,
         return step
 
     return flow_from_spectra(node_fn, drift_fn, 0.0, 1.0, initial_nodes=initial_nodes,
-                             endpoint_gap_min=endpoint_gap_min,
-                             check_endpoints=check_endpoints, max_depth=max_depth)
+                             check_endpoints=check_endpoints)
 
 
 def normalization_path(dim_minus: int, dim_plus: int) -> SymmetricMatrixPath:
@@ -271,7 +271,7 @@ def normalization_path(dim_minus: int, dim_plus: int) -> SymmetricMatrixPath:
     return SymmetricMatrixPath(evaluate, lipschitz=1.0)
 
 
-def shifted_flow(path: SymmetricMatrixPath, delta: float, **kwargs) -> int:
+def shifted_flow(path: SymmetricMatrixPath, delta: float) -> int:
     """Spectral flow of lam -> A(lam) + delta I.
 
     For small positive delta this equals spectral_flow(path); a warning is
@@ -283,15 +283,14 @@ def shifted_flow(path: SymmetricMatrixPath, delta: float, **kwargs) -> int:
         warnings.warn(
             f"shift delta={delta:.3g} exceeds half the endpoint gap {gap:.3g}; "
             "the shifted flow may differ from the unshifted one", RuntimeWarning)
-    flow, _ = spectral_flow(shifted, **kwargs)
+    flow, _ = spectral_flow(shifted)
     return flow
 
 
 def complexify_path(path: SymmetricMatrixPath) -> SymmetricMatrixPath:
     """The same path viewed as complex Hermitian matrices."""
     fn = path.evaluator
-    return SymmetricMatrixPath(lambda lam: np.asarray(fn(lam)).astype(complex),
-                               path.lipschitz, path.sym_tol)
+    return SymmetricMatrixPath(lambda lam: np.asarray(fn(lam)).astype(complex), path.lipschitz)
 
 
 def _rectangle_points(margin, half_height, samples):
@@ -314,12 +313,13 @@ def _rectangle_points(margin, half_height, samples):
     return pts
 
 
-def winding_of_function(f, points, max_refine=18, step_cap=0.5 * np.pi):
+def winding_of_function(f, points):
     """Winding number of a nonvanishing complex function along a closed polyline.
 
     ``f`` maps a point (2-tuple) to a complex number of unit modulus times a
     positive scale (only the argument is used).  Segments whose argument
-    increment reaches ``step_cap`` are split until every step is below it.
+    increment reaches pi/2 are split, in at most 18 rounds, until every step
+    is below it.
     """
     pts = list(points)
     vals = [f(p) for p in pts]
@@ -327,9 +327,9 @@ def winding_of_function(f, points, max_refine=18, step_cap=0.5 * np.pi):
     def arg_inc(z0, z1):
         return float(np.angle(z1 * np.conj(z0)))
 
-    for _ in range(max_refine):
+    for _ in range(18):
         incs = [arg_inc(vals[i], vals[i + 1]) for i in range(len(vals) - 1)]
-        bad = [i for i, inc in enumerate(incs) if abs(inc) >= step_cap]
+        bad = [i for i, inc in enumerate(incs) if abs(inc) >= 0.5 * np.pi]
         if not bad:
             break
         for i in reversed(bad):
@@ -346,10 +346,11 @@ def winding_of_function(f, points, max_refine=18, step_cap=0.5 * np.pi):
     return int(round(wind))
 
 
-def chern_winding(path: SymmetricMatrixPath, margin: float = 0.05,
-                  half_height: Optional[float] = None, samples: int = 256) -> int:
+def chern_winding(path: SymmetricMatrixPath, half_height: Optional[float] = None,
+                  samples: int = 256) -> int:
     """Winding number of det(A(lam) + i s I) along a rectangle around [0,1] x {0}.
 
+    The rectangle spans lam in [-0.05, 1.05] and s in [-half_height, half_height].
     The path is extended by constants beyond [0, 1]; since the endpoints are
     invertible and A + i s I is invertible for s != 0, the determinant is
     nonvanishing on the contour and the winding equals the spectral flow.
@@ -380,4 +381,4 @@ def chern_winding(path: SymmetricMatrixPath, margin: float = 0.05,
             raise FlowRefinementError(f"determinant vanished on the contour at {point}")
         return sign
 
-    return winding_of_function(f, _rectangle_points(margin, half_height, samples))
+    return winding_of_function(f, _rectangle_points(0.05, half_height, samples))

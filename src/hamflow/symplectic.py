@@ -29,28 +29,27 @@ def _spectral_norm(m):
     return float(np.linalg.norm(m, 2))
 
 
-def _rank(m, rtol=RANK_RTOL):
+def _rank(m):
     """Rank by singular values with a scale-invariant threshold."""
     if m.size == 0:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > rtol * s[0]))
+    return int(np.count_nonzero(s > RANK_RTOL * s[0]))
 
 
 @dataclass(frozen=True)
 class SymplecticSpace:
     """R^{2n} with a compatible complex structure J.
 
-    The constructor verifies J^2 = -I and J^T = -J and builds, once, an
-    orthonormal basis (v_1..v_n, Jv_1..Jv_n).  In that basis J takes the
-    standard block form [[0, -I], [I, 0]], which makes the complex
-    identification z_k = x_k + i x_{n+k} exact.
+    The constructor verifies J^2 = -I and J^T = -J to ``TOL_STRUCTURE`` and
+    builds, once, an orthonormal basis (v_1..v_n, Jv_1..Jv_n).  In that basis
+    J takes the standard block form [[0, -I], [I, 0]], which makes the
+    complex identification z_k = x_k + i x_{n+k} exact.
     """
 
     J: np.ndarray
-    tol_structure: float = TOL_STRUCTURE
     # orthogonal change of basis: C^T J C = J_standard
     adapted_basis: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -60,9 +59,9 @@ class SymplecticSpace:
             raise SymplecticError(f"J must be a nonempty even-dimensional square matrix, got shape {J.shape}")
         dim = J.shape[0]
         eye = np.eye(dim)
-        if _spectral_norm(J @ J + eye) > self.tol_structure:
+        if _spectral_norm(J @ J + eye) > TOL_STRUCTURE:
             raise SymplecticError("J^2 + I exceeds tolerance; J is not a complex structure")
-        if _spectral_norm(J.T + J) > self.tol_structure:
+        if _spectral_norm(J.T + J) > TOL_STRUCTURE:
             raise SymplecticError("J is not antisymmetric within tolerance")
         object.__setattr__(self, "J", J)
         object.__setattr__(self, "adapted_basis", _adapted_basis(J))
@@ -158,7 +157,7 @@ class SubspacePair:
 
     first: LagrangianFrame
     second: LagrangianFrame
-    _intersection_dim: Optional[int] = field(default=None, repr=False)
+    _intersection_dim: Optional[int] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.first.dim_ambient != self.second.dim_ambient:
@@ -175,11 +174,11 @@ class SubspacePair:
         return self.intersection_dim() - codim_sum
 
 
-def lagrangian_from_matrix(raw, space: SymplecticSpace, tol: float = TOL_FRAME) -> LagrangianFrame:
+def lagrangian_from_matrix(raw, space: SymplecticSpace) -> LagrangianFrame:
     """Orthonormalize the columns of ``raw`` and certify the span is Lagrangian.
 
-    Rejects rank-deficient input and spans on which the symplectic form does
-    not vanish.
+    Rejects rank-deficient input and spans on which the symplectic form
+    exceeds ``TOL_FRAME``.
     """
     raw = np.atleast_2d(np.asarray(raw, dtype=float))
     if raw.shape[0] == 1 and space.dim > 1:
@@ -192,8 +191,8 @@ def lagrangian_from_matrix(raw, space: SymplecticSpace, tol: float = TOL_FRAME) 
     u, s, _ = np.linalg.svd(raw, full_matrices=False)
     F = u[:, :n]
     resid = _spectral_norm(F.T @ space.J @ F)
-    if resid > tol:
-        raise SymplecticError(f"span is not Lagrangian: |F^T J F| = {resid:.3e} > {tol:.1e}")
+    if resid > TOL_FRAME:
+        raise SymplecticError(f"span is not Lagrangian: |F^T J F| = {resid:.3e} > {TOL_FRAME:.1e}")
     return LagrangianFrame(F)
 
 
@@ -230,15 +229,16 @@ def graph_gap_distance(A, B) -> float:
     return _signed_norm(ga @ ga.T - gb @ gb.T)
 
 
-def complexify_commuting_operator(M, space: SymplecticSpace, tol: float = 1e-8) -> np.ndarray:
+def complexify_commuting_operator(M, space: SymplecticSpace) -> np.ndarray:
     """Matrix of a J-commuting real operator as a C-linear map on C^n.
 
-    In the adapted basis a commuting M has the block form [[A, B], [-B, A]]
-    and acts on z = x + iy as A - iB.
+    M must commute with J to 1e-8 of max(1, ||M||).  In the adapted basis a
+    commuting M has the block form [[A, B], [-B, A]] and acts on z = x + iy
+    as A - iB.
     """
     M = np.asarray(M, dtype=float)
     comm = _spectral_norm(M @ space.J - space.J @ M)
-    if comm > tol * max(1.0, _spectral_norm(M)):
+    if comm > 1e-8 * max(1.0, _spectral_norm(M)):
         raise SymplecticError(f"operator does not commute with J: residual {comm:.3e}")
     C = space.adapted_basis
     Mc = C.T @ M @ C
@@ -258,8 +258,7 @@ def _reflection(F: LagrangianFrame, space: SymplecticSpace) -> np.ndarray:
     return Z @ Z.T
 
 
-def souriau_map(W: LagrangianFrame, L: LagrangianFrame, space: SymplecticSpace,
-                tol_unitary: float = 1e-8) -> np.ndarray:
+def souriau_map(W: LagrangianFrame, L: LagrangianFrame, space: SymplecticSpace) -> np.ndarray:
     """Unitary -(I - 2 P_L)(I - 2 P_W) on C^n for Lagrangian L, W.
 
     Both reflections are antilinear, z -> Z Z^T conj(z), so the product is
@@ -269,25 +268,25 @@ def souriau_map(W: LagrangianFrame, L: LagrangianFrame, space: SymplecticSpace,
     U = -_reflection(L, space) @ _reflection(W, space).conj()
     # the Frobenius norm bounds the spectral norm from above
     resid = float(np.linalg.norm(U @ U.conj().T - np.eye(space.n)))
-    if resid > tol_unitary:
+    if resid > 1e-8:
         raise SymplecticError(f"Souriau image is not unitary: residual {resid:.3e}; inputs likely not Lagrangian")
     return U
 
 
-def intersection_dimension(W: LagrangianFrame, L: LagrangianFrame, space: SymplecticSpace,
-                           tol_eig: float = TOL_EIG) -> int:
-    """dim(L /\\ W), counted as eigenvalues of the Souriau unitary near -1.
+def intersection_dimension(W: LagrangianFrame, L: LagrangianFrame, space: SymplecticSpace) -> int:
+    """dim(L /\\ W), counted as eigenvalues of the Souriau unitary within
+    ``TOL_EIG`` of -1.
 
     Cross-checked against the rank oracle 2n - rank[F_L | F_W]; a warning is
-    emitted when an eigenvalue sits ambiguously near the tol_eig boundary and
-    the two counts disagree.
+    emitted when the two counts disagree, noting an eigenvalue that sits
+    ambiguously near the ``TOL_EIG`` boundary.
     """
     U = souriau_map(W, L, space)
     phases = np.angle(-np.linalg.eigvals(U))  # 0 <=> eigenvalue -1
-    count_s = int(np.count_nonzero(np.abs(phases) <= tol_eig))
+    count_s = int(np.count_nonzero(np.abs(phases) <= TOL_EIG))
     count_rank = 2 * space.n - _rank(np.column_stack([L.columns, W.columns]))
     if count_s != count_rank:
-        near = np.abs(np.abs(phases) - tol_eig) < 10 * tol_eig
+        near = np.abs(np.abs(phases) - TOL_EIG) < 10 * TOL_EIG
         warnings.warn(
             f"intersection dimension ambiguous: Souriau count {count_s}, rank count {count_rank}"
             + (" (eigenphases near the tolerance boundary)" if near.any() else ""),
@@ -302,12 +301,12 @@ def intersection_dimension_rank(W: LagrangianFrame, L: LagrangianFrame) -> int:
     return stacked.shape[0] - _rank(stacked)
 
 
-def intersection_basis(W: LagrangianFrame, L: LagrangianFrame, rtol: float = RANK_RTOL) -> np.ndarray:
+def intersection_basis(W: LagrangianFrame, L: LagrangianFrame) -> np.ndarray:
     """Orthonormal basis of L /\\ W (possibly zero columns)."""
     stacked = np.column_stack([L.columns, -W.columns])
     _, s, vh = np.linalg.svd(stacked, full_matrices=True)
     ncols = stacked.shape[1]
-    thresh = rtol * (s[0] if s.size and s[0] > 0 else 1.0)
+    thresh = RANK_RTOL * (s[0] if s.size and s[0] > 0 else 1.0)
     idx = np.concatenate([np.flatnonzero(s <= thresh), np.arange(s.size, ncols)])
     if idx.size == 0:
         return np.zeros((L.dim_ambient, 0))

@@ -174,6 +174,17 @@ def test_numeric_failure_exit_code(tmp_path):
     assert cli.main(["run", cfgp]) == cli.EXIT_NUMERIC
 
 
+def test_programming_error_propagates(tmp_path, monkeypatch):
+    cfgp = write_config(tmp_path)
+
+    def broken_report(*args, **kwargs):
+        raise AttributeError("not a numeric failure")
+
+    monkeypatch.setattr(ha, "theorem_A_report", broken_report)
+    with pytest.raises(AttributeError, match="not a numeric failure"):
+        cli.main(["run", cfgp])
+
+
 def test_disagreement_exit_code(tmp_path, monkeypatch):
     cfgp = write_config(tmp_path)
 

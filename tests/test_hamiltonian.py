@@ -427,7 +427,7 @@ class TestCrossingRefinement:
             return nearest(path, W, lam)
 
         monkeypatch.setattr(maslov, "_nearest_phase", counting)
-        recs = find_crossings(product, diag, coarse=coarse, tol_lambda=tol)
+        recs = find_crossings(product, diag, coarse=coarse)
         monkeypatch.undo()
         assert len(recs) == 1
         assert 0 < len(calls) <= 10
