@@ -3,9 +3,11 @@
 Scenarios are JSON files naming a builtin family, numeric knobs and a report
 selection; runs write a key-value report plus CSV tables (eigenvalue tracks,
 crossings, convergence) suitable for external plotting.  Exit codes: 0 all
-agreement flags true, 1 disagreement, 2 config/schema violation, 3 numeric
-failure (any ``ValueError`` or ``RuntimeError`` a pipeline raises; other
-exceptions are programming errors and propagate).
+agreement flags true, 1 disagreement, 2 config/schema violation or an
+unwritable output path, 3 numeric failure (any ``ValueError`` or
+``RuntimeError`` a pipeline raises).  Other exceptions are programming errors
+and propagate, so Python exits with status 1 after the traceback; a
+disagreement instead prints ``DISAGREEMENT:`` and the integers.
 """
 
 from __future__ import annotations
@@ -179,17 +181,23 @@ def _validate_ranges(cfg: ScenarioConfig) -> None:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file.  An OS failure is
+    a ``ConfigError``: the output directory comes from the scenario or
+    ``--out``."""
     directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _family(cfg: ScenarioConfig):

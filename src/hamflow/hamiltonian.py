@@ -223,7 +223,7 @@ def stable_unstable_splitting(M, space: Optional[SymplecticSpace] = None):
     for V in (Vm, Vp):
         P = V @ V.T
         resid = np.linalg.norm((np.eye(M.shape[0]) - P) @ M @ P, 2)
-        if resid > 1e-7 * scale:
+        if resid > 100 * 1e-9 * scale:
             raise ValueError(f"invariant-subspace residual {resid:.3e} too large")
     if space is None:
         return Vm, Vp
@@ -375,21 +375,6 @@ def _decaying_frames(family, lams, sign, t0, T):
     return [family._memo[key(lam)] for lam in lams]
 
 
-def _decaying_space(family, lam, t0, T, sign, certify, cert_tol):
-    """``_decaying_frames`` at one lam (and, to certify, also transported
-    from sign * 1.5 * T)."""
-    F = _decaying_frames(family, [lam], sign, t0, T)[0]
-    if not certify:
-        return F
-    F2 = _decaying_frames(family, [lam], sign, t0, 1.5 * T)[0]
-    gap = gap_distance(F, F2)
-    if gap > cert_tol:
-        name = "unstable" if sign < 0 else "stable"
-        raise TruncationError(f"{name} space not converged: gap {gap:.3e} between "
-                              f"T={T} and T={1.5 * T}")
-    return F, gap
-
-
 def unstable_space(family: HamiltonianFamily, lam: float, t0: float, T: float,
                    certify: bool = False, cert_tol: float = 1e-6):
     """E^u_lam(t0): initial values at t0 of solutions decaying as t -> -inf.
@@ -398,13 +383,19 @@ def unstable_space(family: HamiltonianFamily, lam: float, t0: float, T: float,
     to t0.  With ``certify=True`` the result is recomputed from -1.5 T and
     the pair (frame, gap) is returned; a gap above ``cert_tol`` raises.
     """
-    return _decaying_space(family, lam, t0, T, -1, certify, cert_tol)
+    F = _decaying_frames(family, [lam], -1, t0, T)[0]
+    if not certify:
+        return F
+    gap = gap_distance(F, _decaying_frames(family, [lam], -1, t0, 1.5 * T)[0])
+    if gap > cert_tol:
+        raise TruncationError(f"unstable space not converged: gap {gap:.3e} between "
+                              f"T={T} and T={1.5 * T}")
+    return F, gap
 
 
-def stable_space(family: HamiltonianFamily, lam: float, t0: float, T: float,
-                 certify: bool = False, cert_tol: float = 1e-6):
+def stable_space(family: HamiltonianFamily, lam: float, t0: float, T: float):
     """E^s_lam(t0): initial values at t0 of solutions decaying as t -> +inf."""
-    return _decaying_space(family, lam, t0, T, +1, certify, cert_tol)
+    return _decaying_frames(family, [lam], +1, t0, T)[0]
 
 
 def stable_unstable_pair_path(family: HamiltonianFamily, lam_grid, t0: float, T: float):

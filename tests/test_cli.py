@@ -185,6 +185,13 @@ def test_programming_error_propagates(tmp_path, monkeypatch):
         cli.main(["run", cfgp])
 
 
+def test_unwritable_output_exit_code(tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file where the output directory should go")
+    cfgp = write_config(tmp_path)
+    assert cli.main(["run", cfgp, "--out", str(blocker / "results")]) == cli.EXIT_SCHEMA
+
+
 def test_disagreement_exit_code(tmp_path, monkeypatch):
     cfgp = write_config(tmp_path)
 

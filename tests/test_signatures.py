@@ -21,7 +21,7 @@ SIGNATURES = {
     ha.kernel_crossings: ("family", "lam_grid", "t0", "T"),
     ha.stable_unstable_pair_path: ("family", "lam_grid", "t0", "T"),
     ha.unstable_space: ("family", "lam", "t0", "T", "certify", "cert_tol"),
-    ha.stable_space: ("family", "lam", "t0", "T", "certify", "cert_tol"),
+    ha.stable_space: ("family", "lam", "t0", "T"),
     ma.winding_number: ("d", "endpoint_kernel_dims"),
     ma.maslov_index: ("path", "W"),
     ma.maslov_index_pair: ("path1", "path2", "endpoint_kernel_dims"),
