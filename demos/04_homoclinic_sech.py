@@ -36,4 +36,5 @@ print("(the well depth at the crossing is amplitude * lambda =",
 report = theorem_A_report(family, lam_grid=np.linspace(0, 1, 17), T=T, N=128,
                           third_opinion=True)
 print("\nindex report:", report.summary())
-print("three independent integers, one homoclinic bifurcation event.")
+print("three integers, one homoclinic bifurcation event; chern is read from",
+      report.extras["chern_source"])

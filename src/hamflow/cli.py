@@ -42,7 +42,7 @@ KNOWN_REPORTS = ("theorem-a", "theorem-b", "corollary-a", "self-tests")
 # matrices, about 350 MB at order 2050.  4098 is mesh 2048 at n = 1.
 MAX_PENCIL_ORDER = 4098
 
-_INT_KEYS = ("grid", "mesh", "contour_samples")
+_INT_KEYS = ("grid", "mesh")
 _REAL_KEYS = ("trunc", "tol")
 _BOOL_KEYS = ("doubling", "third_opinion")
 _NUMERIC_KEYS = set(_INT_KEYS + _REAL_KEYS + _BOOL_KEYS)
@@ -60,7 +60,6 @@ class ScenarioConfig:
     trunc: float | None = None
     mesh: int = 160
     tol: float = 1e-6
-    contour_samples: int = 256
     doubling: bool = False
     third_opinion: bool = False
     reports: tuple = ("theorem-a",)
@@ -176,8 +175,6 @@ def _validate_ranges(cfg: ScenarioConfig) -> None:
         raise ConfigError("trunc must be between 0.5 and 200")
     if not (0 < float(cfg.tol) <= 1e-2):
         raise ConfigError("tol must be in (0, 1e-2]")
-    if not (16 <= int(cfg.contour_samples) <= 65536):
-        raise ConfigError("contour_samples must be between 16 and 65536")
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -217,8 +214,7 @@ def _run_reports(cfg: ScenarioConfig, family, T, grid):
         if name == "theorem-a":
             results[name] = ha.theorem_A_report(family, lam_grid=grid, T=T, N=int(cfg.mesh),
                                                 third_opinion=bool(cfg.third_opinion),
-                                                endpoint_kernel_tol=float(cfg.tol),
-                                                chern_samples=int(cfg.contour_samples))
+                                                endpoint_kernel_tol=float(cfg.tol))
         elif name == "theorem-b":
             path_u, path_s = ha.stable_unstable_pair_path(family, grid, 0.0, T)
             results[name] = ha.theorem_B_report(path_u, path_s, -1.0, 1.0, int(cfg.mesh))
@@ -279,7 +275,7 @@ def _tracks_rows(cfg, family, T, grid):
         vals = np.sort(node_fn(lam))
         vals = vals[np.argsort(np.abs(vals))[:n_eigs]]
         eigs = list(vals) + [np.nan] * (n_eigs - len(vals))
-        psi = np.angle(-np.linalg.eigvals(souriau_map(eu, es, family.space)))
+        psi = ma._eigenphases(souriau_map(eu, es, family.space))
         psi = psi[np.argsort(np.abs(psi))][:2]
         phases = list(psi) + [np.nan] * (2 - len(psi))
         dim = intersection_dimension_rank(eu, es)

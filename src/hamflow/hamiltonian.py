@@ -29,7 +29,6 @@ from .symplectic import (
 from .maslov import (
     LagrangianPath,
     _eigenphases,
-    _phase_margin,
     find_crossings,
     maslov_index_pair,
     pair_to_product_path,
@@ -38,6 +37,7 @@ from .maslov import (
 from .spectral import (
     FlowCertificate,
     SymmetricMatrixPath,
+    _phase_margin,
     chern_winding,
     flow_from_spectra,
 )
@@ -797,8 +797,7 @@ def _a0_flow_setup(family, grid, T, N):
 
 def theorem_A_report(family: HamiltonianFamily, lam_grid=None, T: Optional[float] = None,
                      N: int = 160, t0: float = 0.0, third_opinion: bool = False,
-                     locate_crossings: bool = True, endpoint_kernel_tol: float = 1e-6,
-                     chern_samples: int = 256) -> IndexReport:
+                     locate_crossings: bool = True, endpoint_kernel_tol: float = 1e-6) -> IndexReport:
     """Spectral flow of the truncated homoclinic pencil path vs the Maslov
     index of the stable/unstable pair path at t = t0.
 
@@ -806,7 +805,9 @@ def theorem_A_report(family: HamiltonianFamily, lam_grid=None, T: Optional[float
     computes the raw integers (kernel eigenvalues counted at the nodes), the
     spectral flow of the family shifted by a delta between the endpoint
     kernels and the first genuine gap, and the one-sided partial Maslov
-    indices of the shift segments at both endpoints.
+    indices of the shift segments at both endpoints.  With ``third_opinion``
+    and invertible endpoints it adds the Chern winding of the sfl node
+    spectra, labelled so in ``extras["chern_source"]``.
     """
     T = T if T is not None else 10.0 * family.decay_scale
     grid = np.asarray(lam_grid if lam_grid is not None else np.linspace(0.0, 1.0, 17), dtype=float)
@@ -846,7 +847,8 @@ def theorem_A_report(family: HamiltonianFamily, lam_grid=None, T: Optional[float
             dense = np.union1d(cert.nodes, np.linspace(lo, hi, 65))
             report.chern = chern_winding(
                 _compressed_diagonal_path(node_fn, dense, pad=1.1 * report_band),
-                half_height=1.2 * report_band + 1.0, samples=chern_samples)
+                half_height=1.2 * report_band + 1.0)
+            report.extras["chern_source"] = "sfl node spectra"
 
     if general_case:
         report.extras["endpoint_gaps"] = tuple(end_gaps)

@@ -3,10 +3,11 @@
 The Maslov index of a path of Lagrangian subspaces against a reference
 Lagrangian W is the winding number, through the eigenvalue -1, of the path
 of unitaries obtained from the Souriau map.  Counting is certified on an
-adaptive partition by the engine that also counts spectral flow
-(``spectral.certified_count``): on each subinterval an angular window around
--1 is chosen whose boundary phases are provably avoided by the spectrum, and
-the index is the telescoping sum of window counts at the partition nodes.
+adaptive partition by the engine that also counts spectral flow, through
+its unitary-step rule (``spectral.unitary_count``): on each subinterval an
+angular window around -1 is chosen whose boundary phases are provably avoided
+by the spectrum, and the index is the telescoping sum of window counts at the
+partition nodes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .spectral import FlowRefinementError as RefinementError
-from .spectral import _choose_eps, certified_count
+from .spectral import _unitary_drift, unitary_count
 from .symplectic import (
     LagrangianFrame,
     SymplecticSpace,
@@ -27,20 +28,10 @@ from .symplectic import (
     souriau_map,
 )
 
-UNITARY_BUDGET = 0.4  # max ||U_{i+1} - U_i|| per certified subinterval
-MAX_REFINE_DEPTH = 48
-SNAP_TOL = 1e-8  # node eigenphases this close to -1 count as crossings
-
 
 def _eigenphases(U):
     """Signed angular distance of each eigenvalue from -1, in (-pi, pi]."""
     return np.angle(-np.linalg.eigvals(U))
-
-
-def _phase_margin(dU_norm):
-    """Certified bound on eigenphase motion for a unitary step of given norm."""
-    half = min(1.0, 0.5 * dU_norm)
-    return 2.0 * np.arcsin(half) * 1.25 + 1e-7
 
 
 def _lookup(known, evaluator, lams):
@@ -101,11 +92,8 @@ def winding_number(d: UnitaryPath, endpoint_kernel_dims=None) -> int:
     """Winding number of a path of unitaries through the eigenvalue -1.
 
     Counts, with sign, the net number of eigenvalues crossing -1 counter-
-    clockwise.  The partition is refined adaptively, at most
-    ``MAX_REFINE_DEPTH`` halvings deep, until on each subinterval the step
-    norm is below ``UNITARY_BUDGET`` and an admissible counting window
-    exists; the result is independent of the admissible partition.  Node
-    eigenphases within ``SNAP_TOL`` of -1 count as crossings.
+    clockwise, by the unitary-step rule of ``spectral.unitary_count``; the
+    result is independent of the admissible partition.
 
     ``endpoint_kernel_dims`` optionally declares (k0, k1) eigenvalues at -1
     at the two path endpoints; their eigenphases are snapped with a looser
@@ -132,17 +120,10 @@ def winding_number(d: UnitaryPath, endpoint_kernel_dims=None) -> int:
             psi[order[: int(k)]] = 0.0
             phases[lam] = psi
 
-    def drift(a, b):
-        dU = float(np.linalg.norm(np.asarray(unitaries[b]) - np.asarray(unitaries[a]), 2))
-        return _phase_margin(dU) if dU <= UNITARY_BUDGET else None
+    def step_norm(a, b):
+        return float(np.linalg.norm(np.asarray(unitaries[b]) - np.asarray(unitaries[a]), 2))
 
-    def eps_for(psi_a, psi_b, margin):
-        # exp(i(pi +- eps)) must avoid every eigenvalue, also across the wrap at pi
-        centers = np.abs(np.concatenate((psi_a, psi_b)))
-        return _choose_eps(np.concatenate([centers, 2.0 * np.pi - centers]), margin,
-                           np.pi, 1e-9, 1e-7)
-
-    total, _ = certified_count(phases_at, drift, eps_for, lams, SNAP_TOL, MAX_REFINE_DEPTH)
+    total, _ = unitary_count(phases_at, step_norm, lams)
     return total
 
 
@@ -432,8 +413,8 @@ def find_crossings(path: LagrangianPath, W: LagrangianFrame, coarse: int = 64) -
         if np.sign(fa) == np.sign(fb):
             continue
         # |fa|, |fb| are the ends' smallest |eigenphase|: none reaches 0 inside
-        dU = float(np.linalg.norm(Us[i + 1] - Us[i], 2))
-        if dU <= UNITARY_BUDGET and min(abs(fa), abs(fb)) > _phase_margin(dU):
+        drift = _unitary_drift(float(np.linalg.norm(Us[i + 1] - Us[i], 2)))
+        if drift is not None and min(abs(fa), abs(fb)) > drift:
             continue
         lam = _shrink_bracket(lambda lam: _nearest_phase(path, W, lam), a, b, fa, fb, 1e-10)
         record_at(lam, _eigenphases(souriau_map(W, path.frame(lam), path.space)))

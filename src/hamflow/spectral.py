@@ -8,9 +8,15 @@ is that engine; it runs on precomputed node spectra, which is how
 discretized operator pencils are handled, and on Souriau eigenphases, which
 is how the Maslov winding is counted.  Every count takes its drift from a
 bound the caller supplies (Weyl, Lipschitz or unitary step); there is no
-sampled fallback that compares node spectra.  The Chern route computes the
-winding number of det(A(lam) + i s I) along a rectangle enclosing the
-singular set; both integers agree for admissible paths.
+sampled fallback that compares node spectra.  ``unitary_count`` holds the
+unitary-step rule: a step of norm at most ``UNITARY_BUDGET`` moves every
+eigenphase by at most ``_phase_margin`` of it, and the window around -1 is
+chosen across the wrap at pi.  The Chern route counts the winding number of
+det(A(lam) + i s I) along a rectangle enclosing the singular set by the same
+rule, on the eigenphases of the unitary polar factor of A + i s I: from an
+initial partition each step is halved until it is within budget and clears
+a window, and a contour that does not settle raises
+``FlowRefinementError``.  Both integers agree for admissible paths.
 """
 
 from __future__ import annotations
@@ -22,6 +28,9 @@ from typing import Callable, Optional
 import numpy as np
 
 MAX_FLOW_DEPTH = 40
+UNITARY_BUDGET = 0.4  # max ||U_{i+1} - U_i|| per certified subinterval
+MAX_REFINE_DEPTH = 48
+SNAP_TOL = 1e-8  # node eigenphases this close to -1 count as crossings
 
 
 class EndpointKernelError(ValueError):
@@ -180,6 +189,40 @@ def certified_count(values, drift, window, nodes, zero_snap, max_depth):
     return total, cert
 
 
+def _phase_margin(dU_norm):
+    """Certified bound on eigenphase motion for a unitary step of given norm."""
+    half = min(1.0, 0.5 * dU_norm)
+    return 2.0 * np.arcsin(half) * 1.25 + 1e-7
+
+
+def _unitary_drift(dU_norm):
+    """Eigenphase drift across a unitary step of the given norm, or None when
+    the step exceeds ``UNITARY_BUDGET`` and must be split."""
+    return _phase_margin(dU_norm) if dU_norm <= UNITARY_BUDGET else None
+
+
+def _phase_window(psi_a, psi_b, margin):
+    # exp(i(pi +- eps)) must avoid every eigenvalue, also across the wrap at pi
+    centers = np.abs(np.concatenate((psi_a, psi_b)))
+    return _choose_eps(np.concatenate([centers, 2.0 * np.pi - centers]), margin, np.pi, 1e-9, 1e-7)
+
+
+def unitary_count(phases, step_norm, nodes):
+    """Net count of eigenvalues crossing -1 counterclockwise along a path of unitaries.
+
+    ``phases(lams)`` maps a list of nodes to their eigenphases, the signed
+    angular distances from -1 in (-pi, pi], and ``step_norm(a, b)`` returns
+    ||U(b) - U(a)|| for two nodes already asked for.  A subinterval counts
+    once its step norm is within ``UNITARY_BUDGET`` and a window of
+    half-width eps around -1 clears both nodes' phases by more than
+    ``_phase_margin`` of the step; node phases within ``SNAP_TOL`` of -1
+    count as crossings, and refinement stops at ``MAX_REFINE_DEPTH``
+    halvings.  Returns ``certified_count``'s (total, certificate).
+    """
+    return certified_count(phases, lambda a, b: _unitary_drift(step_norm(a, b)), _phase_window,
+                           nodes, SNAP_TOL, MAX_REFINE_DEPTH)
+
+
 def flow_from_spectra(node_fn, drift_fn, lo=0.0, hi=1.0, initial_nodes=17, window=None,
                       zero_snap=1e-9, max_depth=MAX_FLOW_DEPTH, check_endpoints=True,
                       report_window=None):
@@ -293,92 +336,56 @@ def complexify_path(path: SymmetricMatrixPath) -> SymmetricMatrixPath:
     return SymmetricMatrixPath(lambda lam: np.asarray(fn(lam)).astype(complex), path.lipschitz)
 
 
-def _rectangle_points(margin, half_height, samples):
-    """Counterclockwise rectangle boundary around [0,1] x {0} in the (lam, s) plane."""
-    corners = [(-margin, -half_height), (1.0 + margin, -half_height),
-               (1.0 + margin, half_height), (-margin, half_height)]
-    lengths = []
-    for i in range(4):
-        x0, y0 = corners[i]
-        x1, y1 = corners[(i + 1) % 4]
-        lengths.append(abs(x1 - x0) + abs(y1 - y0))
-    per_edge = [max(2, int(round(samples * L / sum(lengths)))) for L in lengths]
-    pts = []
-    for i in range(4):
-        x0, y0 = corners[i]
-        x1, y1 = corners[(i + 1) % 4]
-        ts = np.linspace(0.0, 1.0, per_edge[i], endpoint=False)
-        pts.extend((x0 + t * (x1 - x0), y0 + t * (y1 - y0)) for t in ts)
-    pts.append(pts[0])
-    return pts
-
-
-def winding_of_function(f, points):
-    """Winding number of a nonvanishing complex function along a closed polyline.
-
-    ``f`` maps a point (2-tuple) to a complex number of unit modulus times a
-    positive scale (only the argument is used).  Segments whose argument
-    increment reaches pi/2 are split, in at most 18 rounds, until every step
-    is below it.
-    """
-    pts = list(points)
-    vals = [f(p) for p in pts]
-
-    def arg_inc(z0, z1):
-        return float(np.angle(z1 * np.conj(z0)))
-
-    for _ in range(18):
-        incs = [arg_inc(vals[i], vals[i + 1]) for i in range(len(vals) - 1)]
-        bad = [i for i, inc in enumerate(incs) if abs(inc) >= 0.5 * np.pi]
-        if not bad:
-            break
-        for i in reversed(bad):
-            mid = (0.5 * (pts[i][0] + pts[i + 1][0]), 0.5 * (pts[i][1] + pts[i + 1][1]))
-            pts.insert(i + 1, mid)
-            vals.insert(i + 1, f(mid))
-    else:
-        raise FlowRefinementError("contour argument steps did not settle under refinement")
-
-    total = sum(arg_inc(vals[i], vals[i + 1]) for i in range(len(vals) - 1))
-    wind = total / (2.0 * np.pi)
-    if abs(wind - round(wind)) > 0.05:
-        raise FlowRefinementError(f"accumulated argument {wind:.4f} turns is not near an integer")
-    return int(round(wind))
-
-
 def chern_winding(path: SymmetricMatrixPath, half_height: Optional[float] = None,
-                  samples: int = 256) -> int:
+                  samples: int = 64) -> int:
     """Winding number of det(A(lam) + i s I) along a rectangle around [0,1] x {0}.
 
     The rectangle spans lam in [-0.05, 1.05] and s in [-half_height, half_height].
     The path is extended by constants beyond [0, 1]; since the endpoints are
     invertible and A + i s I is invertible for s != 0, the determinant is
     nonvanishing on the contour and the winding equals the spectral flow.
+    det/|det| is the determinant of the unitary polar factor of A + i s I,
+    whose eigenvalues (a_j + i s)/|a_j + i s|, a_j those of A, each turn
+    less than half a turn along an edge, so ``unitary_count`` counts their
+    flow through -1 and no step hides a whole turn of the product.  The
+    contour, run counterclockwise and parametrised by arc-length fraction,
+    starts from ``samples`` equal steps, halved until the polar factor moves
+    by at most ``UNITARY_BUDGET`` across each and a window clears it.  A
+    contour that does not settle raises ``FlowRefinementError``.
     """
-    for lam in (0.0, 1.0):
-        eigs = np.linalg.eigvalsh(path.evaluate(lam))
-        if np.min(np.abs(eigs)) <= 1e-10:
-            raise EndpointKernelError("chern_winding requires invertible endpoints")
+    eig = {}
 
+    def decompose(lams):
+        # eigenpairs of A(lam), each round's new lam in one stacked eigh
+        new = [lam for lam in dict.fromkeys(lams) if lam not in eig]
+        if new:
+            vals, vecs = np.linalg.eigh(np.stack([path.evaluate(lam) for lam in new]))
+            eig.update(zip(new, zip(vals, vecs)))
+        return [eig[lam] for lam in lams]
+
+    if min(np.min(np.abs(vals)) for vals, _ in decompose([0.0, 1.0])) <= 1e-10:
+        raise EndpointKernelError("chern_winding requires invertible endpoints")
     if half_height is None:
-        norms = [np.linalg.norm(path.evaluate(lam), 2) for lam in np.linspace(0, 1, 9)]
-        half_height = float(max(norms)) + 1.0
+        half_height = max(np.max(np.abs(vals)) for vals, _ in decompose(
+            [float(lam) for lam in np.linspace(0, 1, 9)])) + 1.0
 
-    cache = {}
+    corners = np.array([(-0.05, -half_height), (1.05, -half_height), (1.05, half_height),
+                        (-0.05, half_height), (-0.05, -half_height)])
+    edges = np.abs(np.diff(corners, axis=0)).sum(axis=1)
+    ends = np.concatenate(([0.0], np.cumsum(edges) / edges.sum()))
+    polar = {}
 
-    def matrix_at(lam):
-        lam = float(np.clip(lam, 0.0, 1.0))
-        if lam not in cache:
-            A = path.evaluate(lam)
-            cache[lam] = A.astype(complex)
-        return cache[lam]
+    def phases(taus):
+        xs, ss = np.interp(taus, ends, corners[:, 0]), np.interp(taus, ends, corners[:, 1])
+        vals, vecs = map(np.stack, zip(*decompose([float(x) for x in np.clip(xs, 0.0, 1.0)])))
+        z = vals + 1j * ss[:, None]
+        if np.any(z == 0):
+            i = int(np.argwhere(z == 0)[0, 0])
+            raise FlowRefinementError(f"determinant vanished on the contour at {(xs[i], ss[i])}")
+        units = (vecs * (z / np.abs(z))[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+        polar.update(zip(taus, units))
+        return list(np.angle(-z))
 
-    def f(point):
-        lam, s = point
-        A = matrix_at(lam)
-        sign, _ = np.linalg.slogdet(A + 1j * s * np.eye(A.shape[0]))
-        if sign == 0:
-            raise FlowRefinementError(f"determinant vanished on the contour at {point}")
-        return sign
-
-    return winding_of_function(f, _rectangle_points(0.05, half_height, samples))
+    total, _ = unitary_count(phases, lambda a, b: float(np.linalg.norm(polar[b] - polar[a], 2)),
+                             np.linspace(0.0, 1.0, samples + 1))
+    return total

@@ -282,7 +282,7 @@ class TestBatchedTransport:
 
     def test_refinement_rounds_transport_in_batches(self, monkeypatch):
         sizes, batches = [], []
-        transport, count = ha.propagate_subspace, maslov.certified_count
+        transport, count = ha.propagate_subspace, maslov.unitary_count
 
         def counting_transport(frames, family, lams, *args):
             sizes.append(np.size(lams))
@@ -295,7 +295,7 @@ class TestBatchedTransport:
             return count(batch, *args)
 
         monkeypatch.setattr(ha, "propagate_subspace", counting_transport)
-        monkeypatch.setattr(maslov, "certified_count", counting_count)
+        monkeypatch.setattr(maslov, "unitary_count", counting_count)
         rep = theorem_A_report(rotating_asymptotics_family(1), np.linspace(0.0, 1.0, 9),
                                T=0.5, N=32, locate_crossings=False)
         assert rep.maslov == rep.sfl == 1

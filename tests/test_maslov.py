@@ -13,7 +13,7 @@ from hamflow.maslov import (
     partial_maslov_index,
     winding_number,
 )
-from hamflow.spectral import FlowRefinementError
+from hamflow.spectral import FlowRefinementError, SymmetricMatrixPath, chern_winding
 from hamflow.symplectic import (
     LagrangianFrame,
     intersection_dimension,
@@ -78,6 +78,20 @@ class TestWindingNumber:
                            match=r"^refinement exhausted on \[[^,]+, [^\]]+\] \(drift "):
             winding_number(UnitaryPath.from_callable(random_phase, grid=2))
         assert len(calls) <= 100
+
+    def test_discontinuous_contour_fails_fast(self):
+        # det(A + isI) jumps from -1 + is to 1 + is at lam = 1/2: on the
+        # edges s = -2 and s = 2 an argument step 2 atan(1/2) below pi/2
+        calls = []
+
+        def jump(lam):
+            calls.append(lam)
+            return np.array([[-1.0 if lam < 0.5 else 1.0]])
+
+        with pytest.raises(FlowRefinementError,
+                           match=r"^refinement exhausted on \[[^,]+, [^\]]+\] \(drift "):
+            chern_winding(SymmetricMatrixPath(jump))
+        assert len(calls) <= 200
 
     def test_evaluator_maps_a_sequence(self):
         asked = []

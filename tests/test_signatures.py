@@ -15,7 +15,7 @@ from hamflow import spectral as sf
 
 SIGNATURES = {
     ha.theorem_A_report: ("family", "lam_grid", "T", "N", "t0", "third_opinion",
-                          "locate_crossings", "endpoint_kernel_tol", "chern_samples"),
+                          "locate_crossings", "endpoint_kernel_tol"),
     ha.theorem_B_report: ("path0", "path1", "a", "b", "N"),
     ha.corollary_A_report: ("family", "lam_grid", "T", "N"),
     ha.kernel_crossings: ("family", "lam_grid", "t0", "T"),
@@ -31,6 +31,7 @@ SIGNATURES = {
     sf.flow_from_spectra: ("node_fn", "drift_fn", "lo", "hi", "initial_nodes", "window",
                            "zero_snap", "max_depth", "check_endpoints", "report_window"),
     sf.shifted_flow: ("path", "delta"),
+    sf.chern_winding: ("path", "half_height", "samples"),
 }
 
 

@@ -227,6 +227,101 @@ class TestChernWinding:
             flow, _ = spectral_flow(path)
             assert chern_winding(path) == flow
 
+    def test_small_endpoint_eigenvalues(self):
+        # eigenvalues 0.005-0.2 at lam = 0 turn det(A + isI) fast near s = 0:
+        # summed over them, one step can turn the product a whole extra turn
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            d0 = rng.uniform(0.005, 0.2, 8) * rng.choice([-1, 1], 8)
+            d1 = rng.uniform(1.0, 2.0, 8) * rng.choice([-1, 1], 8)
+            path = SymmetricMatrixPath(lambda lam, d0=d0, d1=d1: np.diag(d0 + lam * (d1 - d0)))
+            assert chern_winding(path) == np.count_nonzero(d0 < 0) - np.count_nonzero(d1 < 0)
+
+    def test_matches_reference_contour(self, monkeypatch):
+        refined = []
+
+        def recorded(values, drift, window, nodes, *args):
+            total, cert = certified_count(values, drift, window, nodes, *args)
+            refined.append(len(cert.nodes) > len(nodes))
+            return total, cert
+
+        certified_count = spectral.certified_count
+        monkeypatch.setattr(spectral, "certified_count", recorded)
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            path = random_piecewise_linear(rng, int(rng.integers(2, 9)))
+            ref = _reference_chern_winding(path)
+            assert chern_winding(path, samples=16) == ref
+            assert chern_winding(path) == ref
+        assert len(refined) == 200
+        assert all(refined[::2])  # 16 initial steps are always refined
+
+
+def _rectangle_points(margin, half_height, samples):
+    """Reference: the sampled counterclockwise rectangle of the pi/2-step contour."""
+    corners = [(-margin, -half_height), (1.0 + margin, -half_height),
+               (1.0 + margin, half_height), (-margin, half_height)]
+    lengths = []
+    for i in range(4):
+        x0, y0 = corners[i]
+        x1, y1 = corners[(i + 1) % 4]
+        lengths.append(abs(x1 - x0) + abs(y1 - y0))
+    per_edge = [max(2, int(round(samples * L / sum(lengths)))) for L in lengths]
+    pts = []
+    for i in range(4):
+        x0, y0 = corners[i]
+        x1, y1 = corners[(i + 1) % 4]
+        ts = np.linspace(0.0, 1.0, per_edge[i], endpoint=False)
+        pts.extend((x0 + t * (x1 - x0), y0 + t * (y1 - y0)) for t in ts)
+    pts.append(pts[0])
+    return pts
+
+
+def winding_of_function(f, points):
+    """Reference: argument steps split below pi/2 in at most 18 rounds, and the
+    total turns rounded when within 0.05 of an integer."""
+    pts = list(points)
+    vals = [f(p) for p in pts]
+
+    def arg_inc(z0, z1):
+        return float(np.angle(z1 * np.conj(z0)))
+
+    for _ in range(18):
+        incs = [arg_inc(vals[i], vals[i + 1]) for i in range(len(vals) - 1)]
+        bad = [i for i, inc in enumerate(incs) if abs(inc) >= 0.5 * np.pi]
+        if not bad:
+            break
+        for i in reversed(bad):
+            mid = (0.5 * (pts[i][0] + pts[i + 1][0]), 0.5 * (pts[i][1] + pts[i + 1][1]))
+            pts.insert(i + 1, mid)
+            vals.insert(i + 1, f(mid))
+    else:
+        raise FlowRefinementError("contour argument steps did not settle under refinement")
+
+    total = sum(arg_inc(vals[i], vals[i + 1]) for i in range(len(vals) - 1))
+    wind = total / (2.0 * np.pi)
+    if abs(wind - round(wind)) > 0.05:
+        raise FlowRefinementError(f"accumulated argument {wind:.4f} turns is not near an integer")
+    return int(round(wind))
+
+
+def _reference_chern_winding(path):
+    """Reference: the contour winding of det(A + isI) by ``winding_of_function``."""
+    norms = [np.linalg.norm(path.evaluate(lam), 2) for lam in np.linspace(0, 1, 9)]
+    half_height = float(max(norms)) + 1.0
+
+    cache = {}
+
+    def f(point):
+        lam, s = point
+        lam = float(np.clip(lam, 0.0, 1.0))
+        if lam not in cache:
+            cache[lam] = path.evaluate(lam).astype(complex)
+        A = cache[lam]
+        return np.linalg.slogdet(A + 1j * s * np.eye(A.shape[0]))[0]
+
+    return winding_of_function(f, _rectangle_points(0.05, half_height, 256))
+
 
 class TestFlowFromSpectra:
     def test_windowed_counting(self):
@@ -345,7 +440,6 @@ class TestRoundsMatchRecursion:
         for engine in (spectral.certified_count, recursion):
             log = []
             monkeypatch.setattr(spectral, "certified_count", recorded(engine, log))
-            monkeypatch.setattr(maslov, "certified_count", recorded(engine, log))
             case()
             runs.append(log)
         rounds, recursive = runs
