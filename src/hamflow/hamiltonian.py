@@ -43,7 +43,12 @@ from .spectral import (
 )
 
 STEPS_PER_UNIT = 64
+STEP_CHUNK = 64      # transport steps per family call, so memory is O(L STEP_CHUNK d^2)
+QR_EVERY = 8         # transport steps between re-orthonormalizations
+_GAUSS = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0  # Gauss-Legendre nodes on [0, 1]
 TOL_SYMPLECTIC = 1e-8
+SIGN_TOL = 1e-10     # relative 1-norm change that ends the sign iteration
+SIGN_MAX_STEPS = 100
 
 
 class TruncationError(RuntimeError):
@@ -92,6 +97,14 @@ class HamiltonianFamily:
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
+
+    def _cached_batch(self, key, lams, compute):
+        """Memoized key(lam) for each lam; compute maps the tuple of the lam
+        missing from the memo to their values, in one call."""
+        missing = tuple(lam for lam in dict.fromkeys(lams) if key(lam) not in self._memo)
+        if missing:
+            self._memo.update(zip(map(key, missing), compute(missing)))
+        return [self._memo[key(lam)] for lam in lams]
 
     @property
     def dim(self) -> int:
@@ -207,30 +220,48 @@ def is_hyperbolic(M) -> bool:
 def stable_unstable_splitting(M, space: Optional[SymplecticSpace] = None):
     """Orthonormal frames for the stable (Re < 0) and unstable (Re > 0) subspaces.
 
-    Uses an ordered real Schur decomposition.  When ``space`` is given, the
-    frames are certified Lagrangian (true whenever M = JS with S symmetric)
-    and returned as LagrangianFrame objects.
+    Broadcasts over a stack (..., d, d) whose matrices split alike.  The
+    matrix sign function Z of M comes from the Newton iteration
+    Z <- (mu Z + (mu Z)^-1) / 2 with determinant scaling (Kenney and Laub
+    1991) and one unscaled step after it converges; the frames are the
+    leading left singular vectors of the spectral projectors (I -+ Z) / 2.
+    When ``space`` is given, the frames are certified Lagrangian (true
+    whenever M = JS with S symmetric) and returned as LagrangianFrame
+    objects, a list of them per side for a stack.
     """
     M = np.asarray(M, dtype=float)
-    if not is_hyperbolic(M):
+    d = M.shape[-1]
+    ev = np.linalg.eigvals(M).real
+    if np.min(np.abs(ev)) <= 1e-8:
         raise ValueError("matrix has spectrum on the imaginary axis; no hyperbolic splitting")
-    _, Zm, k_minus = scipy.linalg.schur(M, output="real", sort="lhp")
-    _, Zp, k_plus = scipy.linalg.schur(M, output="real", sort="rhp")
-    if k_minus + k_plus != M.shape[0]:
-        raise ValueError("Schur ordering failed to split the spectrum")
-    Vm, Vp = Zm[:, :k_minus], Zp[:, :k_plus]
-    scale = max(1.0, np.linalg.norm(M, 2))
+    k = np.unique(np.count_nonzero(ev < 0, axis=-1))
+    if k.size != 1:
+        raise ValueError("the stack splits into subspaces of different dimensions")
+    Z = M
+    for _ in range(SIGN_MAX_STEPS):
+        mu = np.exp(-np.linalg.slogdet(Z)[1] / d)[..., None, None]
+        Z, Z_old = 0.5 * (mu * Z + np.linalg.inv(mu * Z)), Z
+        change = np.linalg.norm(Z - Z_old, 1, axis=(-2, -1))
+        if np.all(change <= SIGN_TOL * np.linalg.norm(Z, 1, axis=(-2, -1))):
+            break
+    else:
+        raise ValueError("matrix sign iteration did not converge")
+    Z = 0.5 * (Z + np.linalg.inv(Z))
+    eye = np.eye(d)
+    Vm = np.linalg.svd(0.5 * (eye - Z))[0][..., :k[0]]
+    Vp = np.linalg.svd(0.5 * (eye + Z))[0][..., :d - k[0]]
+    scale = np.maximum(1.0, np.linalg.norm(M, 2, axis=(-2, -1)))
     for V in (Vm, Vp):
-        P = V @ V.T
-        resid = np.linalg.norm((np.eye(M.shape[0]) - P) @ M @ P, 2)
-        if resid > 100 * 1e-9 * scale:
-            raise ValueError(f"invariant-subspace residual {resid:.3e} too large")
+        MV = M @ V
+        resid = np.linalg.norm(MV - V @ (V.swapaxes(-1, -2) @ MV), 2, axis=(-2, -1))
+        if np.any(resid > 100 * 1e-9 * scale):
+            raise ValueError(f"invariant-subspace residual {np.max(resid):.3e} too large")
     if space is None:
         return Vm, Vp
-    fm, fp = LagrangianFrame(Vm), LagrangianFrame(Vp)
-    fm.check(space, tol=1e-8)
-    fp.check(space, tol=1e-8)
-    return fm, fp
+    frames = [[LagrangianFrame(v) for v in V.reshape((-1,) + V.shape[-2:])] for V in (Vm, Vp)]
+    for f in frames[0] + frames[1]:
+        f.check(space, tol=1e-8)
+    return tuple(fs if M.ndim > 2 else fs[0] for fs in frames)
 
 
 def relative_dimension(V, W) -> int:
@@ -267,44 +298,54 @@ class FundamentalSolution:
         return -J @ self.at(t).T @ J
 
 
-def _rk4_matrix(f, Y, t, h):
-    k1 = f(t, Y)
-    k2 = f(t + 0.5 * h, Y + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, Y + 0.5 * h * k2)
-    k4 = f(t + h, Y + h * k3)
-    return Y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+def _magnus_steps(family, lams, t_from, t_to, nsteps):
+    """Step maps of Ju' + S_lam u = 0 over nsteps equal steps from t_from to t_to.
+
+    Yields (L, k, d, d) chunks, L = len(lams), of at most STEP_CHUNK steps
+    each, in step order; each chunk costs one family call, S at the two
+    Gauss points of its steps for all lam.  A step maps the
+    4th-order Magnus generator Omega = h/2 (A1 + A2) + sqrt(3)/12 h^2 [A2, A1],
+    A_i = J S_lam(t + c_i h), by the (2, 2) Pade approximant of exp (Iserles
+    and Norsett 1999).  Omega is Hamiltonian, so the step is symplectic.
+    """
+    family.check_contract()
+    J = family.space.J
+    d = family.dim
+    lams = np.asarray(lams, dtype=float)[:, None, None]
+    h = (t_to - t_from) / nsteps
+    eye = np.eye(d)
+    for start in range(0, nsteps, STEP_CHUNK):
+        tg = t_from + h * (np.arange(start, min(start + STEP_CHUNK, nsteps))[:, None] + _GAUSS)
+        A = J @ np.broadcast_to(family.S(lams, tg), (len(lams),) + tg.shape + (d, d))
+        A1, A2 = A[:, :, 0], A[:, :, 1]
+        omega = 0.5 * h * (A1 + A2) + (np.sqrt(3.0) / 12.0) * h * h * (A2 @ A1 - A1 @ A2)
+        even = eye + omega @ omega / 12.0
+        yield np.linalg.solve(even - 0.5 * omega, even + 0.5 * omega)
 
 
 def fundamental_solution(family: HamiltonianFamily, lam: float, t0: float,
                          steps: int = 256) -> FundamentalSolution:
-    """Integrate Psi' = J S_lam(t) Psi on [-t0, t0] with classical RK4.
+    """Psi with J Psi' + S_lam Psi = 0, Psi(0) = I, on 2 steps + 1 points of [-t0, t0].
 
-    The symplectic residual max ||Psi^T J Psi - J|| is monitored; the step is
-    halved (up to three times) if it exceeds ``TOL_SYMPLECTIC``.
+    Magnus-Pade steps (see ``_magnus_steps``) run out from t = 0 both ways.
+    They are symplectic, so the residual max ||Psi^T J Psi - J|| is rounding
+    error; above ``TOL_SYMPLECTIC`` it raises ``RuntimeError``.
     """
     J = family.space.J
-    d = family.dim
-
-    def rhs(t, Y):
-        return J @ family.S(lam, t) @ Y
-
-    attempt = steps
-    resid = np.inf
-    for _ in range(4):
-        ts = np.linspace(-t0, t0, 2 * attempt + 1)
-        h = ts[1] - ts[0]
-        Psi = np.empty((len(ts), d, d))
-        Psi[attempt] = np.eye(d)
-        for i in range(attempt, 2 * attempt):
-            Psi[i + 1] = _rk4_matrix(rhs, Psi[i], ts[i], h)
-        for i in range(attempt, 0, -1):
-            Psi[i - 1] = _rk4_matrix(rhs, Psi[i], ts[i], -h)
-        resid = max(float(np.linalg.norm(P.T @ J @ P - J, 2)) for P in Psi)
-        if resid <= TOL_SYMPLECTIC:
-            return FundamentalSolution(lam=lam, ts=ts, Psi=Psi,
-                                       symplectic_residual=resid, space=family.space)
-        attempt *= 2
-    raise RuntimeError(f"symplectic residual {resid:.3e} persists after step halving")
+    ts = np.linspace(-t0, t0, 2 * steps + 1)
+    Psi = np.empty((len(ts), family.dim, family.dim))
+    Psi[steps] = np.eye(family.dim)
+    for sign in (1, -1):
+        i = steps
+        for chunk in _magnus_steps(family, [lam], 0.0, sign * t0, steps):
+            for step in chunk[0]:
+                Psi[i + sign] = step @ Psi[i]
+                i += sign
+    resid = float(np.max(np.linalg.norm(Psi.swapaxes(-1, -2) @ J @ Psi - J, 2, axis=(-2, -1))))
+    if resid > TOL_SYMPLECTIC:
+        raise RuntimeError(f"symplectic residual {resid:.3e} exceeds {TOL_SYMPLECTIC:g}")
+    return FundamentalSolution(lam=lam, ts=ts, Psi=Psi, symplectic_residual=resid,
+                               space=family.space)
 
 
 def propagate_subspace(frame, family: HamiltonianFamily, lam, t_from: float, t_to: float,
@@ -314,65 +355,50 @@ def propagate_subspace(frame, family: HamiltonianFamily, lam, t_from: float, t_t
     Broadcasts over lam as ``S`` does: one (d, k) frame at a float lam gives
     a LagrangianFrame, and an (L, d, k) stack, one frame per entry of a
     sequence lam, gives the transported (L, d, k) stack.  All frames share
-    the RK4 time points and are re-orthonormalized by one batched QR every
-    step; the subspace, not the individual solutions, is the invariant
-    object.  Each stage time costs one family call ``S(lam, t)`` for all
-    lam.  Per step only the stage generators J S_lam(t) of that step are
-    held, so memory is O(L d^2).
+    the max(16, ceil(span * steps_per_unit)) Magnus-Pade steps of
+    ``_magnus_steps``, one family call per chunk of steps, and are
+    re-orthonormalized by one batched QR every ``QR_EVERY`` steps and at the
+    end; the subspace, not the individual solutions, is the invariant
+    object.  Memory is O(L STEP_CHUNK d^2).
     """
-    family.check_contract()
     one = np.ndim(lam) == 0
     F = frame.columns if isinstance(frame, LagrangianFrame) else np.asarray(frame, dtype=float)
     F = F[None] if one else F
-    lams = np.atleast_1d(np.asarray(lam, dtype=float))
     span = abs(t_to - t_from)
     if span == 0.0:
         F = np.linalg.qr(F)[0]
         return LagrangianFrame(F[0]) if one else F
-    J = family.space.J
-    stages = {}
-
-    def rhs(t, Y):
-        # the step's stage times repeat (t + h/2 twice, and t + h is the next
-        # step's t), so each is tabulated once for all lam
-        if t not in stages:
-            if len(stages) == 3:
-                del stages[next(iter(stages))]
-            stages[t] = J @ family.S(lams, t)
-        return stages[t] @ Y
-
     nsteps = max(16, int(np.ceil(span * steps_per_unit)))
-    h = (t_to - t_from) / nsteps
-    t = t_from
-    for _ in range(nsteps):
-        F = _rk4_matrix(rhs, F, t, h)
-        F, r = np.linalg.qr(F)
-        # keep column orientation stable
-        F = F * np.sign(np.sign(np.diagonal(r, axis1=-2, axis2=-1)) + 0.5)[:, None, :]
-        t += h
+    steps = (step for chunk in _magnus_steps(family, np.atleast_1d(lam), t_from, t_to, nsteps)
+             for step in chunk.swapaxes(0, 1))
+    for i, step in enumerate(steps, 1):
+        F = step @ F
+        if i % QR_EVERY == 0 or i == nsteps:
+            F, r = np.linalg.qr(F)
+            # keep column orientation stable
+            F = F * np.sign(np.sign(np.diagonal(r, axis1=-2, axis2=-1)) + 0.5)[:, None, :]
     return LagrangianFrame(F[0]) if one else F
 
 
-def _asymptotic_frame(family, lam, sign):
-    """Boundary frame at the end t -> sign * inf: the unstable splitting of
-    J S_lam(-inf) for sign -1, the stable splitting of J S_lam(+inf) for +1."""
-    def splitting():
-        Vm, Vp = stable_unstable_splitting(family.space.J @ family.S_limit(lam, sign))
-        return LagrangianFrame(Vp if sign < 0 else Vm)
-    return family._cached(("frame", lam, sign), splitting)
+def _asymptotic_frames(family, lams, sign):
+    """Boundary frames at the end t -> sign * inf: the unstable splitting of
+    J S_lam(-inf) for sign -1, the stable splitting of J S_lam(+inf) for +1.
+    Memoized on the family; the lam missing from the memo are split in one
+    stacked call."""
+    def split(missing):
+        M = family.space.J @ np.stack([family.S_limit(lam, sign) for lam in missing])
+        return map(LagrangianFrame, stable_unstable_splitting(M)[1 if sign < 0 else 0])
+    return family._cached_batch(lambda lam: ("frame", lam, sign), lams, split)
 
 
 def _decaying_frames(family, lams, sign, t0, T):
     """Solutions decaying as t -> sign * inf, at t0, for each lam: the
     asymptotic frame transported from sign * T.  Memoized on the family; the
     lam missing from the memo are transported in one batch."""
-    key = lambda lam: ("decay", lam, sign, t0, T)
-    missing = tuple(lam for lam in dict.fromkeys(lams) if key(lam) not in family._memo)
-    if missing:
-        starts = np.stack([_asymptotic_frame(family, lam, sign).columns for lam in missing])
-        frames = propagate_subspace(starts, family, missing, sign * T, t0)
-        family._memo.update((key(lam), LagrangianFrame(F)) for lam, F in zip(missing, frames))
-    return [family._memo[key(lam)] for lam in lams]
+    def transport(missing):
+        starts = np.stack([f.columns for f in _asymptotic_frames(family, missing, sign)])
+        return map(LagrangianFrame, propagate_subspace(starts, family, missing, sign * T, t0))
+    return family._cached_batch(lambda lam: ("decay", lam, sign, t0, T), lams, transport)
 
 
 def unstable_space(family: HamiltonianFamily, lam: float, t0: float, T: float,
@@ -657,8 +683,8 @@ def assemble_A0_operator(family: HamiltonianFamily, lam: float, T: float, N: int
     settled, so the pencil kernel matches intersections of E^u and E^s.
     """
     family.check_contract()
-    L0 = _asymptotic_frame(family, lam, -1)
-    L1 = _asymptotic_frame(family, lam, +1)
+    L0, = _asymptotic_frames(family, [lam], -1)
+    L1, = _asymptotic_frames(family, [lam], +1)
     return _assemble(family.space, L0, L1, -T, T, N, S_fn=lambda t: family.S(lam, t),
                      stabilization=stabilization, scheme=scheme)
 
@@ -951,9 +977,9 @@ def corollary_A_report(family: HamiltonianFamily, lam_grid=None, T: Optional[flo
     grid = np.asarray(lam_grid if lam_grid is not None else np.linspace(0.0, 1.0, 17), dtype=float)
     space = family.space
 
-    path_u, path_s = (LagrangianPath.from_callable(
-        space, lambda lam, sign=sign: _asymptotic_frame(family, lam, sign), grid=grid)
-        for sign in (-1, +1))
+    lams = [float(lam) for lam in grid]
+    path_u, path_s = (LagrangianPath(space, list(zip(lams, ev(lams))), ev) for ev in (
+        lambda lams, sign=sign: _asymptotic_frames(family, lams, sign) for sign in (-1, +1)))
     mas = maslov_index_pair(path_u, path_s)
 
     node_fn, _, pencil_flow = _a0_flow_setup(family, grid, T, N)

@@ -346,7 +346,7 @@ def _shrink_bracket(f, a, b, fa, fb, tol):
     closer than tol/2 to an end is moved to tol/2 from it, so that an end
     converged to the noise floor does not stall the other.  The update of
     the ends is that of bisection, so the bracket always holds the sign
-    change.
+    change.  A point where |f| <= 1e-15 is a zero and is returned.
     """
     wa, wb = fa, fb
     moved = 0  # -1 when a moved last, +1 when b moved last
@@ -356,7 +356,9 @@ def _shrink_bracket(f, a, b, fa, fb, tol):
             m = 0.5 * (a + b)
         m = min(max(m, a + 0.5 * tol), b - 0.5 * tol)
         fm = f(m)
-        if abs(fm) <= 1e-15 or np.sign(fm) == np.sign(fa):
+        if abs(fm) <= 1e-15:
+            return m
+        if np.sign(fm) == np.sign(fa):
             a, fa, wa = m, fm, fm
             if moved < 0:
                 wb *= 0.5

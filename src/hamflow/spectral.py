@@ -382,10 +382,14 @@ def chern_winding(path: SymmetricMatrixPath, half_height: Optional[float] = None
         if np.any(z == 0):
             i = int(np.argwhere(z == 0)[0, 0])
             raise FlowRefinementError(f"determinant vanished on the contour at {(xs[i], ss[i])}")
-        units = (vecs * (z / np.abs(z))[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
-        polar.update(zip(taus, units))
+        polar.update(zip(taus, zip(np.clip(xs, 0.0, 1.0), vecs, z / np.abs(z))))
         return list(np.angle(-z))
 
-    total, _ = unitary_count(phases, lambda a, b: float(np.linalg.norm(polar[b] - polar[a], 2)),
-                             np.linspace(0.0, 1.0, samples + 1))
+    def step_norm(a, b):
+        (xa, Va, ua), (xb, Vb, ub) = polar[a], polar[b]
+        if xa == xb:  # one A, so both polar factors have its eigenvectors
+            return float(np.max(np.abs(ub - ua)))
+        return float(np.linalg.norm((Vb * ub) @ Vb.conj().T - (Va * ua) @ Va.conj().T, 2))
+
+    total, _ = unitary_count(phases, step_norm, np.linspace(0.0, 1.0, samples + 1))
     return total

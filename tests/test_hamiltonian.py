@@ -62,7 +62,43 @@ class TestHyperbolicity:
         assert hyperbolicity_margin(np.diag([2.0, -3.0])) == pytest.approx(2.0)
 
 
+def _schur_splitting(M):
+    """Reference: stable and unstable frames from two ordered real Schur forms."""
+    _, Zm, k_minus = scipy.linalg.schur(M, output="real", sort="lhp")
+    _, Zp, k_plus = scipy.linalg.schur(M, output="real", sort="rhp")
+    return Zm[:, :k_minus], Zp[:, :k_plus]
+
+
+def _asymptotic_matrices():
+    """J S_lam(-+inf) of the builtin and random n = 1-3 families, 9 lam each."""
+    rng = np.random.default_rng(21)
+    families = [autonomous_family(1), autonomous_family(2), sech_family(1, amplitude=2.0),
+                rotating_asymptotics_family(1), rotating_asymptotics_family(3, turns=1.5),
+                gamma_nor_embedding_family(1)]
+    families += [random_family(rng, n=n, kind=kind) for n in (1, 2, 3) for kind in ("sech", "tanh")]
+    return [np.stack([fam.space.J @ fam.S_limit(lam, sign) for lam in np.linspace(0.0, 1.0, 9)])
+            for fam in families for sign in (-1, +1)]
+
+
+def _projector(V):
+    return V @ V.swapaxes(-1, -2)
+
+
 class TestSplitting:
+    def test_matches_schur_splitting(self):
+        for stack in _asymptotic_matrices():
+            for M in stack:
+                for V, W in zip(stable_unstable_splitting(M), _schur_splitting(M)):
+                    assert np.linalg.norm(_projector(V) - _projector(W), 2) <= 1e-13
+
+    def test_stack_matches_one_call_per_matrix(self):
+        for stack in _asymptotic_matrices():
+            Vm, Vp = stable_unstable_splitting(stack)
+            assert Vm.shape == Vp.shape == stack.shape[:-1] + (stack.shape[-1] // 2,)
+            for M, vm, vp in zip(stack, Vm, Vp):
+                for V, W in zip((vm, vp), stable_unstable_splitting(M)):
+                    assert np.linalg.norm(_projector(V) - _projector(W), 2) <= 1e-13
+
     def test_diagonal(self):
         Vm, Vp = stable_unstable_splitting(np.diag([-1.0, 2.0]))
         assert np.allclose(np.abs(Vm.ravel()), [1.0, 0.0])
@@ -198,23 +234,24 @@ class TestPropagation:
 
 
 def _loop_transport(frame, family, lam, t_from, t_to, steps_per_unit=64):
-    """Reference: one lam, one RK4 step and one QR at a time."""
+    """Reference: one lam and one Magnus-Pade step at a time, a QR every 8
+    steps and at the end."""
     F = np.asarray(frame, dtype=float)
     if t_to == t_from:
         return np.linalg.qr(F)[0]
-    J = family.space.J
+    J, eye = family.space.J, np.eye(family.dim)
     nsteps = max(16, int(np.ceil(abs(t_to - t_from) * steps_per_unit)))
     h = (t_to - t_from) / nsteps
-    t = t_from
-    for _ in range(nsteps):
-        k1 = J @ family.S(lam, t) @ F
-        k2 = J @ family.S(lam, t + 0.5 * h) @ (F + 0.5 * h * k1)
-        k3 = J @ family.S(lam, t + 0.5 * h) @ (F + 0.5 * h * k2)
-        k4 = J @ family.S(lam, t + h) @ (F + h * k3)
-        F = F + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        F, r = np.linalg.qr(F)
-        F = F * np.sign(np.sign(np.diag(r)) + 0.5)
-        t += h
+    c1, c2 = 0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
+    for i in range(nsteps):
+        A1 = J @ family.S(lam, t_from + h * (i + c1))
+        A2 = J @ family.S(lam, t_from + h * (i + c2))
+        omega = 0.5 * h * (A1 + A2) + math.sqrt(3.0) / 12.0 * h * h * (A2 @ A1 - A1 @ A2)
+        even = eye + omega @ omega / 12.0
+        F = np.linalg.solve(even - 0.5 * omega, even + 0.5 * omega) @ F
+        if (i + 1) % 8 == 0 or i + 1 == nsteps:
+            F, r = np.linalg.qr(F)
+            F = F * np.sign(np.sign(np.diag(r)) + 0.5)
     return F
 
 
@@ -239,6 +276,32 @@ BATCH_FAMILIES = {
     "random-n2": lambda: random_family(np.random.default_rng(11), n=2, kind="tanh"),
     "random-sech-n2": lambda: random_family(np.random.default_rng(12), n=2, kind="sech"),
 }
+
+
+class TestMagnusSteps:
+    @pytest.mark.parametrize("name", sorted(BATCH_FAMILIES))
+    def test_steps_are_symplectic(self, name):
+        fam = BATCH_FAMILIES[name]()
+        J = fam.space.J
+        for t_from, t_to, nsteps in ((-4.0, 3.0, 100), (2.0, -1.0, 16)):
+            for chunk in ha._magnus_steps(fam, np.linspace(0.0, 1.0, 5), t_from, t_to, nsteps):
+                resid = np.linalg.norm(chunk.swapaxes(-1, -2) @ J @ chunk - J, 2, axis=(-2, -1))
+                scale = np.maximum(1.0, np.linalg.norm(chunk, 2, axis=(-2, -1)) ** 2)
+                assert np.all(resid <= 1e-12 * scale)
+
+    def test_chunks_cover_every_step(self):
+        fam = sech_family(1, amplitude=2.0)
+        chunks = list(ha._magnus_steps(fam, [0.2, 0.7], -3.0, 0.0, 150))
+        assert [c.shape for c in chunks] == [(2, 64, 2, 2), (2, 64, 2, 2), (2, 22, 2, 2)]
+
+    @pytest.mark.parametrize("name", ["sech", "gamma-nor", "rotating", "random-sech-n2"])
+    def test_fourth_order(self, name):
+        # halving h cuts the error against a 16x finer run by about 2^4
+        fam = BATCH_FAMILIES[name]()
+        ref = fundamental_solution(fam, 0.6, 3.0, steps=16 * 24).at(3.0)
+        coarse, fine = (np.linalg.norm(fundamental_solution(fam, 0.6, 3.0, steps=s).at(3.0) - ref, 2)
+                        for s in (12, 24))
+        assert fine > 0 and coarse >= 10.0 * fine
 
 
 class TestBatchedTransport:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hamflow import maslov
 from hamflow.maslov import (
     CrossingRecord,
     LagrangianPath,
@@ -317,6 +318,26 @@ class TestCrossingForm:
     def test_signature_bounds(self):
         with pytest.raises(ValueError):
             CrossingRecord(lam=0.5, intersection_dim=1, signature=2, regular=True)
+
+
+class TestShrinkBracket:
+    @pytest.mark.parametrize("f,a,b,root", [
+        (lambda x: x - 0.3, 0.0, 1.0, 0.3),
+        (lambda x: 2.0 - 4.0 * x, 0.0, 1.0, 0.5),
+        # a secant never lands on the root of a polynomial quadratic, so the
+        # quadratic is odd about its root: the first secant point is the root
+        (lambda x: (x - 0.25) * abs(x - 0.25), 0.0, 0.5, 0.25),
+    ], ids=["linear", "linear-falling", "quadratic"])
+    def test_exact_zero_ends_the_search(self, f, a, b, root):
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return f(x)
+
+        lam = maslov._shrink_bracket(counting, a, b, f(a), f(b), 1e-10)
+        assert len(calls) <= 3
+        assert abs(lam - root) <= 1e-10
 
 
 class TestFindCrossings:

@@ -22,6 +22,10 @@ SIGNATURES = {
     ha.stable_unstable_pair_path: ("family", "lam_grid", "t0", "T"),
     ha.unstable_space: ("family", "lam", "t0", "T", "certify", "cert_tol"),
     ha.stable_space: ("family", "lam", "t0", "T"),
+    # the benchmark's tracer binds propagate_subspace's arguments by name
+    ha.propagate_subspace: ("frame", "family", "lam", "t_from", "t_to", "steps_per_unit"),
+    ha.stable_unstable_splitting: ("M", "space"),
+    ha.fundamental_solution: ("family", "lam", "t0", "steps"),
     ma.winding_number: ("d", "endpoint_kernel_dims"),
     ma.maslov_index: ("path", "W"),
     ma.maslov_index_pair: ("path1", "path2", "endpoint_kernel_dims"),
