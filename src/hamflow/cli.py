@@ -271,8 +271,9 @@ def _tracks_rows(cfg, family, T, grid):
     node_fn, _, _ = ha._a0_flow_setup(family, grid, T, int(cfg.mesh))
     path_u, path_s = ha.stable_unstable_pair_path(family, grid, 0.0, T)
     rows = []
-    for (lam, eu), (_, es) in zip(path_u.samples, path_s.samples):
-        vals = np.sort(node_fn(lam))
+    spectra = node_fn([lam for lam, _ in path_u.samples])
+    for (lam, eu), (_, es), vals in zip(path_u.samples, path_s.samples, spectra):
+        vals = np.sort(vals)
         vals = vals[np.argsort(np.abs(vals))[:n_eigs]]
         eigs = list(vals) + [np.nan] * (n_eigs - len(vals))
         psi = ma._eigenphases(souriau_map(eu, es, family.space))

@@ -21,6 +21,7 @@ from .symplectic import (
     LagrangianFrame,
     SymplecticSpace,
     SymplecticError,
+    check_frame_columns,
     gap_distance,
     intersection_dimension_rank,
     souriau_map,
@@ -49,6 +50,7 @@ _GAUSS = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0  # Gauss-Legendre node
 TOL_SYMPLECTIC = 1e-8
 SIGN_TOL = 1e-10     # relative 1-norm change that ends the sign iteration
 SIGN_MAX_STEPS = 100
+PENCIL_BYTES = 1 << 17  # reduced pencil bytes (8 m^2 each, order m) one assembled stack holds
 
 
 class TruncationError(RuntimeError):
@@ -475,6 +477,9 @@ class BoundaryValueOperator:
     quotient v^T L v / v^T M v (L the second-difference form): genuine
     eigenfunctions score O(1), ghosts score ~12/h^2.  Windowed spectra are
     therefore filtered at 2/h^2 (``rough_cut``) by default.
+
+    A stack of pencils that share interval and mesh holds (L, m, m) matrices
+    and the frames as (L, d, k) stacks; ``size`` is one pencil's order m.
     """
 
     stiffness: np.ndarray
@@ -486,26 +491,27 @@ class BoundaryValueOperator:
     roughness_form: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
-        # 1-norm bounds with no SVD: ||R||_2 <= ||R||_1 for antisymmetric R
-        # and ||K||_1 / sqrt(n) <= ||K||_2, so this rejects whatever the
-        # spectral-norm test would
-        K, M = self.stiffness, self.mass
-        resid = np.linalg.norm(K - K.T, 1)
-        if resid > 1e-12 * max(1.0, np.linalg.norm(K, 1) / np.sqrt(K.shape[0])):
-            raise ValueError(f"stiffness symmetry residual {resid:.3e} too large")
-        # a band reaching back to every row's first nonzero holds every entry
-        # a dense lower Cholesky would read
-        width = int(np.max(np.arange(len(M)) - np.argmax(M != 0, axis=1)))
-        band = np.array([np.concatenate((np.diagonal(M, -k), np.zeros(k)))
-                         for k in range(width + 1)])
-        try:
-            scipy.linalg.cholesky_banded(band, lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise ValueError("mass matrix is not positive definite") from exc
+        m = self.stiffness.shape[-1]
+        for K, M in zip(self.stiffness.reshape(-1, m, m), self.mass.reshape(-1, m, m)):
+            # 1-norm bounds with no SVD: ||R||_2 <= ||R||_1 for antisymmetric R
+            # and ||K||_1 / sqrt(m) <= ||K||_2, so this rejects whatever the
+            # spectral-norm test would
+            resid = np.linalg.norm(K - K.T, 1)
+            if resid > 1e-12 * max(1.0, np.linalg.norm(K, 1) / np.sqrt(m)):
+                raise ValueError(f"stiffness symmetry residual {resid:.3e} too large")
+            # a band reaching back to every row's first nonzero holds every
+            # entry a dense lower Cholesky would read
+            width = int(np.max(np.arange(m) - np.argmax(M != 0, axis=1)))
+            band = np.array([np.concatenate((np.diagonal(M, -k), np.zeros(k)))
+                             for k in range(width + 1)])
+            try:
+                scipy.linalg.cholesky_banded(band, lower=True)
+            except scipy.linalg.LinAlgError as exc:
+                raise ValueError("mass matrix is not positive definite") from exc
 
     @property
     def size(self) -> int:
-        return self.stiffness.shape[0]
+        return self.stiffness.shape[-1]
 
     @property
     def step(self) -> float:
@@ -518,21 +524,28 @@ class BoundaryValueOperator:
         # 12/h^2 (consistent mass) or 4/h^2 (lumped); 2/h^2 separates both
         return 2.0 / self.step ** 2
 
-    def eigenvalues(self, window: float, drop_rough: bool = True) -> np.ndarray:
+    def eigenvalues(self, window: float, drop_rough: bool = True):
         """Generalized symmetric eigenvalues in the window |mu| <= window.
 
         With ``drop_rough``, parity-ghost modes are removed by the roughness
-        filter; values falling ambiguously near the cut raise a warning.
+        filter; values falling ambiguously near the cut raise a warning.  A
+        stack gives the list of its pencils' arrays, one windowed scipy
+        ``eigh`` each.
         """
-        if not drop_rough or self.roughness_form is None:
-            return scipy.linalg.eigh(self.stiffness, self.mass, eigvals_only=True,
-                                     subset_by_value=(-window, window))
-        vals, vecs = scipy.linalg.eigh(self.stiffness, self.mass,
-                                       subset_by_value=(-window, window))
+        if self.stiffness.ndim == 2:
+            return self._windowed(self.stiffness, self.mass, self.roughness_form, window,
+                                  drop_rough)
+        return [self._windowed(K, M, R, window, drop_rough) for K, M, R in
+                zip(self.stiffness, self.mass, self.roughness_form)]
+
+    def _windowed(self, K, M, R, window, drop_rough):
+        if not drop_rough or R is None:
+            return scipy.linalg.eigh(K, M, eigvals_only=True, subset_by_value=(-window, window))
+        vals, vecs = scipy.linalg.eigh(K, M, subset_by_value=(-window, window))
         if vals.size == 0:
             return vals
         # eigh normalizes v^T M v = 1, so the quotient is just v^T L v
-        rough = np.einsum("ji,jk,ki->i", vecs, self.roughness_form, vecs)
+        rough = np.einsum("ji,jk,ki->i", vecs, R, vecs)
         cut = self.rough_cut
         ambiguous = (rough > 0.5 * cut) & (rough < 1.5 * cut)
         if ambiguous.any():
@@ -578,32 +591,39 @@ def _potential_matrix(space, a, b, N, S_fn):
     """Assemble int <S(t) u, v> with two-point Gauss quadrature per element.
 
     S_fn broadcasts over t: one call on the (N, 2) Gauss points gives the
-    (N, 2, d, d) stack (a t-independent (d, d) return is broadcast), and the
-    weighted stacks are scattered by block indexing, in the order an element
-    loop adds them: element e-1's right-end terms reach block (e, e) before
-    element e's left-end terms, so the sums round as the loop's do.
+    (N, 2, d, d) stack (a t-independent (d, d) return is broadcast), or an
+    (L, N, 2, d, d) stack for L pencils, which gives L matrices.  Each
+    block sums its weighted terms from zero in the order an element loop
+    adds them (element e-1's right-end terms reach block (e, e) before
+    element e's left-end terms), so it rounds as the loop's does, and the
+    blocks are then placed by block indexing.
     """
     d = space.dim
     h = (b - a) / N
-    V = np.zeros(((N + 1) * d, (N + 1) * d))
-    Vb = V.reshape(N + 1, d, N + 1, d)
     tl = a + np.arange(N) * h
     offs = 0.5 * h / np.sqrt(3.0)
     w = 0.5 * h
     tg = (tl + 0.5 * h)[:, None] + np.array([-offs, offs])
-    phi1 = ((tg - tl[:, None]) / h)[..., None, None]
-    phi0 = 1.0 - phi1
-    S = np.broadcast_to(S_fn(tg), tg.shape + (d, d))
+    S = np.asarray(S_fn(tg))
+    lead = S.shape[:-4]
+    # element and Gauss axes first: the block indexing below puts its block axis first
+    S = np.moveaxis(np.broadcast_to(S, lead + tg.shape + (d, d)), (-4, -3), (0, 1))
     S = 0.5 * (S + S.swapaxes(-1, -2))
+    phi1 = ((tg - tl[:, None]) / h).reshape(tg.shape + (1,) * (S.ndim - 2))
+    phi0 = 1.0 - phi1
     P00, P01, P10, P11 = (w * p * q * S for p, q in
                           ((phi0, phi0), (phi0, phi1), (phi1, phi0), (phi1, phi1)))
+    diag = np.zeros((N + 1,) + S.shape[2:])
+    for P, rows in ((P11, slice(1, None)), (P00, slice(None, -1))):
+        for g in (0, 1):
+            diag[rows] += P[:, g]
+    upper, lower = ((0.0 + P[:, 0]) + P[:, 1] for P in (P01, P10))
+    V = np.zeros(lead + ((N + 1) * d, (N + 1) * d))
+    Vb = V.reshape(lead + (N + 1, d, N + 1, d))
     idx = np.arange(N)
-    for g in (0, 1):
-        Vb[idx + 1, :, idx + 1, :] += P11[:, g]
-    for g in (0, 1):
-        Vb[idx, :, idx, :] += P00[:, g]
-        Vb[idx, :, idx + 1, :] += P01[:, g]
-        Vb[idx + 1, :, idx, :] += P10[:, g]
+    Vb[..., np.arange(N + 1), :, np.arange(N + 1), :] = diag
+    Vb[..., idx, :, idx + 1, :] = upper
+    Vb[..., idx + 1, :, idx, :] = lower
     return V
 
 
@@ -624,22 +644,30 @@ DEFAULT_STABILIZATION = 0.05
 def _assemble(space, L0, L1, a, b, N, S_fn=None, stabilization=None, scheme="galerkin"):
     """Reduced pencil of the symmetrized weak form with frame boundary conditions.
 
-    A small consistent second-difference term (O(h^2) on smooth modes) keeps
-    the parity-ghost sector spectrally separated from genuine near-kernel
-    modes so the roughness filter never sees hybridized eigenvectors;
+    L0 and L1 are frames, or sequences of L (d, k) frame columns (an (L, d, k)
+    array is one) for a stack of L pencils; S_fn then returns a leading L
+    axis (see ``_potential_matrix``).  The frame-independent skew, mass and
+    second-difference forms and the potential (one ``S_fn`` call) are built
+    once for the stack, and each pencil's forms are reduced in turn.  A small
+    consistent second-difference term (O(h^2) on smooth modes) keeps the
+    parity-ghost sector spectrally separated from genuine near-kernel modes
+    so the roughness filter never sees hybridized eigenvectors;
     ``stabilization=0`` disables it, which exhibits the doubled kernel.
     """
     if N < 4:
         raise ValueError("mesh must have at least 4 intervals")
     if scheme not in ("galerkin", "central"):
         raise ValueError("scheme must be 'galerkin' or 'central'")
-    L0.check(space)
-    L1.check(space)
+    one = isinstance(L0, LagrangianFrame)
+    F0s, F1s = ([L.columns] if one else list(L) for L in (L0, L1))
+    check_frame_columns(np.stack(F0s), space)
+    check_frame_columns(np.stack(F1s), space)
+    d = space.dim
     h = (b - a) / N
     K = _skew_stiffness(space, N)
     if S_fn is not None:
         K = K + _potential_matrix(space, a, b, N, S_fn)
-    rough = _second_difference_stiffness(space.dim, a, b, N)
+    rough = _second_difference_stiffness(d, a, b, N)
     beta = DEFAULT_STABILIZATION if stabilization is None else stabilization
     if beta:
         K = K + beta * h * h * rough
@@ -648,18 +676,30 @@ def _assemble(space, L0, L1, a, b, N, S_fn=None, stabilization=None, scheme="gal
         # central-difference scheme; kept as a secondary oracle
         weights = np.full(N + 1, h)
         weights[0] = weights[-1] = 0.5 * h
-        M = np.kron(np.diag(weights), np.eye(space.dim))
+        M = np.kron(np.diag(weights), np.eye(d))
     else:
-        M = _mass_matrix(space.dim, a, b, N)
-    d = space.dim
-    Kr = _reduce_by_frames(K, d, N, L0.columns, L1.columns)
-    Mr = _reduce_by_frames(M, d, N, L0.columns, L1.columns)
-    Rr = _reduce_by_frames(rough, d, N, L0.columns, L1.columns)
-    Kr = 0.5 * (Kr + Kr.T)
-    Mr = 0.5 * (Mr + Mr.T)
+        M = _mass_matrix(d, a, b, N)
+    L = len(F0s)
+    K = np.broadcast_to(K, (L,) + K.shape[-2:])
+    m = F0s[0].shape[1] + (N - 1) * d + F1s[0].shape[1]
+    Kr, Mr, Rr = red = tuple(np.empty((L, m, m)) for _ in range(3))
+    for i, (F0, F1) in enumerate(zip(F0s, F1s)):
+        for X, out in zip((K[i], M, rough), red):
+            # the symmetrized reduction (r + r^T) / 2, written into its slot
+            r = _reduce_by_frames(X, d, N, F0, F1)
+            np.add(r, r.T, out=out[i])
+            out[i] *= 0.5
+    if one:
+        Kr, Mr, Rr = Kr[0], Mr[0], Rr[0]
     return BoundaryValueOperator(stiffness=Kr, mass=Mr, frames=(L0, L1),
-                                 interval=(a, b), mesh=N, space=space,
-                                 roughness_form=0.5 * (Rr + Rr.T))
+                                 interval=(a, b), mesh=N, space=space, roughness_form=Rr)
+
+
+def _pencil_stacks(items, order):
+    """items cut into runs of the pencils of order ``order`` one stack holds:
+    max(1, PENCIL_BYTES // (8 order^2)) of them."""
+    size = max(1, PENCIL_BYTES // (8 * order * order))
+    return [tuple(items[i:i + size]) for i in range(0, len(items), size)]
 
 
 def assemble_Q_operator(L0: LagrangianFrame, L1: LagrangianFrame, a: float, b: float,
@@ -670,6 +710,7 @@ def assemble_Q_operator(L0: LagrangianFrame, L1: LagrangianFrame, a: float, b: f
     The symmetrized weak form equals int <Ju', v> on the constrained space
     because the Lagrangian boundary terms vanish, so the reduced stiffness is
     exactly symmetric and the pencil eigenvalues approximate the spectrum.
+    Two (L, d, n) stacks of frame columns give one stack of L pencils.
     """
     return _assemble(space, L0, L1, a, b, N, stabilization=stabilization, scheme=scheme)
 
@@ -681,11 +722,21 @@ def assemble_A0_operator(family: HamiltonianFamily, lam: float, T: float, N: int
     At -T the boundary space is the unstable splitting of J S_lam(-inf) and at
     +T the stable splitting of J S_lam(+inf); by that time the perturbation has
     settled, so the pencil kernel matches intersections of E^u and E^s.
+    Broadcasts over lam as ``propagate_subspace`` does: a float gives one
+    pencil, a sequence one stack with a pencil per entry, whose frames are
+    split in one call per end and whose potential takes one ``S`` call.
+    Callers keep a stack within ``PENCIL_BYTES`` (``_pencil_stacks``).
     """
     family.check_contract()
-    L0, = _asymptotic_frames(family, [lam], -1)
-    L1, = _asymptotic_frames(family, [lam], +1)
-    return _assemble(family.space, L0, L1, -T, T, N, S_fn=lambda t: family.S(lam, t),
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    L0, L1 = (_asymptotic_frames(family, [float(x) for x in lams], sign) for sign in (-1, +1))
+    if np.ndim(lam) == 0:
+        return _assemble(family.space, L0[0], L1[0], -T, T, N,
+                         S_fn=lambda t: family.S(lam, t),
+                         stabilization=stabilization, scheme=scheme)
+    shape = (len(lams), N, 2, family.dim, family.dim)
+    return _assemble(family.space, *([f.columns for f in Ls] for Ls in (L0, L1)), -T, T, N,
+                     S_fn=lambda t: np.broadcast_to(family.S(lams[:, None, None], t), shape),
                      stabilization=stabilization, scheme=scheme)
 
 
@@ -759,24 +810,29 @@ def theorem_B_report(path0: LagrangianPath, path1: LagrangianPath, a: float, b: 
     length = 2.0 * (b - a)
     nodes = {}
 
-    def node(lam):
-        # (windowed pencil eigenvalues, Souriau unitary, gap to the explicit spectrum);
-        # k in {-1, 0, 1} suffices since the report window 3 pi / (4 length) < pi / length
-        if lam not in nodes:
-            L0, L1 = path0.frame(lam), path1.frame(lam)
-            vals = assemble_Q_operator(L0, L1, a, b, N, space).eigenvalues(window=1.5 * w)
-            U = souriau_map(L0, L1, space)
-            exact = (2.0 * np.pi * np.arange(-1, 2)[:, None] - _eigenphases(U)).ravel() / length
-            gap = float(np.abs(vals[:, None] - exact).min(axis=1).max()) if vals.size else 0.0
-            nodes[lam] = (vals, U, gap)
-        return nodes[lam]
+    def node_fn(lams):
+        # per new lam: (windowed pencil eigenvalues, Souriau unitary, gap to the explicit
+        # spectrum); k in {-1, 0, 1} suffices since the report window
+        # 3 pi / (4 length) < pi / length
+        pairs = list(zip(lams, path0.frames(lams), path1.frames(lams)))
+        for stack in _pencil_stacks(pairs, N * space.dim):
+            _, L0s, L1s = zip(*stack)
+            spectra = assemble_Q_operator([f.columns for f in L0s], [f.columns for f in L1s],
+                                          a, b, N, space).eigenvalues(window=1.5 * w)
+            for (lam, L0, L1), vals in zip(stack, spectra):
+                U = souriau_map(L0, L1, space)
+                exact = (2.0 * np.pi * np.arange(-1, 2)[:, None]
+                         - _eigenphases(U)).ravel() / length
+                gap = float(np.abs(vals[:, None] - exact).min(axis=1).max()) if vals.size else 0.0
+                nodes[lam] = (vals, U, gap)
+        return [nodes[lam][0] for lam in lams]
 
     def drift_fn(lo, hi):
-        (_, U_lo, gap_lo), (_, U_hi, gap_hi) = node(lo), node(hi)
+        (_, U_lo, gap_lo), (_, U_hi, gap_hi) = nodes[lo], nodes[hi]
         step = float(np.linalg.norm(U_hi - U_lo, 2))
         return _phase_margin(step) / length + gap_lo + gap_hi
 
-    flow, cert = flow_from_spectra(lambda lam: node(lam)[0], drift_fn, path0.lo, path0.hi,
+    flow, cert = flow_from_spectra(node_fn, drift_fn, path0.lo, path0.hi,
                                    initial_nodes=[s[0] for s in path0.samples], window=w,
                                    report_window=1.5 * w)
     mas = maslov_index_pair(path0, path1)
@@ -785,10 +841,17 @@ def theorem_B_report(path0: LagrangianPath, path1: LagrangianPath, a: float, b: 
 
 
 def _a0_node_fn(family, T, N, window_report):
-    def node_fn(lam):
-        return family._cached(("a0", lam, T, N, window_report), lambda: assemble_A0_operator(
-            family, lam, T, N).eigenvalues(window=window_report))
-    return node_fn
+    """Windowed A0 spectra for a list of lam, memoized on the family.  The
+    lam missing from the memo are split in one call per end, then assembled
+    in stacks that ``_pencil_stacks`` caps."""
+    def compute(missing):
+        for sign in (-1, +1):
+            _asymptotic_frames(family, missing, sign)
+        return [vals for stack in _pencil_stacks(missing, N * family.dim)
+                for vals in assemble_A0_operator(family, stack, T, N).eigenvalues(
+                    window=window_report)]
+    return lambda lams: family._cached_batch(lambda lam: ("a0", lam, T, N, window_report),
+                                             lams, compute)
 
 
 def _asymptotic_gap(family, lam_grid):
@@ -841,10 +904,8 @@ def theorem_A_report(family: HamiltonianFamily, lam_grid=None, T: Optional[float
 
     node_fn, report_band, pencil_flow = _a0_flow_setup(family, grid, T, N)
 
-    end_gaps = []
-    for lam in (grid[0], grid[-1]):
-        vals = node_fn(lam)
-        end_gaps.append(float(np.min(np.abs(vals))) if len(vals) else np.inf)
+    end_gaps = [float(np.min(np.abs(vals))) if len(vals) else np.inf
+                for vals in node_fn([grid[0], grid[-1]])]
     general_case = min(end_gaps) < endpoint_kernel_tol
 
     zero_snap = 1e-9 if not general_case else max(1e-9, 3.0 * min(end_gaps))
@@ -900,8 +961,9 @@ def _compressed_diagonal_path(node_fn, lams, pad) -> SymmetricMatrixPath:
     the slots are interpolated linearly; the winding of the resulting path's
     determinant therefore sees exactly the zero crossings of the spectrum.
     """
-    lams = np.asarray(sorted(set(float(x) for x in lams)))
-    values = [np.sort(np.asarray(node_fn(lam), dtype=float)) for lam in lams]
+    lams = sorted(set(float(x) for x in lams))
+    values = [np.sort(np.asarray(vals, dtype=float)) for vals in node_fn(lams)]
+    lams = np.asarray(lams)
     m = max(len(v) for v in values) + 2
     tracks = np.empty((len(lams), m))
     prev = None
@@ -929,8 +991,8 @@ def _compressed_diagonal_path(node_fn, lams, pad) -> SymmetricMatrixPath:
 def _auto_delta(node_fn, grid, kernel_tol):
     """Shift past the endpoint kernels but below the first genuine gap."""
     candidates = []
-    for lam in (grid[0], grid[-1]):
-        vals = np.abs(node_fn(lam))
+    for vals in node_fn([grid[0], grid[-1]]):
+        vals = np.abs(vals)
         nonzero = vals[vals > kernel_tol]
         candidates.append(0.25 * nonzero.min() if len(nonzero) else 1e-3)
     return float(min(candidates))

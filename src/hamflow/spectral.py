@@ -228,9 +228,13 @@ def flow_from_spectra(node_fn, drift_fn, lo=0.0, hi=1.0, initial_nodes=17, windo
                       report_window=None):
     """Certified spectral flow from node eigenvalue data.
 
-    ``node_fn(lam)`` returns the (real) eigenvalues relevant for counting, and
-    ``drift_fn(lamL, lamR)`` a certified bound on how far any of them moves
-    over the subinterval (e.g. a Weyl, Lipschitz or unitary-step bound).
+    ``node_fn(lams)`` maps a list of nodes to the list of their (real)
+    eigenvalues relevant for counting; it is asked once for both endpoints and
+    then once per refinement round, for the nodes not asked before, so a
+    batched evaluator serves a whole round.  ``drift_fn(lamL, lamR)`` returns
+    a certified bound on how far any of them moves over the subinterval
+    (e.g. a Weyl, Lipschitz or unitary-step bound) for two nodes already
+    asked for.
     With a ``window``, counting boundaries stay below it; ``report_window``
     (>= window, default equal) declares how far out ``node_fn`` reports, so
     unreported eigenvalues are known to be at least that far from zero at the
@@ -241,17 +245,23 @@ def flow_from_spectra(node_fn, drift_fn, lo=0.0, hi=1.0, initial_nodes=17, windo
     """
     cache = {}
 
-    def spec(lam):
-        if lam not in cache:
-            cache[lam] = np.sort(np.asarray(node_fn(lam), dtype=float))
-        return cache[lam]
+    def spec(lams):
+        missing = [lam for lam in dict.fromkeys(lams) if lam not in cache]
+        if missing:
+            got = list(node_fn(missing))
+            if len(got) != len(missing):
+                raise ValueError(f"a node function maps a list of lam to a list of spectra; "
+                                 f"asked for {len(missing)}, it returned {len(got)}")
+            cache.update((lam, np.sort(np.asarray(v, dtype=float)))
+                         for lam, v in zip(missing, got))
+        return [cache[lam] for lam in lams]
 
     if np.isscalar(initial_nodes):
         nodes = list(np.linspace(lo, hi, int(initial_nodes)))
     else:
         nodes = sorted(set(float(x) for x in initial_nodes) | {lo, hi})
 
-    gap = min(_min_abs(spec(lo)), _min_abs(spec(hi)))
+    gap = min(map(_min_abs, spec([lo, hi])))
     if check_endpoints and gap <= 1e-8:
         raise EndpointKernelError(
             f"endpoint kernel detected: smallest |eigenvalue| at the ends is {gap:.3e}")
@@ -262,8 +272,7 @@ def flow_from_spectra(node_fn, drift_fn, lo=0.0, hi=1.0, initial_nodes=17, windo
         cap = min(window, rw - m) if window is not None else np.inf
         return _choose_eps(np.abs(np.concatenate((sa, sb))), m, cap, 0.0, max(1e-14, 1e-9 * m))
 
-    return certified_count(lambda lams: [spec(lam) for lam in lams],
-                           lambda a, b: drift_fn(a, b) + 1e-12, eps_for, nodes,
+    return certified_count(spec, lambda a, b: drift_fn(a, b) + 1e-12, eps_for, nodes,
                            zero_snap, max_depth)
 
 
@@ -281,8 +290,8 @@ def spectral_flow(path: SymmetricMatrixPath, initial_nodes=17, check_endpoints=T
             mats[lam] = path.evaluate(lam)
         return mats[lam]
 
-    def node_fn(lam):
-        return np.linalg.eigvalsh(mat(lam))
+    def node_fn(lams):
+        return [np.linalg.eigvalsh(mat(lam)) for lam in lams]
 
     def drift_fn(a, b):
         step = float(np.linalg.norm(mat(b) - mat(a), 2))

@@ -138,12 +138,18 @@ class LagrangianFrame:
         return self.columns @ self.columns.T
 
     def check(self, space: SymplecticSpace, tol: float = TOL_FRAME) -> None:
-        # Frobenius norms bound the spectral norms from above, without an SVD
-        F = self.columns
-        if np.linalg.norm(F.T @ F - np.eye(self.dim)) > tol:
-            raise SymplecticError("frame columns are not orthonormal within tolerance")
-        if np.linalg.norm(F.T @ space.J @ F) > tol:
-            raise SymplecticError("frame is not isotropic within tolerance")
+        check_frame_columns(self.columns, space, tol)
+
+
+def check_frame_columns(F, space: SymplecticSpace, tol: float = TOL_FRAME) -> None:
+    """Raise SymplecticError unless the (d, k) frame F, or every frame of an
+    (L, d, k) stack, is orthonormal and isotropic within tol."""
+    # Frobenius norms bound the spectral norms from above, without an SVD
+    Ft = F.swapaxes(-1, -2)
+    if np.any(np.linalg.norm(Ft @ F - np.eye(F.shape[-1]), axis=(-2, -1)) > tol):
+        raise SymplecticError("frame columns are not orthonormal within tolerance")
+    if np.any(np.linalg.norm(Ft @ space.J @ F, axis=(-2, -1)) > tol):
+        raise SymplecticError("frame is not isotropic within tolerance")
 
 
 @dataclass

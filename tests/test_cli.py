@@ -249,7 +249,7 @@ def test_run_computes_each_pencil_and_transport_once(tmp_path, monkeypatch, scen
     assemble, transport = ha.assemble_A0_operator, ha.propagate_subspace
 
     def counting_assemble(family, lam, T, N, **kwargs):
-        pencils.append((id(family), float(lam), T, N))
+        pencils.extend((id(family), float(x), T, N) for x in np.atleast_1d(lam))
         return assemble(family, lam, T, N, **kwargs)
 
     def counting_transport(F, family, lams, t_from, t_to, *args):

@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -677,6 +678,83 @@ class TestPencilAssembly:
         calls.clear()
         assemble_Q_operator(W, W, 0.0, 1.0, 32, fam.space)
         assert calls == []
+
+
+def _random_lagrangian(rng, space):
+    n = space.dim // 2
+    U = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    return lagrangian_from_matrix(np.vstack([U.real, U.imag]), space)
+
+
+PENCIL_ATTRS = ("stiffness", "mass", "roughness_form")
+
+
+class TestPencilStacks:
+    @pytest.mark.parametrize("name", sorted(BATCH_FAMILIES))
+    @pytest.mark.parametrize("N", [4, 32, 96])
+    @pytest.mark.parametrize("scheme", ["galerkin", "central"])
+    def test_stacked_a0_pencils_match_per_lambda_bitwise(self, name, N, scheme):
+        lams = (0.0, 0.13, 0.4, 0.77, 1.0)
+        stack = assemble_A0_operator(BATCH_FAMILIES[name](), lams, 3.0, N, scheme=scheme)
+        # a fresh family splits each lambda's boundary frames on its own
+        fam = BATCH_FAMILIES[name]()
+        assert stack.size == N * fam.dim
+        for i, lam in enumerate(lams):
+            op = assemble_A0_operator(fam, lam, 3.0, N, scheme=scheme)
+            for attr in PENCIL_ATTRS:
+                assert np.array_equal(getattr(stack, attr)[i], getattr(op, attr))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stacked_q_pencils_match_per_frame_bitwise(self, n):
+        rng = np.random.default_rng(40 + n)
+        sp = standard_space(n)
+        L0s = [_random_lagrangian(rng, sp) for _ in range(3)]
+        L1s = [_random_lagrangian(rng, sp) for _ in range(2)] + [L0s[0]]
+        stack = assemble_Q_operator(np.stack([f.columns for f in L0s]),
+                                    np.stack([f.columns for f in L1s]), 0.0, 1.0, 24, sp)
+        for i, (L0, L1) in enumerate(zip(L0s, L1s)):
+            op = assemble_Q_operator(L0, L1, 0.0, 1.0, 24, sp)
+            for attr in PENCIL_ATTRS:
+                assert np.array_equal(getattr(stack, attr)[i], getattr(op, attr))
+
+    def test_stacked_frames_are_checked(self):
+        sp = standard_space(1)
+        good = lagrangian_from_matrix(np.array([[1.0], [0.0]]), sp).columns
+        with pytest.raises(ha.SymplecticError, match="not orthonormal"):
+            assemble_Q_operator(np.stack([good, 2.0 * good]), np.stack([good, good]),
+                                0.0, 1.0, 8, sp)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["one", "cap", "cap+1"])
+    def test_node_spectra_match_per_pencil(self, extra, monkeypatch):
+        N, T, window = 32, 2.0, 0.5
+        cap = ha.PENCIL_BYTES // (8 * (N * 2) ** 2)
+        count = 1 if extra < 0 else cap + extra
+        lams = [float(x) for x in np.linspace(0.05, 0.95, count)]
+        stacks = []
+        assemble = ha.assemble_A0_operator
+
+        def counting_assemble(family, lam, *args, **kwargs):
+            stacks.append(len(lam))
+            return assemble(family, lam, *args, **kwargs)
+
+        monkeypatch.setattr(ha, "assemble_A0_operator", counting_assemble)
+        got = ha._a0_node_fn(sech_family(1, amplitude=2.0), T, N, window)(lams)
+        assert stacks == ([count] if count <= cap else [cap, count - cap])
+        fam = sech_family(1, amplitude=2.0)
+        for lam, vals in zip(lams, got):
+            assert np.array_equal(vals, assemble(fam, lam, T, N).eigenvalues(window=window))
+
+    def test_a_round_of_nodes_stays_within_the_stack_cap(self):
+        # 65 pencils of order 64 in one stack would hold 3 x 65 x 32 KiB of
+        # reduced forms; capped stacks of 4 stay under a third of that
+        node_fn = ha._a0_node_fn(sech_family(1, amplitude=2.0), 1.0, 32, 0.5)
+        tracemalloc.start()
+        try:
+            node_fn([float(x) for x in np.linspace(0.0, 1.0, 65)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
 
 class TestOperatorChecks:

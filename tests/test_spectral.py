@@ -326,20 +326,25 @@ def _reference_chern_winding(path):
 class TestFlowFromSpectra:
     def test_windowed_counting(self):
         # one branch crossing zero inside a window, a ladder outside
-        def node_fn(lam):
-            vals = np.array([2 * lam - 1.0, 5.0, -5.0, 7.0])
-            return vals[np.abs(vals) <= 2.0]
+        def node_fn(lams):
+            vals = [np.array([2 * lam - 1.0, 5.0, -5.0, 7.0]) for lam in lams]
+            return [v[np.abs(v) <= 2.0] for v in vals]
 
         # the branch 2 lam - 1 moves at speed 2
         flow, cert = flow_from_spectra(node_fn, drift_fn=lambda a, b: 2.0 * (b - a),
                                        window=2.0, initial_nodes=17)
         assert flow == 1
 
+    def test_node_function_maps_a_list(self):
+        with pytest.raises(ValueError, match="asked for 2, it returned 1"):
+            flow_from_spectra(lambda lams: [np.array([0.5])], drift_fn=lambda a, b: 0.0,
+                              window=1.0, initial_nodes=5)
+
     def test_refinement_exhaustion(self):
         rng = np.random.default_rng(7)
 
-        def node_fn(lam):
-            return rng.standard_normal(3)  # discontinuous garbage
+        def node_fn(lams):
+            return [rng.standard_normal(3) for _ in lams]  # discontinuous garbage
 
         with pytest.raises((FlowRefinementError, EndpointKernelError)):
             flow_from_spectra(node_fn, drift_fn=lambda a, b: 1e3 * (b - a), window=1.0,
@@ -349,9 +354,9 @@ class TestFlowFromSpectra:
         # every subinterval fails, so rounds must not widen with the tree
         calls = []
 
-        def node_fn(lam):
-            calls.append(lam)
-            return np.array([0.5])
+        def node_fn(lams):
+            calls.extend(lams)
+            return [np.array([0.5]) for _ in lams]
 
         with pytest.raises(FlowRefinementError,
                            match=r"^refinement exhausted on \[[^,]+, [^\]]+\] \(drift 10\)$"):
@@ -402,7 +407,7 @@ def _random_flows():
         path = random_piecewise_linear(rng, int(rng.integers(1, 5)))
         spectral_flow(path)
         # a window below the spectrum's spread makes the count refine
-        flow_from_spectra(lambda lam: np.linalg.eigvalsh(path(lam)),
+        flow_from_spectra(lambda lams: [np.linalg.eigvalsh(path(lam)) for lam in lams],
                           lambda a, b: float(np.linalg.norm(path(b) - path(a), 2)),
                           window=0.5, initial_nodes=5)
 
