@@ -535,8 +535,10 @@ class BoundaryValueOperator:
         if self.stiffness.ndim == 2:
             return self._windowed(self.stiffness, self.mass, self.roughness_form, window,
                                   drop_rough)
+        rough = self.roughness_form
+        rough = [None] * len(self.stiffness) if rough is None else rough
         return [self._windowed(K, M, R, window, drop_rough) for K, M, R in
-                zip(self.stiffness, self.mass, self.roughness_form)]
+                zip(self.stiffness, self.mass, rough)]
 
     def _windowed(self, K, M, R, window, drop_rough):
         if not drop_rough or R is None:
@@ -553,50 +555,32 @@ class BoundaryValueOperator:
                           "refine the mesh to separate the sectors", RuntimeWarning)
         return vals[rough < cut]
 
-    def smallest_magnitude(self, window: float) -> float:
-        vals = self.eigenvalues(window=window)
-        return float(np.min(np.abs(vals))) if vals.size else float(window)
+    def smallest_magnitude(self, window: float):
+        """Smallest windowed |mu| (``window`` if none); a stack gives a list."""
+        one = self.stiffness.ndim == 2
+        vals = [self.eigenvalues(window=window)] if one else self.eigenvalues(window=window)
+        least = [float(np.min(np.abs(v))) if v.size else float(window) for v in vals]
+        return least[0] if one else least
 
 
-def _tridiagonal_blocks(d, N, diag_block, off_block):
-    """Assembled matrix with per-element contributions (diag, off, off^T, diag)."""
-    size = (N + 1) * d
-    M = np.zeros((size, size))
-    Mb = M.reshape(N + 1, d, N + 1, d)
-    idx = np.arange(N)
-    Mb[idx, :, idx, :] += diag_block
-    Mb[idx + 1, :, idx + 1, :] += diag_block
-    Mb[idx, :, idx + 1, :] += off_block
-    Mb[idx + 1, :, idx, :] += off_block.T
-    return M
-
-
-def _skew_stiffness(space, N):
-    d = space.dim
-    return _tridiagonal_blocks(d, N, np.zeros((d, d)), 0.5 * space.J)
-
-
-def _mass_matrix(d, a, b, N):
-    h = (b - a) / N
-    return _tridiagonal_blocks(d, N, (h / 3.0) * np.eye(d), (h / 6.0) * np.eye(d))
-
-
-def _second_difference_stiffness(d, a, b, N):
-    """P1 stiffness of -u'' (int u'v'), used as parity-mode stabilization."""
-    h = (b - a) / N
-    return _tridiagonal_blocks(d, N, np.eye(d) / h, -np.eye(d) / h)
+def _tridiagonal(d, N, diag_block, off_block):
+    """(diagonal, upper, lower) blocks of a form whose N elements add (diag, off, off^T, diag)."""
+    diag = np.zeros((N + 1, d, d))
+    diag[:-1] += diag_block
+    diag[1:] += diag_block
+    return diag, np.zeros((N, d, d)) + off_block, np.zeros((N, d, d)) + off_block.T
 
 
 def _potential_matrix(space, a, b, N, S_fn):
-    """Assemble int <S(t) u, v> with two-point Gauss quadrature per element.
+    """(diagonal, upper, lower) blocks of int <S(t) u, v> by two-point Gauss
+    quadrature per element.
 
     S_fn broadcasts over t: one call on the (N, 2) Gauss points gives the
     (N, 2, d, d) stack (a t-independent (d, d) return is broadcast), or an
-    (L, N, 2, d, d) stack for L pencils, which gives L matrices.  Each
-    block sums its weighted terms from zero in the order an element loop
-    adds them (element e-1's right-end terms reach block (e, e) before
-    element e's left-end terms), so it rounds as the loop's does, and the
-    blocks are then placed by block indexing.
+    (L, N, 2, d, d) stack for L pencils, whose blocks then lead with L.  Each
+    block sums its weighted terms from zero in the order an element loop adds
+    them (element e-1's right-end terms reach block (e, e) before element e's
+    left-end terms), so it rounds as the loop's does.
     """
     d = space.dim
     h = (b - a) / N
@@ -605,54 +589,95 @@ def _potential_matrix(space, a, b, N, S_fn):
     w = 0.5 * h
     tg = (tl + 0.5 * h)[:, None] + np.array([-offs, offs])
     S = np.asarray(S_fn(tg))
-    lead = S.shape[:-4]
-    # element and Gauss axes first: the block indexing below puts its block axis first
-    S = np.moveaxis(np.broadcast_to(S, lead + tg.shape + (d, d)), (-4, -3), (0, 1))
+    S = np.broadcast_to(S, S.shape[:-4] + tg.shape + (d, d))
     S = 0.5 * (S + S.swapaxes(-1, -2))
-    phi1 = ((tg - tl[:, None]) / h).reshape(tg.shape + (1,) * (S.ndim - 2))
+    phi1 = ((tg - tl[:, None]) / h)[..., None, None]
     phi0 = 1.0 - phi1
     P00, P01, P10, P11 = (w * p * q * S for p, q in
                           ((phi0, phi0), (phi0, phi1), (phi1, phi0), (phi1, phi1)))
-    diag = np.zeros((N + 1,) + S.shape[2:])
+    diag = np.zeros(S.shape[:-4] + (N + 1, d, d))
     for P, rows in ((P11, slice(1, None)), (P00, slice(None, -1))):
         for g in (0, 1):
-            diag[rows] += P[:, g]
-    upper, lower = ((0.0 + P[:, 0]) + P[:, 1] for P in (P01, P10))
-    V = np.zeros(lead + ((N + 1) * d, (N + 1) * d))
-    Vb = V.reshape(lead + (N + 1, d, N + 1, d))
-    idx = np.arange(N)
-    Vb[..., np.arange(N + 1), :, np.arange(N + 1), :] = diag
-    Vb[..., idx, :, idx + 1, :] = upper
-    Vb[..., idx + 1, :, idx, :] = lower
-    return V
+            diag[..., rows, :, :] += P[..., g, :, :]
+    upper, lower = ((0.0 + P[..., 0, :, :]) + P[..., 1, :, :] for P in (P01, P10))
+    return diag, upper, lower
 
 
-def _reduce_by_frames(M, d, N, F0, F1):
-    """C^T M C for the boundary-frame constraint injection, using its structure."""
-    k0, k1 = F0.shape[1], F1.shape[1]
-    rows = np.vstack([F0.T @ M[:d, :], M[d:N * d, :], F1.T @ M[N * d:, :]])
-    out = np.empty((rows.shape[0], k0 + (N - 1) * d + k1))
-    out[:, :k0] = rows[:, :d] @ F0
-    out[:, k0:k0 + (N - 1) * d] = rows[:, d:N * d]
-    out[:, k0 + (N - 1) * d:] = rows[:, N * d:] @ F1
-    return out
+def _reduce_into(out, diag, upper, lower, F0s, F1s):
+    """Write each pencil's C^T X C, symmetrized as (r + r^T) / 2, into its slot of
+    the (form, pencil, m, m) stack out, from the forms' blocks stacked alike.
+
+    C puts the frames F0, F1 in place of the end nodes: the interior is X's
+    own blocks, and only the frame rows and columns take products, over a whole
+    d x (N+1)d block row and m x d column as a dense reduction takes them,
+    since a truncated product rounds differently for one-column frames.
+    """
+    N, d = upper.shape[-3:-1]
+    k0, k1 = F0s[0].shape[1], F1s[0].shape[1]
+    sym_diag = (diag[..., 1:N, :, :] + diag[..., 1:N, :, :].swapaxes(-1, -2)) * 0.5
+    sym_upper = (upper[..., 1:N - 1, :, :] + lower[..., 1:N - 1, :, :].swapaxes(-1, -2)) * 0.5
+    at = k0 + d * np.arange(N - 1)[:, None, None]
+    rows, cols = at + np.arange(d)[:, None], at + np.arange(d)
+    out[..., rows, cols] = sym_diag
+    out[..., rows[:-1], cols[1:]] = sym_upper
+    out[..., rows[1:], cols[:-1]] = sym_upper.swapaxes(-1, -2)
+    top, bottom = np.zeros((2, len(out), d, (N + 1) * d))
+    left, right = np.zeros((2, len(out), out.shape[-1], d))
+    for i, (F0, F1) in enumerate(zip(F0s, F1s)):
+        top[..., :d], top[..., d:2 * d] = diag[:, i, 0], upper[:, i, 0]
+        bottom[..., -2 * d:-d], bottom[..., -d:] = lower[:, i, -1], diag[:, i, -1]
+        r0, r1 = F0.T @ top, F1.T @ bottom
+        left[:, :k0], left[:, k0:k0 + d] = r0[..., :d], lower[:, i, 0]
+        right[:, -k1 - d:-k1], right[:, -k1:] = upper[:, i, -1], r1[..., -d:]
+        c0, c1 = left @ F0, right @ F1
+        # r's frame rows and columns, then (r + r^T) / 2 on the corners holding them
+        o = out[:, i]
+        o[:, :k0 + d, :k0], o[:, :k0, k0:k0 + d] = c0[:, :k0 + d], r0[..., d:2 * d]
+        o[:, -k1 - d:, -k1:], o[:, -k1:, -k1 - d:-k1] = c1[:, -k1 - d:], r1[..., -2 * d:-d]
+        for corner in (o[:, :k0 + d, :k0 + d], o[:, -k1 - d:, -k1 - d:]):
+            corner[...] = (corner + corner.swapaxes(-1, -2)) * 0.5
 
 
 DEFAULT_STABILIZATION = 0.05
+
+
+def _form_blocks(space, L, a, b, N, S_fn, stabilization, scheme):
+    """(diagonal, upper, lower) blocks of the stiffness, mass and roughness forms, stacked
+    over (form, pencil); the stiffness sums its parts as a dense assembly does."""
+    d = space.dim
+    h = (b - a) / N
+    I = np.eye(d)
+    K = _tridiagonal(d, N, np.zeros((d, d)), 0.5 * space.J)
+    if S_fn is not None:
+        K = tuple(x + v for x, v in zip(K, _potential_matrix(space, a, b, N, S_fn)))
+    # P1 stiffness of -u'' (int u'v'), the parity-mode stabilization
+    rough = _tridiagonal(d, N, I / h, -I / h)
+    beta = DEFAULT_STABILIZATION if stabilization is None else stabilization
+    if beta:
+        K = tuple(x + beta * h * h * r for x, r in zip(K, rough))
+    if scheme == "central":
+        # trapezoid (lumped) mass: the classical central-difference scheme, a secondary oracle
+        M = _tridiagonal(d, N, 0.5 * h * I, 0.0 * I)
+    else:
+        M = _tridiagonal(d, N, (h / 3.0) * I, (h / 6.0) * I)
+    blocks = [np.empty((3, L) + x.shape[-3:]) for x in K]
+    for part, *forms in zip(blocks, K, M, rough):
+        part[0], part[1], part[2] = forms
+    return blocks
 
 
 def _assemble(space, L0, L1, a, b, N, S_fn=None, stabilization=None, scheme="galerkin"):
     """Reduced pencil of the symmetrized weak form with frame boundary conditions.
 
     L0 and L1 are frames, or sequences of L (d, k) frame columns (an (L, d, k)
-    array is one) for a stack of L pencils; S_fn then returns a leading L
-    axis (see ``_potential_matrix``).  The frame-independent skew, mass and
-    second-difference forms and the potential (one ``S_fn`` call) are built
-    once for the stack, and each pencil's forms are reduced in turn.  A small
-    consistent second-difference term (O(h^2) on smooth modes) keeps the
-    parity-ghost sector spectrally separated from genuine near-kernel modes
-    so the roughness filter never sees hybridized eigenvectors;
-    ``stabilization=0`` disables it, which exhibits the doubled kernel.
+    array is one) for a stack of L pencils; S_fn then returns a leading L axis
+    (see ``_potential_matrix``).  The forms are held as d x d blocks (the
+    potential from one ``S_fn`` call), and each pencil is written from them
+    into its slot of the stack.  A small consistent second-difference term
+    (O(h^2) on smooth modes) keeps the parity-ghost sector spectrally separated
+    from genuine near-kernel modes so the roughness filter never sees
+    hybridized eigenvectors; ``stabilization=0`` disables it, which exhibits
+    the doubled kernel.
     """
     if N < 4:
         raise ValueError("mesh must have at least 4 intervals")
@@ -662,35 +687,11 @@ def _assemble(space, L0, L1, a, b, N, S_fn=None, stabilization=None, scheme="gal
     F0s, F1s = ([L.columns] if one else list(L) for L in (L0, L1))
     check_frame_columns(np.stack(F0s), space)
     check_frame_columns(np.stack(F1s), space)
-    d = space.dim
-    h = (b - a) / N
-    K = _skew_stiffness(space, N)
-    if S_fn is not None:
-        K = K + _potential_matrix(space, a, b, N, S_fn)
-    rough = _second_difference_stiffness(d, a, b, N)
-    beta = DEFAULT_STABILIZATION if stabilization is None else stabilization
-    if beta:
-        K = K + beta * h * h * rough
-    if scheme == "central":
-        # trapezoid (lumped) mass turns the weak form into the classical
-        # central-difference scheme; kept as a secondary oracle
-        weights = np.full(N + 1, h)
-        weights[0] = weights[-1] = 0.5 * h
-        M = np.kron(np.diag(weights), np.eye(d))
-    else:
-        M = _mass_matrix(d, a, b, N)
-    L = len(F0s)
-    K = np.broadcast_to(K, (L,) + K.shape[-2:])
-    m = F0s[0].shape[1] + (N - 1) * d + F1s[0].shape[1]
-    Kr, Mr, Rr = red = tuple(np.empty((L, m, m)) for _ in range(3))
-    for i, (F0, F1) in enumerate(zip(F0s, F1s)):
-        for X, out in zip((K[i], M, rough), red):
-            # the symmetrized reduction (r + r^T) / 2, written into its slot
-            r = _reduce_by_frames(X, d, N, F0, F1)
-            np.add(r, r.T, out=out[i])
-            out[i] *= 0.5
-    if one:
-        Kr, Mr, Rr = Kr[0], Mr[0], Rr[0]
+    m = F0s[0].shape[1] + (N - 1) * space.dim + F1s[0].shape[1]
+    out = np.zeros((3, len(F0s), m, m))
+    _reduce_into(out, *_form_blocks(space, len(F0s), a, b, N, S_fn, stabilization, scheme),
+                 F0s, F1s)
+    Kr, Mr, Rr = out[:, 0] if one else out
     return BoundaryValueOperator(stiffness=Kr, mass=Mr, frames=(L0, L1),
                                  interval=(a, b), mesh=N, space=space, roughness_form=Rr)
 
@@ -734,9 +735,8 @@ def assemble_A0_operator(family: HamiltonianFamily, lam: float, T: float, N: int
         return _assemble(family.space, L0[0], L1[0], -T, T, N,
                          S_fn=lambda t: family.S(lam, t),
                          stabilization=stabilization, scheme=scheme)
-    shape = (len(lams), N, 2, family.dim, family.dim)
     return _assemble(family.space, *([f.columns for f in Ls] for Ls in (L0, L1)), -T, T, N,
-                     S_fn=lambda t: np.broadcast_to(family.S(lams[:, None, None], t), shape),
+                     S_fn=lambda t: family.S(lams[:, None, None], t),
                      stabilization=stabilization, scheme=scheme)
 
 

@@ -1,6 +1,7 @@
 import inspect
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -630,6 +631,95 @@ def _loop_potential_matrix(space, a, b, N, S_fn):
     return V
 
 
+# The dense assembly that the block assembly replaced, kept as its bitwise
+# reference: every form as an (N+1)d x (N+1)d matrix, reduced by the frames.
+
+PENCIL_ATTRS = ("stiffness", "mass", "roughness_form")
+
+
+def _tridiagonal_blocks(d, N, diag_block, off_block):
+    """Assembled matrix with per-element contributions (diag, off, off^T, diag)."""
+    size = (N + 1) * d
+    M = np.zeros((size, size))
+    Mb = M.reshape(N + 1, d, N + 1, d)
+    idx = np.arange(N)
+    Mb[idx, :, idx, :] += diag_block
+    Mb[idx + 1, :, idx + 1, :] += diag_block
+    Mb[idx, :, idx + 1, :] += off_block
+    Mb[idx + 1, :, idx, :] += off_block.T
+    return M
+
+
+def _dense_potential_matrix(space, a, b, N, S_fn):
+    """The potential form int <S(t) u, v>, vectorized over elements and Gauss points."""
+    d = space.dim
+    h = (b - a) / N
+    tl = a + np.arange(N) * h
+    offs = 0.5 * h / np.sqrt(3.0)
+    w = 0.5 * h
+    tg = (tl + 0.5 * h)[:, None] + np.array([-offs, offs])
+    S = np.broadcast_to(np.asarray(S_fn(tg)), tg.shape + (d, d))
+    S = 0.5 * (S + S.swapaxes(-1, -2))
+    phi1 = ((tg - tl[:, None]) / h)[..., None, None]
+    phi0 = 1.0 - phi1
+    P00, P01, P10, P11 = (w * p * q * S for p, q in
+                          ((phi0, phi0), (phi0, phi1), (phi1, phi0), (phi1, phi1)))
+    diag = np.zeros((N + 1, d, d))
+    for P, rows in ((P11, slice(1, None)), (P00, slice(None, -1))):
+        for g in (0, 1):
+            diag[rows] += P[:, g]
+    upper, lower = ((0.0 + P[:, 0]) + P[:, 1] for P in (P01, P10))
+    V = np.zeros(((N + 1) * d, (N + 1) * d))
+    Vb = V.reshape(N + 1, d, N + 1, d)
+    idx = np.arange(N)
+    Vb[np.arange(N + 1), :, np.arange(N + 1), :] = diag
+    Vb[idx, :, idx + 1, :] = upper
+    Vb[idx + 1, :, idx, :] = lower
+    return V
+
+
+def _reduce_by_frames(M, d, N, F0, F1):
+    """C^T M C for the boundary-frame constraint injection, using its structure."""
+    k0, k1 = F0.shape[1], F1.shape[1]
+    rows = np.vstack([F0.T @ M[:d, :], M[d:N * d, :], F1.T @ M[N * d:, :]])
+    out = np.empty((rows.shape[0], k0 + (N - 1) * d + k1))
+    out[:, :k0] = rows[:, :d] @ F0
+    out[:, k0:k0 + (N - 1) * d] = rows[:, d:N * d]
+    out[:, k0 + (N - 1) * d:] = rows[:, N * d:] @ F1
+    return out
+
+
+def _dense_pencil(space, F0, F1, a, b, N, S_fn=None, stabilization=None, scheme="galerkin",
+                  potential=_dense_potential_matrix):
+    """Reference: one pencil's reduced forms, under the operator's attribute names."""
+    d = space.dim
+    h = (b - a) / N
+    K = _tridiagonal_blocks(d, N, np.zeros((d, d)), 0.5 * space.J)
+    if S_fn is not None:
+        K = K + potential(space, a, b, N, S_fn)
+    rough = _tridiagonal_blocks(d, N, np.eye(d) / h, -np.eye(d) / h)
+    beta = ha.DEFAULT_STABILIZATION if stabilization is None else stabilization
+    if beta:
+        K = K + beta * h * h * rough
+    if scheme == "central":
+        weights = np.full(N + 1, h)
+        weights[0] = weights[-1] = 0.5 * h
+        M = np.kron(np.diag(weights), np.eye(d))
+    else:
+        M = _tridiagonal_blocks(d, N, (h / 3.0) * np.eye(d), (h / 6.0) * np.eye(d))
+    reduced = {}
+    for attr, X in zip(PENCIL_ATTRS, (K, M, rough)):
+        r = _reduce_by_frames(X, d, N, F0, F1)
+        reduced[attr] = (r + r.T) * 0.5
+    return SimpleNamespace(**reduced)
+
+
+def _dense_a0_pencil(fam, lam, T, N, scheme="galerkin", potential=_dense_potential_matrix):
+    F0, F1 = (ha._asymptotic_frames(fam, [lam], sign)[0].columns for sign in (-1, +1))
+    return _dense_pencil(fam.space, F0, F1, -T, T, N, S_fn=lambda t: fam.S(lam, t),
+                         scheme=scheme, potential=potential)
+
+
 def _svd_symmetry_rejects(K):
     """Reference: the spectral-norm symmetry test, by SVD."""
     return np.linalg.norm(K - K.T, 2) > 1e-12 * max(1.0, np.linalg.norm(K, 2))
@@ -642,14 +732,13 @@ def _operator(K, M):
 class TestPencilAssembly:
     @pytest.mark.parametrize("name", sorted(BATCH_FAMILIES))
     @pytest.mark.parametrize("N", [4, 32, 96])
-    def test_matches_element_loop_bitwise(self, name, N, monkeypatch):
+    def test_matches_element_loop_bitwise(self, name, N):
         fam = BATCH_FAMILIES[name]()
         S_fn = lambda t: fam.S(0.4, t)
-        assert np.array_equal(ha._potential_matrix(fam.space, -3.0, 3.0, N, S_fn),
+        assert np.array_equal(_dense_potential_matrix(fam.space, -3.0, 3.0, N, S_fn),
                               _loop_potential_matrix(fam.space, -3.0, 3.0, N, S_fn))
         op = assemble_A0_operator(fam, 0.4, 3.0, N)
-        monkeypatch.setattr(ha, "_potential_matrix", _loop_potential_matrix)
-        ref = assemble_A0_operator(fam, 0.4, 3.0, N)
+        ref = _dense_a0_pencil(fam, 0.4, 3.0, N, potential=_loop_potential_matrix)
         for attr in ("stiffness", "mass", "roughness_form"):
             assert np.array_equal(getattr(op, attr), getattr(ref, attr))
 
@@ -686,9 +775,6 @@ def _random_lagrangian(rng, space):
     return lagrangian_from_matrix(np.vstack([U.real, U.imag]), space)
 
 
-PENCIL_ATTRS = ("stiffness", "mass", "roughness_form")
-
-
 class TestPencilStacks:
     @pytest.mark.parametrize("name", sorted(BATCH_FAMILIES))
     @pytest.mark.parametrize("N", [4, 32, 96])
@@ -701,8 +787,10 @@ class TestPencilStacks:
         assert stack.size == N * fam.dim
         for i, lam in enumerate(lams):
             op = assemble_A0_operator(fam, lam, 3.0, N, scheme=scheme)
+            ref = _dense_a0_pencil(fam, lam, 3.0, N, scheme=scheme)
             for attr in PENCIL_ATTRS:
                 assert np.array_equal(getattr(stack, attr)[i], getattr(op, attr))
+                assert np.array_equal(getattr(op, attr), getattr(ref, attr))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_stacked_q_pencils_match_per_frame_bitwise(self, n):
@@ -716,6 +804,12 @@ class TestPencilStacks:
             op = assemble_Q_operator(L0, L1, 0.0, 1.0, 24, sp)
             for attr in PENCIL_ATTRS:
                 assert np.array_equal(getattr(stack, attr)[i], getattr(op, attr))
+            for stabilization in (None, 0.0):
+                op = assemble_Q_operator(L0, L1, 0.0, 1.0, 24, sp, stabilization=stabilization)
+                ref = _dense_pencil(sp, L0.columns, L1.columns, 0.0, 1.0, 24,
+                                    stabilization=stabilization)
+                for attr in PENCIL_ATTRS:
+                    assert np.array_equal(getattr(op, attr), getattr(ref, attr))
 
     def test_stacked_frames_are_checked(self):
         sp = standard_space(1)
@@ -743,6 +837,43 @@ class TestPencilStacks:
         fam = sech_family(1, amplitude=2.0)
         for lam, vals in zip(lams, got):
             assert np.array_equal(vals, assemble(fam, lam, T, N).eigenvalues(window=window))
+
+    def test_smallest_magnitude_gives_one_value_per_pencil(self):
+        lams, T, N = (0.3, 0.75), 4.0, 32
+        stack = assemble_A0_operator(sech_family(1, amplitude=2.0), lams, T, N)
+        fam = sech_family(1, amplitude=2.0)
+        for window in (0.5, 1e-12):
+            want = [assemble_A0_operator(fam, lam, T, N).smallest_magnitude(window=window)
+                    for lam in lams]
+            assert stack.smallest_magnitude(window=window) == want
+        assert stack.smallest_magnitude(window=1e-12) == [1e-12, 1e-12]
+
+    def test_stack_without_roughness_form_is_not_filtered(self):
+        stack = assemble_A0_operator(sech_family(1, amplitude=2.0), (0.3, 0.75), 4.0, 32)
+        bare = BoundaryValueOperator(stiffness=stack.stiffness, mass=stack.mass,
+                                     frames=stack.frames, interval=stack.interval,
+                                     mesh=stack.mesh)
+        got = bare.eigenvalues(window=2.0)
+        want = stack.eigenvalues(window=2.0, drop_rough=False)
+        assert len(got) == len(want) == 2
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_q_pencil_peaks_under_twice_its_reduced_forms(self):
+        # order 144 (n = 3, N = 24); the dense forms and per-pencil transients
+        # of a dense assembly peak at about 3.1 times the three reduced forms
+        sp = standard_space(3)
+        rng = np.random.default_rng(7)
+        L0, L1 = _random_lagrangian(rng, sp), _random_lagrangian(rng, sp)
+        assemble_Q_operator(L0, L1, 0.0, 1.0, 24, sp)
+        tracemalloc.start()
+        try:
+            op = assemble_Q_operator(L0, L1, 0.0, 1.0, 24, sp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.size == 144
+        assert peak < 2 * sum(getattr(op, attr).nbytes for attr in PENCIL_ATTRS)
 
     def test_a_round_of_nodes_stays_within_the_stack_cap(self):
         # 65 pencils of order 64 in one stack would hold 3 x 65 x 32 KiB of
