@@ -493,21 +493,20 @@ class BoundaryValueOperator:
     def __post_init__(self):
         m = self.stiffness.shape[-1]
         for K, M in zip(self.stiffness.reshape(-1, m, m), self.mass.reshape(-1, m, m)):
-            # 1-norm bounds with no SVD: ||R||_2 <= ||R||_1 for antisymmetric R
-            # and ||K||_1 / sqrt(m) <= ||K||_2, so this rejects whatever the
-            # spectral-norm test would
-            resid = np.linalg.norm(K - K.T, 1)
-            if resid > 1e-12 * max(1.0, np.linalg.norm(K, 1) / np.sqrt(m)):
-                raise ValueError(f"stiffness symmetry residual {resid:.3e} too large")
-            # a band reaching back to every row's first nonzero holds every
-            # entry a dense lower Cholesky would read
-            width = int(np.max(np.arange(m) - np.argmax(M != 0, axis=1)))
-            band = np.array([np.concatenate((np.diagonal(M, -k), np.zeros(k)))
-                             for k in range(width + 1)])
-            try:
-                scipy.linalg.cholesky_banded(band, lower=True)
-            except scipy.linalg.LinAlgError as exc:
-                raise ValueError("mass matrix is not positive definite") from exc
+            for name, A in (("stiffness", K), ("mass", M)):
+                if np.array_equal(A, A.T):
+                    continue
+                # 1-norm bounds with no SVD: ||R||_2 <= ||R||_1 for antisymmetric R
+                # and ||A||_1 / sqrt(m) <= ||A||_2, so this rejects whatever the
+                # spectral-norm test would
+                resid = np.linalg.norm(A - A.T, 1)
+                if resid > 1e-12 * max(1.0, np.linalg.norm(A, 1) / np.sqrt(m)):
+                    raise ValueError(f"{name} symmetry residual {resid:.3e} too large")
+            band = _lower_band(M)
+            if not np.isfinite(band).all():
+                raise ValueError("array must not contain infs or NaNs")
+            if scipy.linalg.lapack.dpbtrf(band, lower=1)[1]:
+                raise ValueError("mass matrix is not positive definite")
 
     @property
     def size(self) -> int:
@@ -529,8 +528,9 @@ class BoundaryValueOperator:
 
         With ``drop_rough``, parity-ghost modes are removed by the roughness
         filter; values falling ambiguously near the cut raise a warning.  A
-        stack gives the list of its pencils' arrays, one windowed scipy
-        ``eigh`` each.
+        stack gives the list of its pencils' arrays.  Each pencil is solved
+        in its interior's mass basis with its frame rows and columns as the
+        border (``_interior_basis_eigh``); without frames there is none.
         """
         if self.stiffness.ndim == 2:
             return self._windowed(self.stiffness, self.mass, self.roughness_form, window,
@@ -541,13 +541,14 @@ class BoundaryValueOperator:
                 zip(self.stiffness, self.mass, rough)]
 
     def _windowed(self, K, M, R, window, drop_rough):
+        border = [np.shape(getattr(F, "columns", F))[-1] for F in self.frames] or [0, 0]
         if not drop_rough or R is None:
-            return scipy.linalg.eigh(K, M, eigvals_only=True, subset_by_value=(-window, window))
-        vals, vecs = scipy.linalg.eigh(K, M, subset_by_value=(-window, window))
+            return _interior_basis_eigh(K, M, *border, window, vectors=False)
+        vals, vecs = _interior_basis_eigh(K, M, *border, window, vectors=True)
         if vals.size == 0:
             return vals
-        # eigh normalizes v^T M v = 1, so the quotient is just v^T L v
-        rough = np.einsum("ji,jk,ki->i", vecs, R, vecs)
+        # the vectors have v^T M v = 1, so the quotient is just v^T L v
+        rough = np.einsum("ij,ij->j", vecs, R @ vecs)
         cut = self.rough_cut
         ambiguous = (rough > 0.5 * cut) & (rough < 1.5 * cut)
         if ambiguous.any():
@@ -561,6 +562,96 @@ class BoundaryValueOperator:
         vals = [self.eigenvalues(window=window)] if one else self.eigenvalues(window=window)
         least = [float(np.min(np.abs(v))) if v.size else float(window) for v in vals]
         return least[0] if one else least
+
+
+def _lower_band(M):
+    """M's lower band in LAPACK band storage, band[k, j] = M[j + k, j], reaching
+    back to every row's first nonzero: every entry a dense Cholesky reads."""
+    m = len(M)
+    cols = np.arange(m)
+    rows = np.arange(int(np.max(cols - np.argmax(M != 0, axis=1))) + 1)[:, None] + cols
+    return np.where(rows < m, M[np.minimum(rows, m - 1), cols], 0.0)
+
+
+# (M_II, L_II, K_II, C_II) of the last interior factored, replaced whole, so
+# threads sharing it see one interior's arrays or another's, never a mix
+_last_interior = None
+
+
+def _interior_factor(M_in, K_in):
+    """(L_II, C_II) for a pencil's interior blocks: the Cholesky factor of M_II
+    in band storage and the lower triangle of C_II = L_II^-1 K_II L_II^-T.
+
+    Reused from the last interior while M_II is bitwise equal to its, and
+    C_II while K_II is too: a theorem-B report's Q pencils share both, A0
+    pencils on one mesh share L_II.  The factor and solves are banded
+    because OpenBLAS hands dense ones of these orders to its thread pool.
+    """
+    global _last_interior
+    lapack = scipy.linalg.lapack
+    last = _last_interior
+    if last is not None and np.array_equal(last[0], M_in):
+        M_in, L = last[:2]
+        if np.array_equal(last[2], K_in):
+            return L, last[3]
+    else:
+        L, info = lapack.dpbtrf(_lower_band(M_in), lower=1)
+        if info:
+            raise ValueError("mass matrix is not positive definite")
+        M_in = M_in.copy()
+    C = lapack.dtbtrs(L, lapack.dtbtrs(L, K_in, uplo="L")[0].T, uplo="L")[0]
+    _last_interior = (M_in, L, K_in.copy(), C)
+    return L, C
+
+
+def _interior_basis_eigh(K, M, k0, k1, window, vectors):
+    """What scipy's windowed ``eigh`` gives: the pencil's eigenvalues in
+    (-window, window], ascending, and with ``vectors`` its (m, count)
+    eigenvectors, x^T M x = 1; by one LAPACK ``dsyevx`` of C = L^-1 K L^-T,
+    M = L L^T (Golub and Van Loan, Matrix Computations, 8.7).
+
+    The k0 first and k1 last unknowns are the border b.  Interior first,
+    L = [[L_II, 0], [X^T, L_bb]] with X = L_II^-1 M_Ib and L_bb the factor
+    of the Schur complement M_bb - X^T X, so M is positive definite exactly
+    when M_II and it are (Haynsworth 1968).  With W = L_II^-1 K_Ib, C's
+    border rows are L_bb^-1 (W - C_II X)^T and
+    L_bb^-1 (K_bb - X^T W - W^T X + X^T C_II X) L_bb^-T.  No BLAS or LAPACK
+    call gets an empty operand, which some mishandle.
+    """
+    if not np.isfinite(K).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lapack = scipy.linalg.lapack
+    m = len(K)
+    n_in = m - k0 - k1
+    inner, border = slice(k0, m - k1), np.concatenate((np.arange(k0), np.arange(m - k1, m)))
+    L, C_in = _interior_factor(M[inner, inner], K[inner, inner])
+    C = np.empty((m, m), order="F")  # dsyevx reads its lower triangle only
+    C[:n_in, :n_in] = C_in
+    if border.size:
+        Mb, Kb = M[border], K[border]
+        X, W = (lapack.dtbtrs(L, A[:, inner].T, uplo="L")[0] for A in (Mb, Kb))
+        L_bb, info = lapack.dpotrf(Mb[:, border] - X.T @ X, lower=1)
+        if info:
+            raise ValueError("mass matrix is not positive definite")
+        Z = lapack.dtrtri(L_bb, lower=1)[0]
+        CX = scipy.linalg.blas.dsymm(1.0, C_in, X, lower=1)
+        XW = X.T @ W
+        C[n_in:, :n_in] = Z @ (W - CX).T
+        C[n_in:, n_in:] = Z @ (Kb[:, border] - XW - XW.T + X.T @ CX) @ Z.T
+    vals, z, found, _, info = lapack.dsyevx(
+        C, compute_v=int(vectors), range="V", lower=1, vl=-window, vu=window, overwrite_a=1)
+    if info:
+        raise scipy.linalg.LinAlgError(f"dsyevx failed with info {info}")
+    if not vectors:
+        return vals[:found]
+    x = np.zeros((m, found))  # x = L^-T z
+    if found:
+        z_in = z[:n_in, :found]
+        if border.size:
+            x[border] = Z.T @ z[n_in:, :found]
+            z_in = z_in - X @ x[border]
+        x[inner] = lapack.dtbtrs(L, z_in, uplo="L", trans="T")[0]
+    return vals[:found], x
 
 
 def _tridiagonal(d, N, diag_block, off_block):

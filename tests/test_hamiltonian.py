@@ -1,6 +1,9 @@
 import inspect
 import math
+import sys
+import threading
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -918,6 +921,24 @@ class TestOperatorChecks:
                     _operator(K, np.eye(n))
         assert 50 < svd_raises < 350
 
+    def test_nonsymmetric_mass_rejected(self):
+        # a dense lower Cholesky reads only the lower triangle, so this mass
+        # once passed as the identity
+        M = np.eye(4)
+        M[0, 3] = 5.0
+        with pytest.raises(ValueError, match="mass symmetry residual"):
+            _operator(np.diag([0.1, 0.5, 2.0, 3.0]), M)
+
+    def test_nonfinite_entries_rejected(self):
+        M = np.eye(3)
+        M[1, 1] = np.nan  # LAPACK's banded Cholesky passes it
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _operator(np.eye(3), M)
+        K = np.eye(3)
+        K[0, 2] = K[2, 0] = np.inf
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _operator(K, np.eye(3)).eigenvalues(window=1.0)
+
     def test_mass_band_read_from_nonzero_pattern(self):
         # entries far outside the block band decide definiteness; a band cut
         # at the block width would miss them
@@ -929,6 +950,156 @@ class TestOperatorChecks:
             scipy.linalg.cholesky(M, lower=True)
         with pytest.raises(ValueError, match="not positive definite"):
             _operator(np.eye(12), M)
+
+
+def _eigh_reference(op, window):
+    """Reference: a pencil's windowed spectrum by scipy's generalized ``eigh``
+    (LAPACK ``dsygvx``), the solve the interior-basis solve replaced, and the
+    roughness filter's keep mask."""
+    vals, vecs = scipy.linalg.eigh(op.stiffness, op.mass, subset_by_value=(-window, window))
+    return vals, np.einsum("ji,jk,ki->i", vecs, op.roughness_form, vecs) < op.rough_cut
+
+
+def _assert_matches_eigh(op, window):
+    want, keep = _eigh_reference(op, window)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        every, kept = op.eigenvalues(window, drop_rough=False), op.eigenvalues(window)
+    assert every.shape == want.shape
+    assert np.all(np.abs(every - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    assert np.array_equal(np.isin(every, kept), keep)
+
+
+def _counting(monkeypatch, name):
+    """Record the order of every call to LAPACK ``name`` (band storage: columns)."""
+    calls = []
+    routine = getattr(scipy.linalg.lapack, name)
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a)[1])
+        return routine(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, name, counting)
+    return calls
+
+
+class TestInteriorBasisSolve:
+    @pytest.mark.parametrize("name", sorted(BATCH_FAMILIES))
+    @pytest.mark.parametrize("N", [4, 32, 96])
+    @pytest.mark.parametrize("scheme", ["galerkin", "central"])
+    def test_a0_pencils_match_eigh(self, name, N, scheme):
+        op = assemble_A0_operator(BATCH_FAMILIES[name](), 0.4, 3.0, N, scheme=scheme)
+        for window in (2.0, 1e4):  # the near-kernel window and the whole spectrum
+            _assert_matches_eigh(op, window)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("stabilization", [None, 0.0])
+    def test_q_pencils_match_eigh(self, n, stabilization):
+        rng = np.random.default_rng(60 + n)
+        sp = standard_space(n)
+        for _ in range(3):
+            op = assemble_Q_operator(_random_lagrangian(rng, sp), _random_lagrangian(rng, sp),
+                                     0.0, 1.0, 24, sp, stabilization=stabilization)
+            for window in (1.5 * pencil_window(0.0, 1.0), 1e4):
+                _assert_matches_eigh(op, window)
+
+    def test_operator_without_frames_matches_eigh(self):
+        sp = standard_space(2)
+        rng = np.random.default_rng(3)
+        op = assemble_Q_operator(_random_lagrangian(rng, sp), _random_lagrangian(rng, sp),
+                                 0.0, 1.0, 16, sp)
+        bare = BoundaryValueOperator(stiffness=op.stiffness, mass=op.mass, frames=(),
+                                     interval=op.interval, mesh=op.mesh,
+                                     roughness_form=op.roughness_form)
+        A = rng.standard_normal((12, 12))
+        dense = BoundaryValueOperator(stiffness=A + A.T, mass=A @ A.T + np.eye(12), frames=(),
+                                      interval=(0.0, 1.0), mesh=4, roughness_form=np.eye(12))
+        for pencil in (bare, dense):
+            for window in (1.0, 1e4):
+                _assert_matches_eigh(pencil, window)
+
+    def test_equal_interiors_share_one_cholesky(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        sp = standard_space(2)
+        pencils = [assemble_Q_operator(_random_lagrangian(rng, sp), _random_lagrangian(rng, sp),
+                                       0.0, 1.0, N, sp) for N in (24, 24, 24, 20, 24)]
+        monkeypatch.setattr(ha, "_last_interior", None)
+        cholesky = _counting(monkeypatch, "dpbtrf")
+        window = 1.5 * pencil_window(0.0, 1.0)
+        for op in pencils[:3]:
+            op.eigenvalues(window)
+        assert cholesky == [23 * 4]
+        for op in pencils[3:]:  # a new mesh, then the first one again
+            op.eigenvalues(window)
+        assert cholesky == [23 * 4, 19 * 4, 23 * 4]
+
+    def test_a0_pencils_on_one_mesh_share_the_mass_factor(self, monkeypatch):
+        fam = sech_family(1, amplitude=2.0)
+        pencils = [assemble_A0_operator(fam, lam, 2.0, 32) for lam in (0.2, 0.5, 0.8)]
+        monkeypatch.setattr(ha, "_last_interior", None)
+        cholesky = _counting(monkeypatch, "dpbtrf")
+        for op in pencils:
+            op.eigenvalues(0.5)
+        assert cholesky == [31 * 2]
+
+    def test_threads_sharing_the_interior_get_their_own_spectra(self):
+        rng = np.random.default_rng(9)
+        sp = standard_space(2)
+        pencils = [assemble_Q_operator(_random_lagrangian(rng, sp), _random_lagrangian(rng, sp),
+                                       0.0, 1.0, N, sp) for N in (16, 20, 16, 20)]
+        window = 1.5 * pencil_window(0.0, 1.0)
+        want = [op.eigenvalues(window) for op in pencils]
+        mismatches = []
+
+        def work(shift):
+            for i in range(40):
+                j = (i + shift) % len(pencils)
+                if not np.array_equal(pencils[j].eigenvalues(window), want[j]):
+                    mismatches.append(j)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+
+
+class TestGhostFilterWarning:
+    # On (0, 1) with mesh 4 the cut is 2 / h^2 = 32; the eigenvector e_0 of
+    # mu = 0.1 has roughness R[0, 0], inside the warning band (16, 48).
+    @staticmethod
+    def _pencil(rough):
+        return BoundaryValueOperator(stiffness=np.diag([0.1, 0.5, 2.0, 3.0]), mass=np.eye(4),
+                                     frames=(), interval=(0.0, 1.0), mesh=4,
+                                     roughness_form=np.diag([rough, 0.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("rough, kept", [(24.0, True), (32.0, False), (40.0, False)])
+    def test_single_pencil(self, rough, kept):
+        op = self._pencil(rough)
+        assert op.rough_cut == 32.0
+        with pytest.warns(RuntimeWarning, match="ghost-filter cut"):
+            vals = op.eigenvalues(1.0)
+        assert vals.tolist() == ([0.1, 0.5] if kept else [0.5])
+
+    def test_stack(self):
+        ops = [self._pencil(rough) for rough in (24.0, 40.0)]
+        stack = BoundaryValueOperator(
+            stiffness=np.stack([op.stiffness for op in ops]),
+            mass=np.stack([op.mass for op in ops]), frames=(), interval=(0.0, 1.0), mesh=4,
+            roughness_form=np.stack([op.roughness_form for op in ops]))
+        with pytest.warns(RuntimeWarning, match="ghost-filter cut"):
+            vals = stack.eigenvalues(1.0)
+        assert [v.tolist() for v in vals] == [[0.1, 0.5], [0.5]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self._pencil(0.0).eigenvalues(1.0).tolist() == [0.1, 0.5]
 
 
 class TestTheoremB:
