@@ -11,11 +11,9 @@ so that the equalities between those integers can be verified numerically.
 from .symplectic import (
     SymplecticSpace,
     LagrangianFrame,
-    SubspacePair,
     SymplecticError,
     standard_space,
     lagrangian_from_matrix,
-    orthogonal_projection,
     gap_distance,
     graph_gap_distance,
     souriau_map,
@@ -48,7 +46,6 @@ from .hamiltonian import (
     FundamentalSolution,
     BoundaryValueOperator,
     IndexReport,
-    is_hyperbolic,
     stable_unstable_splitting,
     relative_dimension,
     fundamental_solution,

@@ -38,8 +38,10 @@ EXIT_NUMERIC = 3
 
 KNOWN_REPORTS = ("theorem-a", "theorem-b", "corollary-a", "self-tests")
 
-# Pencils are dense: one of order (mesh + 1) * 2n peaks near 8.5 dense
-# matrices, about 350 MB at order 2050.  4098 is mesh 2048 at n = 1.
+# Each pencil is solved dense: one windowed solve of order mesh * 2n peaked
+# at 6.0 dense matrices under tracemalloc, 807 MB at order 4096.  The limit
+# bounds (mesh + 1) * 2n, the unknowns before frame reduction; 4098 is mesh
+# 2048 at n = 1.
 MAX_PENCIL_ORDER = 4098
 
 _INT_KEYS = ("grid", "mesh")
@@ -169,8 +171,9 @@ def _validate_ranges(cfg: ScenarioConfig) -> None:
     largest_mesh = 2 * cfg.mesh if cfg.doubling else cfg.mesh
     order = (largest_mesh + 1) * 2 * cfg.family_params.get("n", 1)
     if order > MAX_PENCIL_ORDER:
-        raise ConfigError(f"mesh {largest_mesh} gives pencils of order {order} = (mesh + 1) * 2n, "
-                          f"above the dense limit {MAX_PENCIL_ORDER}")
+        raise ConfigError(f"mesh {largest_mesh} gives {order} = (mesh + 1) * 2n unknowns before "
+                          f"frame reduction (pencils of order mesh * 2n), above the dense "
+                          f"limit {MAX_PENCIL_ORDER}")
     if cfg.trunc is not None and not (0.5 <= float(cfg.trunc) <= 200.0):
         raise ConfigError("trunc must be between 0.5 and 200")
     if not (0 < float(cfg.tol) <= 1e-2):

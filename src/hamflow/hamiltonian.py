@@ -50,7 +50,6 @@ _GAUSS = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0  # Gauss-Legendre node
 TOL_SYMPLECTIC = 1e-8
 SIGN_TOL = 1e-10     # relative 1-norm change that ends the sign iteration
 SIGN_MAX_STEPS = 100
-PENCIL_BYTES = 1 << 17  # reduced pencil bytes (8 m^2 each, order m) one assembled stack holds
 
 
 class TruncationError(RuntimeError):
@@ -212,11 +211,6 @@ class HamiltonianFamily:
 def hyperbolicity_margin(M) -> float:
     """Distance of the spectrum of M from the imaginary axis."""
     return float(np.min(np.abs(np.linalg.eigvals(np.asarray(M, dtype=float)).real)))
-
-
-def is_hyperbolic(M) -> bool:
-    """True when no eigenvalue of M has |Re| <= 1e-8."""
-    return hyperbolicity_margin(M) > 1e-8
 
 
 def stable_unstable_splitting(M, space: Optional[SymplecticSpace] = None):
@@ -478,39 +472,60 @@ class BoundaryValueOperator:
     eigenfunctions score O(1), ghosts score ~12/h^2.  Windowed spectra are
     therefore filtered at 2/h^2 (``rough_cut``) by default.
 
-    A stack of pencils that share interval and mesh holds (L, m, m) matrices
-    and the frames as (L, d, k) stacks; ``size`` is one pencil's order m.
+    The operator holds what assembly computes: ``blocks``, the (diagonal,
+    upper, lower) d x d blocks of the stiffness, mass and roughness forms,
+    each stacked over (form, pencil), and the boundary ``frames``.  A stack
+    of L pencils that share interval and mesh holds two sequences of L
+    (d, k) frame columns, and blocks of L pencils, or of one pencil that all
+    share when there is no potential.  Each solve writes one pencil's dense forms from
+    the blocks (``_reduce``); ``stiffness``, ``mass`` and ``roughness_form``
+    are read-only dense forms written the same way, (L, m, m) for a stack.
+    ``size`` is one pencil's order m.
     """
 
-    stiffness: np.ndarray
-    mass: np.ndarray
+    blocks: tuple
     frames: tuple
     interval: tuple
     mesh: int
-    space: SymplecticSpace = field(repr=False, default=None)
-    roughness_form: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
-        m = self.stiffness.shape[-1]
-        for K, M in zip(self.stiffness.reshape(-1, m, m), self.mass.reshape(-1, m, m)):
-            for name, A in (("stiffness", K), ("mass", M)):
-                if np.array_equal(A, A.T):
-                    continue
-                # 1-norm bounds with no SVD: ||R||_2 <= ||R||_1 for antisymmetric R
-                # and ||A||_1 / sqrt(m) <= ||A||_2, so this rejects whatever the
-                # spectral-norm test would
-                resid = np.linalg.norm(A - A.T, 1)
-                if resid > 1e-12 * max(1.0, np.linalg.norm(A, 1) / np.sqrt(m)):
-                    raise ValueError(f"{name} symmetry residual {resid:.3e} too large")
-            band = _lower_band(M)
-            if not np.isfinite(band).all():
-                raise ValueError("array must not contain infs or NaNs")
-            if scipy.linalg.lapack.dpbtrf(band, lower=1)[1]:
-                raise ValueError("mass matrix is not positive definite")
+        self._interior = None  # (L_II, C_II or None), from the stack's first solve
+
+    @property
+    def _stacked(self) -> bool:
+        return not isinstance(self.frames[0], LagrangianFrame)
+
+    def _frames(self, i):
+        """Pencil i's (F0, F1) frame columns."""
+        return tuple(F[i] if self._stacked else F.columns for F in self.frames)
+
+    def _per_pencil(self, fn):
+        """fn(i) for each pencil i: a list for a stack, the one value otherwise."""
+        return [fn(i) for i in range(len(self.frames[0]))] if self._stacked else fn(0)
+
+    @property
+    def _shared(self) -> bool:
+        """The blocks hold one pencil's forms, which every pencil shares."""
+        return self.blocks[0].shape[1] == 1
+
+    def _forms(self, i):
+        """Pencil i's dense (stiffness, mass, roughness) forms, a (3, m, m) array."""
+        j = 0 if self._shared else i
+        return _reduce(*(x[:, j] for x in self.blocks), *self._frames(i))
+
+    def _dense(self, form):
+        A = np.array(self._per_pencil(lambda i: self._forms(i)[form]))
+        A.flags.writeable = False
+        return A
+
+    stiffness = property(lambda self: self._dense(0))
+    mass = property(lambda self: self._dense(1))
+    roughness_form = property(lambda self: self._dense(2))
 
     @property
     def size(self) -> int:
-        return self.stiffness.shape[-1]
+        F0, F1 = self._frames(0)
+        return F0.shape[1] + (self.mesh - 1) * self.blocks[0].shape[-1] + F1.shape[1]
 
     @property
     def step(self) -> float:
@@ -527,41 +542,64 @@ class BoundaryValueOperator:
         """Generalized symmetric eigenvalues in the window |mu| <= window.
 
         With ``drop_rough``, parity-ghost modes are removed by the roughness
-        filter; values falling ambiguously near the cut raise a warning.  A
-        stack gives the list of its pencils' arrays.  Each pencil is solved
-        in its interior's mass basis with its frame rows and columns as the
-        border (``_interior_basis_eigh``); without frames there is none.
+        filter (``_ghost_filter``).  A stack gives the list of its pencils'
+        arrays.  Each pencil is solved in its interior's mass basis with its
+        frame rows and columns as the border (``_interior_basis_eigh``).
         """
-        if self.stiffness.ndim == 2:
-            return self._windowed(self.stiffness, self.mass, self.roughness_form, window,
-                                  drop_rough)
-        rough = self.roughness_form
-        rough = [None] * len(self.stiffness) if rough is None else rough
-        return [self._windowed(K, M, R, window, drop_rough) for K, M, R in
-                zip(self.stiffness, self.mass, rough)]
+        return self._per_pencil(lambda i: self._windowed(i, window, drop_rough))
 
-    def _windowed(self, K, M, R, window, drop_rough):
-        border = [np.shape(getattr(F, "columns", F))[-1] for F in self.frames] or [0, 0]
-        if not drop_rough or R is None:
-            return _interior_basis_eigh(K, M, *border, window, vectors=False)
-        vals, vecs = _interior_basis_eigh(K, M, *border, window, vectors=True)
-        if vals.size == 0:
-            return vals
-        # the vectors have v^T M v = 1, so the quotient is just v^T L v
-        rough = np.einsum("ij,ij->j", vecs, R @ vecs)
-        cut = self.rough_cut
-        ambiguous = (rough > 0.5 * cut) & (rough < 1.5 * cut)
-        if ambiguous.any():
-            warnings.warn("eigenvector roughness near the ghost-filter cut; "
-                          "refine the mesh to separate the sectors", RuntimeWarning)
-        return vals[rough < cut]
+    def _windowed(self, i, window, drop_rough):
+        K, M, R = self._forms(i)
+        border = [F.shape[1] for F in self._frames(i)]
+        if not drop_rough:
+            return _interior_basis_eigh(K, M, *border, window, False, self._interior_factor)
+        vals, vecs = _interior_basis_eigh(K, M, *border, window, True, self._interior_factor)
+        return _ghost_filter(vals, vecs, R, self.rough_cut)
+
+    def _interior_factor(self, M_in, K_in):
+        """(L_II, C_II) for a pencil's interior blocks: the Cholesky factor of
+        M_II in band storage and the lower triangle of C_II = L_II^-1 K_II L_II^-T.
+
+        Every pencil of a stack has the same M_II, so the stack factors it on
+        its first solve and keeps the factor; when the pencils share their
+        forms (no potential) it keeps C_II too.  The factor and solves are
+        banded because OpenBLAS hands dense ones of these orders to its
+        thread pool.  Threads that race on a first solve factor twice and
+        keep either result, which are equal; each reads the pair once, so
+        its L_II and C_II agree.
+        """
+        lapack = scipy.linalg.lapack
+        if self._interior is None:
+            band = _lower_band(M_in)
+            if not np.isfinite(band).all():
+                raise ValueError("array must not contain infs or NaNs")
+            L, info = lapack.dpbtrf(band, lower=1)
+            if info:
+                raise ValueError("mass matrix is not positive definite")
+            self._interior = (L, None)
+        L, C = self._interior
+        if C is None:
+            C = lapack.dtbtrs(L, lapack.dtbtrs(L, K_in, uplo="L")[0].T, uplo="L")[0]
+            if self._shared:
+                self._interior = (L, C)
+        return L, C
 
     def smallest_magnitude(self, window: float):
         """Smallest windowed |mu| (``window`` if none); a stack gives a list."""
-        one = self.stiffness.ndim == 2
-        vals = [self.eigenvalues(window=window)] if one else self.eigenvalues(window=window)
-        least = [float(np.min(np.abs(v))) if v.size else float(window) for v in vals]
-        return least[0] if one else least
+        vals = self.eigenvalues(window=window)
+        least = lambda v: float(np.min(np.abs(v))) if v.size else float(window)
+        return [least(v) for v in vals] if self._stacked else least(vals)
+
+
+def _ghost_filter(vals, vecs, R, cut):
+    """The eigenvalues whose eigenvectors (v^T M v = 1) have roughness v^T R v
+    below ``cut``; a roughness within a factor 1.5 of the cut warns."""
+    rough = np.einsum("ij,ij->j", vecs, R @ vecs)
+    ambiguous = (rough > 0.5 * cut) & (rough < 1.5 * cut)
+    if ambiguous.any():
+        warnings.warn("eigenvector roughness near the ghost-filter cut; "
+                      "refine the mesh to separate the sectors", RuntimeWarning)
+    return vals[rough < cut]
 
 
 def _lower_band(M):
@@ -573,38 +611,7 @@ def _lower_band(M):
     return np.where(rows < m, M[np.minimum(rows, m - 1), cols], 0.0)
 
 
-# (M_II, L_II, K_II, C_II) of the last interior factored, replaced whole, so
-# threads sharing it see one interior's arrays or another's, never a mix
-_last_interior = None
-
-
-def _interior_factor(M_in, K_in):
-    """(L_II, C_II) for a pencil's interior blocks: the Cholesky factor of M_II
-    in band storage and the lower triangle of C_II = L_II^-1 K_II L_II^-T.
-
-    Reused from the last interior while M_II is bitwise equal to its, and
-    C_II while K_II is too: a theorem-B report's Q pencils share both, A0
-    pencils on one mesh share L_II.  The factor and solves are banded
-    because OpenBLAS hands dense ones of these orders to its thread pool.
-    """
-    global _last_interior
-    lapack = scipy.linalg.lapack
-    last = _last_interior
-    if last is not None and np.array_equal(last[0], M_in):
-        M_in, L = last[:2]
-        if np.array_equal(last[2], K_in):
-            return L, last[3]
-    else:
-        L, info = lapack.dpbtrf(_lower_band(M_in), lower=1)
-        if info:
-            raise ValueError("mass matrix is not positive definite")
-        M_in = M_in.copy()
-    C = lapack.dtbtrs(L, lapack.dtbtrs(L, K_in, uplo="L")[0].T, uplo="L")[0]
-    _last_interior = (M_in, L, K_in.copy(), C)
-    return L, C
-
-
-def _interior_basis_eigh(K, M, k0, k1, window, vectors):
+def _interior_basis_eigh(K, M, k0, k1, window, vectors, interior):
     """What scipy's windowed ``eigh`` gives: the pencil's eigenvalues in
     (-window, window], ascending, and with ``vectors`` its (m, count)
     eigenvectors, x^T M x = 1; by one LAPACK ``dsyevx`` of C = L^-1 K L^-T,
@@ -613,8 +620,9 @@ def _interior_basis_eigh(K, M, k0, k1, window, vectors):
     The k0 first and k1 last unknowns are the border b.  Interior first,
     L = [[L_II, 0], [X^T, L_bb]] with X = L_II^-1 M_Ib and L_bb the factor
     of the Schur complement M_bb - X^T X, so M is positive definite exactly
-    when M_II and it are (Haynsworth 1968).  With W = L_II^-1 K_Ib, C's
-    border rows are L_bb^-1 (W - C_II X)^T and
+    when M_II and it are (Haynsworth 1968).  ``interior(M_II, K_II)`` gives
+    (L_II, C_II).  With W = L_II^-1 K_Ib, C's border rows are
+    L_bb^-1 (W - C_II X)^T and
     L_bb^-1 (K_bb - X^T W - W^T X + X^T C_II X) L_bb^-T.  No BLAS or LAPACK
     call gets an empty operand, which some mishandle.
     """
@@ -624,20 +632,19 @@ def _interior_basis_eigh(K, M, k0, k1, window, vectors):
     m = len(K)
     n_in = m - k0 - k1
     inner, border = slice(k0, m - k1), np.concatenate((np.arange(k0), np.arange(m - k1, m)))
-    L, C_in = _interior_factor(M[inner, inner], K[inner, inner])
+    L, C_in = interior(M[inner, inner], K[inner, inner])
+    Mb, Kb = M[border], K[border]
+    X, W = (lapack.dtbtrs(L, A[:, inner].T, uplo="L")[0] for A in (Mb, Kb))
+    L_bb, info = lapack.dpotrf(Mb[:, border] - X.T @ X, lower=1)
+    if info:
+        raise ValueError("mass matrix is not positive definite")
+    Z = lapack.dtrtri(L_bb, lower=1)[0]
+    CX = scipy.linalg.blas.dsymm(1.0, C_in, X, lower=1)
+    XW = X.T @ W
     C = np.empty((m, m), order="F")  # dsyevx reads its lower triangle only
     C[:n_in, :n_in] = C_in
-    if border.size:
-        Mb, Kb = M[border], K[border]
-        X, W = (lapack.dtbtrs(L, A[:, inner].T, uplo="L")[0] for A in (Mb, Kb))
-        L_bb, info = lapack.dpotrf(Mb[:, border] - X.T @ X, lower=1)
-        if info:
-            raise ValueError("mass matrix is not positive definite")
-        Z = lapack.dtrtri(L_bb, lower=1)[0]
-        CX = scipy.linalg.blas.dsymm(1.0, C_in, X, lower=1)
-        XW = X.T @ W
-        C[n_in:, :n_in] = Z @ (W - CX).T
-        C[n_in:, n_in:] = Z @ (Kb[:, border] - XW - XW.T + X.T @ CX) @ Z.T
+    C[n_in:, :n_in] = Z @ (W - CX).T
+    C[n_in:, n_in:] = Z @ (Kb[:, border] - XW - XW.T + X.T @ CX) @ Z.T
     vals, z, found, _, info = lapack.dsyevx(
         C, compute_v=int(vectors), range="V", lower=1, vl=-window, vu=window, overwrite_a=1)
     if info:
@@ -646,11 +653,8 @@ def _interior_basis_eigh(K, M, k0, k1, window, vectors):
         return vals[:found]
     x = np.zeros((m, found))  # x = L^-T z
     if found:
-        z_in = z[:n_in, :found]
-        if border.size:
-            x[border] = Z.T @ z[n_in:, :found]
-            z_in = z_in - X @ x[border]
-        x[inner] = lapack.dtbtrs(L, z_in, uplo="L", trans="T")[0]
+        x[border] = Z.T @ z[n_in:, :found]
+        x[inner] = lapack.dtbtrs(L, z[:n_in, :found] - X @ x[border], uplo="L", trans="T")[0]
     return vals[:found], x
 
 
@@ -694,9 +698,9 @@ def _potential_matrix(space, a, b, N, S_fn):
     return diag, upper, lower
 
 
-def _reduce_into(out, diag, upper, lower, F0s, F1s):
-    """Write each pencil's C^T X C, symmetrized as (r + r^T) / 2, into its slot of
-    the (form, pencil, m, m) stack out, from the forms' blocks stacked alike.
+def _reduce(diag, upper, lower, F0, F1):
+    """One pencil's C^T X C, symmetrized as (r + r^T) / 2, for each of its forms X,
+    as a (form, m, m) array, from the forms' blocks stacked alike.
 
     C puts the frames F0, F1 in place of the end nodes: the interior is X's
     own blocks, and only the frame rows and columns take products, over a whole
@@ -704,37 +708,39 @@ def _reduce_into(out, diag, upper, lower, F0s, F1s):
     since a truncated product rounds differently for one-column frames.
     """
     N, d = upper.shape[-3:-1]
-    k0, k1 = F0s[0].shape[1], F1s[0].shape[1]
-    sym_diag = (diag[..., 1:N, :, :] + diag[..., 1:N, :, :].swapaxes(-1, -2)) * 0.5
-    sym_upper = (upper[..., 1:N - 1, :, :] + lower[..., 1:N - 1, :, :].swapaxes(-1, -2)) * 0.5
+    k0, k1 = F0.shape[1], F1.shape[1]
+    m = k0 + (N - 1) * d + k1
+    out = np.zeros((len(diag), m, m))
+    sym_diag = (diag[:, 1:N] + diag[:, 1:N].swapaxes(-1, -2)) * 0.5
+    sym_upper = (upper[:, 1:N - 1] + lower[:, 1:N - 1].swapaxes(-1, -2)) * 0.5
     at = k0 + d * np.arange(N - 1)[:, None, None]
     rows, cols = at + np.arange(d)[:, None], at + np.arange(d)
-    out[..., rows, cols] = sym_diag
-    out[..., rows[:-1], cols[1:]] = sym_upper
-    out[..., rows[1:], cols[:-1]] = sym_upper.swapaxes(-1, -2)
+    out[:, rows, cols] = sym_diag
+    out[:, rows[:-1], cols[1:]] = sym_upper
+    out[:, rows[1:], cols[:-1]] = sym_upper.swapaxes(-1, -2)
     top, bottom = np.zeros((2, len(out), d, (N + 1) * d))
-    left, right = np.zeros((2, len(out), out.shape[-1], d))
-    for i, (F0, F1) in enumerate(zip(F0s, F1s)):
-        top[..., :d], top[..., d:2 * d] = diag[:, i, 0], upper[:, i, 0]
-        bottom[..., -2 * d:-d], bottom[..., -d:] = lower[:, i, -1], diag[:, i, -1]
-        r0, r1 = F0.T @ top, F1.T @ bottom
-        left[:, :k0], left[:, k0:k0 + d] = r0[..., :d], lower[:, i, 0]
-        right[:, -k1 - d:-k1], right[:, -k1:] = upper[:, i, -1], r1[..., -d:]
-        c0, c1 = left @ F0, right @ F1
-        # r's frame rows and columns, then (r + r^T) / 2 on the corners holding them
-        o = out[:, i]
-        o[:, :k0 + d, :k0], o[:, :k0, k0:k0 + d] = c0[:, :k0 + d], r0[..., d:2 * d]
-        o[:, -k1 - d:, -k1:], o[:, -k1:, -k1 - d:-k1] = c1[:, -k1 - d:], r1[..., -2 * d:-d]
-        for corner in (o[:, :k0 + d, :k0 + d], o[:, -k1 - d:, -k1 - d:]):
-            corner[...] = (corner + corner.swapaxes(-1, -2)) * 0.5
+    left, right = np.zeros((2, len(out), m, d))
+    top[..., :d], top[..., d:2 * d] = diag[:, 0], upper[:, 0]
+    bottom[..., -2 * d:-d], bottom[..., -d:] = lower[:, -1], diag[:, -1]
+    r0, r1 = F0.T @ top, F1.T @ bottom
+    left[:, :k0], left[:, k0:k0 + d] = r0[..., :d], lower[:, 0]
+    right[:, -k1 - d:-k1], right[:, -k1:] = upper[:, -1], r1[..., -d:]
+    c0, c1 = left @ F0, right @ F1
+    # r's frame rows and columns, then (r + r^T) / 2 on the corners holding them
+    out[:, :k0 + d, :k0], out[:, :k0, k0:k0 + d] = c0[:, :k0 + d], r0[..., d:2 * d]
+    out[:, -k1 - d:, -k1:], out[:, -k1:, -k1 - d:-k1] = c1[:, -k1 - d:], r1[..., -2 * d:-d]
+    for corner in (out[:, :k0 + d, :k0 + d], out[:, -k1 - d:, -k1 - d:]):
+        corner[...] = (corner + corner.swapaxes(-1, -2)) * 0.5
+    return out
 
 
 DEFAULT_STABILIZATION = 0.05
 
 
-def _form_blocks(space, L, a, b, N, S_fn, stabilization, scheme):
+def _form_blocks(space, a, b, N, S_fn, stabilization, scheme):
     """(diagonal, upper, lower) blocks of the stiffness, mass and roughness forms, stacked
-    over (form, pencil); the stiffness sums its parts as a dense assembly does."""
+    over (form, pencil); the stiffness sums its parts as a dense assembly does.  The
+    pencil axis has one entry unless the potential has a leading pencil axis."""
     d = space.dim
     h = (b - a) / N
     I = np.eye(d)
@@ -751,7 +757,7 @@ def _form_blocks(space, L, a, b, N, S_fn, stabilization, scheme):
         M = _tridiagonal(d, N, 0.5 * h * I, 0.0 * I)
     else:
         M = _tridiagonal(d, N, (h / 3.0) * I, (h / 6.0) * I)
-    blocks = [np.empty((3, L) + x.shape[-3:]) for x in K]
+    blocks = [np.empty((3,) + (x.shape[:-3] or (1,)) + x.shape[-3:]) for x in K]
     for part, *forms in zip(blocks, K, M, rough):
         part[0], part[1], part[2] = forms
     return blocks
@@ -762,36 +768,24 @@ def _assemble(space, L0, L1, a, b, N, S_fn=None, stabilization=None, scheme="gal
 
     L0 and L1 are frames, or sequences of L (d, k) frame columns (an (L, d, k)
     array is one) for a stack of L pencils; S_fn then returns a leading L axis
-    (see ``_potential_matrix``).  The forms are held as d x d blocks (the
-    potential from one ``S_fn`` call), and each pencil is written from them
-    into its slot of the stack.  A small consistent second-difference term
-    (O(h^2) on smooth modes) keeps the parity-ghost sector spectrally separated
-    from genuine near-kernel modes so the roughness filter never sees
-    hybridized eigenvectors; ``stabilization=0`` disables it, which exhibits
-    the doubled kernel.
+    (see ``_potential_matrix``).  The operator holds the forms as d x d blocks
+    (the potential from one ``S_fn`` call) and writes each pencil from them
+    when it is solved.  A small consistent second-difference term (O(h^2) on
+    smooth modes) keeps the parity-ghost sector spectrally separated from
+    genuine near-kernel modes so the roughness filter never sees hybridized
+    eigenvectors; ``stabilization=0`` disables it, which exhibits the doubled
+    kernel.
     """
     if N < 4:
         raise ValueError("mesh must have at least 4 intervals")
     if scheme not in ("galerkin", "central"):
         raise ValueError("scheme must be 'galerkin' or 'central'")
     one = isinstance(L0, LagrangianFrame)
-    F0s, F1s = ([L.columns] if one else list(L) for L in (L0, L1))
-    check_frame_columns(np.stack(F0s), space)
-    check_frame_columns(np.stack(F1s), space)
-    m = F0s[0].shape[1] + (N - 1) * space.dim + F1s[0].shape[1]
-    out = np.zeros((3, len(F0s), m, m))
-    _reduce_into(out, *_form_blocks(space, len(F0s), a, b, N, S_fn, stabilization, scheme),
-                 F0s, F1s)
-    Kr, Mr, Rr = out[:, 0] if one else out
-    return BoundaryValueOperator(stiffness=Kr, mass=Mr, frames=(L0, L1),
-                                 interval=(a, b), mesh=N, space=space, roughness_form=Rr)
-
-
-def _pencil_stacks(items, order):
-    """items cut into runs of the pencils of order ``order`` one stack holds:
-    max(1, PENCIL_BYTES // (8 order^2)) of them."""
-    size = max(1, PENCIL_BYTES // (8 * order * order))
-    return [tuple(items[i:i + size]) for i in range(0, len(items), size)]
+    frames = (L0, L1) if one else (list(L0), list(L1))
+    for F in frames:
+        check_frame_columns(np.stack([F.columns] if one else F), space)
+    return BoundaryValueOperator(blocks=_form_blocks(space, a, b, N, S_fn, stabilization, scheme),
+                                 frames=frames, interval=(a, b), mesh=N)
 
 
 def assemble_Q_operator(L0: LagrangianFrame, L1: LagrangianFrame, a: float, b: float,
@@ -817,7 +811,6 @@ def assemble_A0_operator(family: HamiltonianFamily, lam: float, T: float, N: int
     Broadcasts over lam as ``propagate_subspace`` does: a float gives one
     pencil, a sequence one stack with a pencil per entry, whose frames are
     split in one call per end and whose potential takes one ``S`` call.
-    Callers keep a stack within ``PENCIL_BYTES`` (``_pencil_stacks``).
     """
     family.check_contract()
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
@@ -905,18 +898,15 @@ def theorem_B_report(path0: LagrangianPath, path1: LagrangianPath, a: float, b: 
         # per new lam: (windowed pencil eigenvalues, Souriau unitary, gap to the explicit
         # spectrum); k in {-1, 0, 1} suffices since the report window
         # 3 pi / (4 length) < pi / length
-        pairs = list(zip(lams, path0.frames(lams), path1.frames(lams)))
-        for stack in _pencil_stacks(pairs, N * space.dim):
-            _, L0s, L1s = zip(*stack)
-            spectra = assemble_Q_operator([f.columns for f in L0s], [f.columns for f in L1s],
-                                          a, b, N, space).eigenvalues(window=1.5 * w)
-            for (lam, L0, L1), vals in zip(stack, spectra):
-                U = souriau_map(L0, L1, space)
-                exact = (2.0 * np.pi * np.arange(-1, 2)[:, None]
-                         - _eigenphases(U)).ravel() / length
-                gap = float(np.abs(vals[:, None] - exact).min(axis=1).max()) if vals.size else 0.0
-                nodes[lam] = (vals, U, gap)
-        return [nodes[lam][0] for lam in lams]
+        L0s, L1s = path0.frames(lams), path1.frames(lams)
+        spectra = assemble_Q_operator([f.columns for f in L0s], [f.columns for f in L1s],
+                                      a, b, N, space).eigenvalues(window=1.5 * w)
+        for lam, L0, L1, vals in zip(lams, L0s, L1s, spectra):
+            U = souriau_map(L0, L1, space)
+            exact = (2.0 * np.pi * np.arange(-1, 2)[:, None] - _eigenphases(U)).ravel() / length
+            gap = float(np.abs(vals[:, None] - exact).min(axis=1).max()) if vals.size else 0.0
+            nodes[lam] = (vals, U, gap)
+        return spectra
 
     def drift_fn(lo, hi):
         (_, U_lo, gap_lo), (_, U_hi, gap_hi) = nodes[lo], nodes[hi]
@@ -933,14 +923,10 @@ def theorem_B_report(path0: LagrangianPath, path1: LagrangianPath, a: float, b: 
 
 def _a0_node_fn(family, T, N, window_report):
     """Windowed A0 spectra for a list of lam, memoized on the family.  The
-    lam missing from the memo are split in one call per end, then assembled
-    in stacks that ``_pencil_stacks`` caps."""
+    lam missing from the memo are assembled as one stack: one ``S`` call and
+    one splitting call per end."""
     def compute(missing):
-        for sign in (-1, +1):
-            _asymptotic_frames(family, missing, sign)
-        return [vals for stack in _pencil_stacks(missing, N * family.dim)
-                for vals in assemble_A0_operator(family, stack, T, N).eigenvalues(
-                    window=window_report)]
+        return assemble_A0_operator(family, missing, T, N).eigenvalues(window=window_report)
     return lambda lams: family._cached_batch(lambda lam: ("a0", lam, T, N, window_report),
                                              lams, compute)
 

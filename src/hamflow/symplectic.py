@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -152,34 +151,6 @@ def check_frame_columns(F, space: SymplecticSpace, tol: float = TOL_FRAME) -> No
         raise SymplecticError("frame is not isotropic within tolerance")
 
 
-@dataclass
-class SubspacePair:
-    """A pair of Lagrangian frames; in finite dimension always a Fredholm pair.
-
-    The Fredholm index of the pair vanishes (dim intersection equals the
-    codimension of the sum); the intersection dimension is cached once
-    computed.
-    """
-
-    first: LagrangianFrame
-    second: LagrangianFrame
-    _intersection_dim: Optional[int] = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        if self.first.dim_ambient != self.second.dim_ambient:
-            raise SymplecticError("paired frames live in different ambient dimensions")
-
-    def intersection_dim(self) -> int:
-        if self._intersection_dim is None:
-            self._intersection_dim = intersection_dimension_rank(self.first, self.second)
-        return self._intersection_dim
-
-    def fredholm_index(self) -> int:
-        stacked = np.column_stack([self.first.columns, self.second.columns])
-        codim_sum = self.first.dim_ambient - _rank(stacked)
-        return self.intersection_dim() - codim_sum
-
-
 def lagrangian_from_matrix(raw, space: SymplecticSpace) -> LagrangianFrame:
     """Orthonormalize the columns of ``raw`` and certify the span is Lagrangian.
 
@@ -200,11 +171,6 @@ def lagrangian_from_matrix(raw, space: SymplecticSpace) -> LagrangianFrame:
     if resid > TOL_FRAME:
         raise SymplecticError(f"span is not Lagrangian: |F^T J F| = {resid:.3e} > {TOL_FRAME:.1e}")
     return LagrangianFrame(F)
-
-
-def orthogonal_projection(frame: LagrangianFrame) -> np.ndarray:
-    """P = F F^T, the orthogonal projection onto the frame's span."""
-    return frame.projection()
 
 
 def _signed_norm(diff):

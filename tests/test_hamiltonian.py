@@ -20,7 +20,6 @@ from hamflow.families import (
 )
 from hamflow.hamiltonian import (
     AssumptionError,
-    BoundaryValueOperator,
     HamiltonianFamily,
     TruncationError,
     assemble_A0_operator,
@@ -28,7 +27,6 @@ from hamflow.hamiltonian import (
     corollary_A_report,
     fundamental_solution,
     hyperbolicity_margin,
-    is_hyperbolic,
     kernel_crossings,
     pencil_window,
     propagate_subspace,
@@ -59,9 +57,9 @@ B_HYP = np.diag([1.0, -1.0])
 
 class TestHyperbolicity:
     def test_examples(self):
-        assert is_hyperbolic(SP1.J @ B_HYP)           # eigenvalues +-1
-        assert not is_hyperbolic(SP1.J)               # eigenvalues +-i
-        assert is_hyperbolic(np.diag([2.0, -3.0]))
+        assert hyperbolicity_margin(SP1.J @ B_HYP) > 1e-8         # eigenvalues +-1
+        assert not hyperbolicity_margin(SP1.J) > 1e-8             # eigenvalues +-i
+        assert hyperbolicity_margin(np.diag([2.0, -3.0])) > 1e-8
 
     def test_margin(self):
         assert hyperbolicity_margin(np.diag([2.0, -3.0])) == pytest.approx(2.0)
@@ -723,15 +721,6 @@ def _dense_a0_pencil(fam, lam, T, N, scheme="galerkin", potential=_dense_potenti
                          scheme=scheme, potential=potential)
 
 
-def _svd_symmetry_rejects(K):
-    """Reference: the spectral-norm symmetry test, by SVD."""
-    return np.linalg.norm(K - K.T, 2) > 1e-12 * max(1.0, np.linalg.norm(K, 2))
-
-
-def _operator(K, M):
-    return BoundaryValueOperator(stiffness=K, mass=M, frames=(), interval=(0.0, 1.0), mesh=4)
-
-
 class TestPencilAssembly:
     @pytest.mark.parametrize("name", sorted(BATCH_FAMILIES))
     @pytest.mark.parametrize("N", [4, 32, 96])
@@ -821,11 +810,9 @@ class TestPencilStacks:
             assemble_Q_operator(np.stack([good, 2.0 * good]), np.stack([good, good]),
                                 0.0, 1.0, 8, sp)
 
-    @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["one", "cap", "cap+1"])
-    def test_node_spectra_match_per_pencil(self, extra, monkeypatch):
+    @pytest.mark.parametrize("count", [1, 5, 65])
+    def test_a_round_is_one_stack_bitwise_per_pencil(self, count, monkeypatch):
         N, T, window = 32, 2.0, 0.5
-        cap = ha.PENCIL_BYTES // (8 * (N * 2) ** 2)
-        count = 1 if extra < 0 else cap + extra
         lams = [float(x) for x in np.linspace(0.05, 0.95, count)]
         stacks = []
         assemble = ha.assemble_A0_operator
@@ -836,10 +823,20 @@ class TestPencilStacks:
 
         monkeypatch.setattr(ha, "assemble_A0_operator", counting_assemble)
         got = ha._a0_node_fn(sech_family(1, amplitude=2.0), T, N, window)(lams)
-        assert stacks == ([count] if count <= cap else [cap, count - cap])
+        assert stacks == [count]
         fam = sech_family(1, amplitude=2.0)
         for lam, vals in zip(lams, got):
             assert np.array_equal(vals, assemble(fam, lam, T, N).eigenvalues(window=window))
+
+    def test_stacked_pencils_are_ghost_filtered_each(self):
+        # test_parity_ghost_demonstration, on a stack of two pencils
+        _, W, sp = gamma_nor_path()
+        frames = np.stack([W.columns] * 2)
+        raw = assemble_Q_operator(frames, frames, 0.0, 1.0, 64, sp, stabilization=0.0)
+        for vals in raw.eigenvalues(window=0.3, drop_rough=False):
+            assert np.count_nonzero(np.abs(vals) < 1e-8) == 2
+        for vals in assemble_Q_operator(frames, frames, 0.0, 1.0, 64, sp).eigenvalues(0.3):
+            assert np.count_nonzero(np.abs(vals) < 1e-8) == 1
 
     def test_smallest_magnitude_gives_one_value_per_pencil(self):
         lams, T, N = (0.3, 0.75), 4.0, 32
@@ -851,20 +848,9 @@ class TestPencilStacks:
             assert stack.smallest_magnitude(window=window) == want
         assert stack.smallest_magnitude(window=1e-12) == [1e-12, 1e-12]
 
-    def test_stack_without_roughness_form_is_not_filtered(self):
-        stack = assemble_A0_operator(sech_family(1, amplitude=2.0), (0.3, 0.75), 4.0, 32)
-        bare = BoundaryValueOperator(stiffness=stack.stiffness, mass=stack.mass,
-                                     frames=stack.frames, interval=stack.interval,
-                                     mesh=stack.mesh)
-        got = bare.eigenvalues(window=2.0)
-        want = stack.eigenvalues(window=2.0, drop_rough=False)
-        assert len(got) == len(want) == 2
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
-
-    def test_q_pencil_peaks_under_twice_its_reduced_forms(self):
-        # order 144 (n = 3, N = 24); the dense forms and per-pencil transients
-        # of a dense assembly peak at about 3.1 times the three reduced forms
+    def test_q_assembly_peaks_under_one_dense_form(self):
+        # order 144 (n = 3, N = 24): assembly holds the forms as d x d blocks,
+        # so it stays under one dense m x m form
         sp = standard_space(3)
         rng = np.random.default_rng(7)
         L0, L1 = _random_lagrangian(rng, sp), _random_lagrangian(rng, sp)
@@ -876,11 +862,11 @@ class TestPencilStacks:
         finally:
             tracemalloc.stop()
         assert op.size == 144
-        assert peak < 2 * sum(getattr(op, attr).nbytes for attr in PENCIL_ATTRS)
+        assert peak < 8 * op.size ** 2
 
-    def test_a_round_of_nodes_stays_within_the_stack_cap(self):
-        # 65 pencils of order 64 in one stack would hold 3 x 65 x 32 KiB of
-        # reduced forms; capped stacks of 4 stay under a third of that
+    def test_a_round_of_nodes_stays_under_a_third_of_its_dense_forms(self):
+        # 65 pencils of order 64 as dense reduced forms would take 3 x 65 x
+        # 32 KiB; their blocks and one pencil's dense forms stay under a third
         node_fn = ha._a0_node_fn(sech_family(1, amplitude=2.0), 1.0, 32, 0.5)
         tracemalloc.start()
         try:
@@ -892,64 +878,40 @@ class TestPencilStacks:
 
 
 class TestOperatorChecks:
-    def test_nonsymmetric_stiffness_rejected(self):
-        K = np.diag([1.0, 2.0, 3.0])
-        K[0, 2] = 1e-6
-        with pytest.raises(ValueError, match="symmetry residual"):
-            _operator(K, np.eye(3))
+    def test_infinite_potential_rejected(self):
+        base = sech_family(1, amplitude=2.0)
 
-    def test_indefinite_mass_rejected(self):
+        def K(lam, t):
+            # infinite at the first Gauss point of mesh 8 on [-2, 2], t = -1.894
+            bad = ((np.asarray(t) > -1.9) & (np.asarray(t) < -1.89))[..., None, None]
+            return np.where(bad, np.inf, base.K(lam, t))
+
+        fam = HamiltonianFamily(n=1, B=base.B, K=K, K_limits=base.K_limits,
+                                decay_scale=base.decay_scale, name="infinite")
+        for lam in (0.4, (0.3, 0.4)):
+            op = assemble_A0_operator(fam, lam, 2.0, 8)
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                op.eigenvalues(window=1.0)
+
+    def test_the_solve_certifies_the_mass(self):
+        sp = standard_space(1)
+        W = line_frame(sp, 0.0)
+        # a reversed interval has a negative mass
         with pytest.raises(ValueError, match="not positive definite"):
-            _operator(np.eye(3), np.diag([1.0, -1.0, 1.0]))
+            assemble_Q_operator(W, W, 1.0, 0.0, 8, sp).eigenvalues(window=1.0)
+        # without stabilization an infinite step leaves the stiffness finite
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+            assemble_Q_operator(W, W, 0.0, np.inf, 8, sp, stabilization=0.0).eigenvalues(1.0)
 
-    def test_symmetry_check_rejects_whatever_svd_test_rejects(self):
-        rng = np.random.default_rng(20)
-        svd_raises = 0
-        for _ in range(400):
-            n = int(rng.integers(2, 30))
-            A = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
-            A = A + A.T
-            R = rng.standard_normal((n, n))
-            R = (R - R.T) / np.linalg.norm(R - R.T, 2)
-            # perturbations straddling the 1e-12 relative threshold
-            eps = 1e-12 * max(1.0, np.linalg.norm(A, 2)) * 10.0 ** rng.uniform(-1.5, 0.5)
-            K = A + eps * R
-            _operator(A, np.eye(n))  # exactly symmetric: never rejected
-            if _svd_symmetry_rejects(K):
-                svd_raises += 1
-                with pytest.raises(ValueError, match="symmetry residual"):
-                    _operator(K, np.eye(n))
-        assert 50 < svd_raises < 350
-
-    def test_nonsymmetric_mass_rejected(self):
-        # a dense lower Cholesky reads only the lower triangle, so this mass
-        # once passed as the identity
-        M = np.eye(4)
-        M[0, 3] = 5.0
-        with pytest.raises(ValueError, match="mass symmetry residual"):
-            _operator(np.diag([0.1, 0.5, 2.0, 3.0]), M)
-
-    def test_nonfinite_entries_rejected(self):
-        M = np.eye(3)
-        M[1, 1] = np.nan  # LAPACK's banded Cholesky passes it
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            _operator(np.eye(3), M)
-        K = np.eye(3)
-        K[0, 2] = K[2, 0] = np.inf
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            _operator(K, np.eye(3)).eigenvalues(window=1.0)
-
-    def test_mass_band_read_from_nonzero_pattern(self):
-        # entries far outside the block band decide definiteness; a band cut
-        # at the block width would miss them
-        M = np.eye(12)
-        M[0, 11] = M[11, 0] = 0.5
-        _operator(np.eye(12), M)
-        M[0, 11] = M[11, 0] = 2.0
-        with pytest.raises(scipy.linalg.LinAlgError):
-            scipy.linalg.cholesky(M, lower=True)
-        with pytest.raises(ValueError, match="not positive definite"):
-            _operator(np.eye(12), M)
+    def test_dense_forms_are_read_only(self):
+        sp = standard_space(1)
+        W = line_frame(sp, 0.0)
+        for op in (assemble_Q_operator(W, W, 0.0, 1.0, 8, sp),
+                   assemble_Q_operator(np.stack([W.columns] * 2), np.stack([W.columns] * 2),
+                                       0.0, 1.0, 8, sp)):
+            for attr in PENCIL_ATTRS:
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(op, attr)[..., 0, 0] = 1.0
 
 
 def _eigh_reference(op, window):
@@ -1003,44 +965,62 @@ class TestInteriorBasisSolve:
             for window in (1.5 * pencil_window(0.0, 1.0), 1e4):
                 _assert_matches_eigh(op, window)
 
-    def test_operator_without_frames_matches_eigh(self):
-        sp = standard_space(2)
-        rng = np.random.default_rng(3)
-        op = assemble_Q_operator(_random_lagrangian(rng, sp), _random_lagrangian(rng, sp),
-                                 0.0, 1.0, 16, sp)
-        bare = BoundaryValueOperator(stiffness=op.stiffness, mass=op.mass, frames=(),
-                                     interval=op.interval, mesh=op.mesh,
-                                     roughness_form=op.roughness_form)
-        A = rng.standard_normal((12, 12))
-        dense = BoundaryValueOperator(stiffness=A + A.T, mass=A @ A.T + np.eye(12), frames=(),
-                                      interval=(0.0, 1.0), mesh=4, roughness_form=np.eye(12))
-        for pencil in (bare, dense):
-            for window in (1.0, 1e4):
-                _assert_matches_eigh(pencil, window)
-
-    def test_equal_interiors_share_one_cholesky(self, monkeypatch):
+    def test_a_q_stack_factors_its_interior_once(self, monkeypatch):
         rng = np.random.default_rng(8)
         sp = standard_space(2)
-        pencils = [assemble_Q_operator(_random_lagrangian(rng, sp), _random_lagrangian(rng, sp),
-                                       0.0, 1.0, N, sp) for N in (24, 24, 24, 20, 24)]
-        monkeypatch.setattr(ha, "_last_interior", None)
+        frames = [[_random_lagrangian(rng, sp) for _ in range(5)] for _ in range(2)]
+        stack = assemble_Q_operator(*([f.columns for f in fs] for fs in frames),
+                                    0.0, 1.0, 24, sp)
+        ones = [assemble_Q_operator(L0, L1, 0.0, 1.0, 20, sp) for L0, L1 in zip(*frames)]
         cholesky = _counting(monkeypatch, "dpbtrf")
         window = 1.5 * pencil_window(0.0, 1.0)
-        for op in pencils[:3]:
-            op.eigenvalues(window)
+        for _ in range(2):
+            stack.eigenvalues(window)
         assert cholesky == [23 * 4]
-        for op in pencils[3:]:  # a new mesh, then the first one again
+        for op in ones:  # a pencil assembled alone is a stack of its own
             op.eigenvalues(window)
-        assert cholesky == [23 * 4, 19 * 4, 23 * 4]
+        assert cholesky == [23 * 4] + [19 * 4] * 5
 
-    def test_a0_pencils_on_one_mesh_share_the_mass_factor(self, monkeypatch):
-        fam = sech_family(1, amplitude=2.0)
-        pencils = [assemble_A0_operator(fam, lam, 2.0, 32) for lam in (0.2, 0.5, 0.8)]
-        monkeypatch.setattr(ha, "_last_interior", None)
+    def test_an_a0_stack_factors_its_mass_once(self, monkeypatch):
+        stack = assemble_A0_operator(sech_family(1, amplitude=2.0), (0.2, 0.5, 0.8), 2.0, 32)
         cholesky = _counting(monkeypatch, "dpbtrf")
-        for op in pencils:
-            op.eigenvalues(0.5)
+        stack.eigenvalues(0.5)
         assert cholesky == [31 * 2]
+
+    def test_theorem_b_factors_once_per_round(self, monkeypatch):
+        path, W, sp = gamma_nor_path()
+        const = LagrangianPath.from_callable(sp, lambda lam: W, grid=17)
+        rounds = []
+        assemble = ha.assemble_Q_operator
+
+        def counting_assemble(L0, L1, *args, **kwargs):
+            rounds.append(len(L0))
+            return assemble(L0, L1, *args, **kwargs)
+
+        monkeypatch.setattr(ha, "assemble_Q_operator", counting_assemble)
+        cholesky = _counting(monkeypatch, "dpbtrf")
+        rep = theorem_B_report(path, const, 0.0, 1.0, 64)
+        assert rep.sfl == rep.maslov == 1
+        assert len(rounds) > 1 and sum(rounds) == len(rep.sfl_certificate.nodes)
+        assert cholesky == [63 * 2] * len(rounds)
+
+    def test_theorem_b_round_spectra_match_per_pencil(self, monkeypatch):
+        path, W, sp = gamma_nor_path()
+        const = LagrangianPath.from_callable(sp, lambda lam: W, grid=17)
+        rounds = []
+        assemble = ha.assemble_Q_operator
+
+        def recording_assemble(L0, L1, *args, **kwargs):
+            rounds.append((L0, L1, assemble(L0, L1, *args, **kwargs)))
+            return rounds[-1][2]
+
+        monkeypatch.setattr(ha, "assemble_Q_operator", recording_assemble)
+        theorem_B_report(path, const, 0.0, 1.0, 64)
+        window = 1.5 * pencil_window(0.0, 1.0)
+        for L0s, L1s, stack in rounds:
+            for F0, F1, vals in zip(L0s, L1s, stack.eigenvalues(window)):
+                op = assemble(LagrangianFrame(F0), LagrangianFrame(F1), 0.0, 1.0, 64, sp)
+                assert np.array_equal(vals, op.eigenvalues(window))
 
     def test_threads_sharing_the_interior_get_their_own_spectra(self):
         rng = np.random.default_rng(9)
@@ -1071,35 +1051,67 @@ class TestInteriorBasisSolve:
         assert mismatches == []
 
 
+    def test_threads_racing_to_factor_a_stack_get_its_spectra(self):
+        rng = np.random.default_rng(10)
+        sp = standard_space(2)
+        frames = [np.stack([_random_lagrangian(rng, sp).columns for _ in range(4)])
+                  for _ in range(2)]
+        fam, lams = sech_family(1, amplitude=2.0), (0.2, 0.5, 0.75)
+        builds = [lambda: assemble_Q_operator(*frames, 0.0, 1.0, 16, sp),
+                  lambda: assemble_A0_operator(fam, lams, 2.0, 16)]
+        want = [build().eigenvalues(0.5) for build in builds]
+        mismatches = []
+
+        def work(op, k):
+            if not all(np.array_equal(g, w) for g, w in zip(op.eigenvalues(0.5), want[k])):
+                mismatches.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                ops = [build() for build in builds]  # unfactored
+                threads = [threading.Thread(target=work, args=(ops[k % 2], k % 2))
+                           for k in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert mismatches == []
+
+
 class TestGhostFilterWarning:
-    # On (0, 1) with mesh 4 the cut is 2 / h^2 = 32; the eigenvector e_0 of
-    # mu = 0.1 has roughness R[0, 0], inside the warning band (16, 48).
+    # With cut 32 the eigenvector e_0 of mu = 0.1 has roughness R[0, 0],
+    # inside the warning band (16, 48); e_1 has roughness 0.
+    VALS, VECS = np.array([0.1, 0.5]), np.eye(4)[:, :2]
+
     @staticmethod
-    def _pencil(rough):
-        return BoundaryValueOperator(stiffness=np.diag([0.1, 0.5, 2.0, 3.0]), mass=np.eye(4),
-                                     frames=(), interval=(0.0, 1.0), mesh=4,
-                                     roughness_form=np.diag([rough, 0.0, 0.0, 0.0]))
+    def _filter(rough):
+        return ha._ghost_filter(TestGhostFilterWarning.VALS, TestGhostFilterWarning.VECS,
+                                np.diag([rough, 0.0, 0.0, 0.0]), 32.0)
+
+    def test_cut(self):
+        # on (0, 1) with mesh 4 the cut is 2 / h^2 = 32
+        sp = standard_space(1)
+        W = line_frame(sp, 0.0)
+        assert assemble_Q_operator(W, W, 0.0, 1.0, 4, sp).rough_cut == 32.0
 
     @pytest.mark.parametrize("rough, kept", [(24.0, True), (32.0, False), (40.0, False)])
     def test_single_pencil(self, rough, kept):
-        op = self._pencil(rough)
-        assert op.rough_cut == 32.0
         with pytest.warns(RuntimeWarning, match="ghost-filter cut"):
-            vals = op.eigenvalues(1.0)
+            vals = self._filter(rough)
         assert vals.tolist() == ([0.1, 0.5] if kept else [0.5])
 
     def test_stack(self):
-        ops = [self._pencil(rough) for rough in (24.0, 40.0)]
-        stack = BoundaryValueOperator(
-            stiffness=np.stack([op.stiffness for op in ops]),
-            mass=np.stack([op.mass for op in ops]), frames=(), interval=(0.0, 1.0), mesh=4,
-            roughness_form=np.stack([op.roughness_form for op in ops]))
         with pytest.warns(RuntimeWarning, match="ghost-filter cut"):
-            vals = stack.eigenvalues(1.0)
+            vals = [self._filter(rough) for rough in (24.0, 40.0)]
         assert [v.tolist() for v in vals] == [[0.1, 0.5], [0.5]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert self._pencil(0.0).eigenvalues(1.0).tolist() == [0.1, 0.5]
+            assert self._filter(0.0).tolist() == [0.1, 0.5]
 
 
 class TestTheoremB:

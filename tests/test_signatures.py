@@ -24,6 +24,9 @@ SIGNATURES = {
     ha.stable_space: ("family", "lam", "t0", "T"),
     # the benchmark's tracer binds propagate_subspace's arguments by name
     ha.propagate_subspace: ("frame", "family", "lam", "t_from", "t_to", "steps_per_unit"),
+    # the benchmark's tracer binds the pencil assemblers' arguments by name
+    ha.assemble_A0_operator: ("family", "lam", "T", "N", "stabilization", "scheme"),
+    ha.assemble_Q_operator: ("L0", "L1", "a", "b", "N", "space", "stabilization", "scheme"),
     ha.stable_unstable_splitting: ("M", "space"),
     ha.fundamental_solution: ("family", "lam", "t0", "steps"),
     ma.winding_number: ("d", "endpoint_kernel_dims"),

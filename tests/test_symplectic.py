@@ -11,7 +11,6 @@ from hamflow.symplectic import (
     intersection_dimension,
     intersection_dimension_rank,
     lagrangian_from_matrix,
-    orthogonal_projection,
     souriau_map,
     standard_space,
 )
@@ -79,13 +78,13 @@ def test_lagrangian_from_matrix_rank_check():
 def test_orthogonal_projection_examples():
     sp = standard_space(1)
     f = lagrangian_from_matrix(np.array([[1.0], [0.0]]), sp)
-    assert np.allclose(orthogonal_projection(f), np.diag([1.0, 0.0]))
+    assert np.allclose(f.projection(), np.diag([1.0, 0.0]))
     th = 0.7
     g = lagrangian_from_matrix(np.array([[np.cos(th)], [np.sin(th)]]), sp)
     expected = np.array([[np.cos(th) ** 2, np.cos(th) * np.sin(th)],
                          [np.cos(th) * np.sin(th), np.sin(th) ** 2]])
-    assert np.allclose(orthogonal_projection(g), expected)
-    P = orthogonal_projection(g)
+    assert np.allclose(g.projection(), expected)
+    P = g.projection()
     assert np.allclose(P @ P, P)
     assert np.trace(P) == pytest.approx(1.0)
 
@@ -283,18 +282,3 @@ def test_complexify_rejects_noncommuting():
     sp = standard_space(1)
     with pytest.raises(SymplecticError):
         complexify_commuting_operator(np.diag([1.0, 2.0]), sp)
-
-
-def test_subspace_pair_index_zero():
-    rng = np.random.default_rng(6)
-    from hamflow.symplectic import SubspacePair
-    for _ in range(50):
-        n = int(rng.integers(1, 4))
-        pair = SubspacePair(random_lagrangian_frame(rng, n), random_lagrangian_frame(rng, n))
-        assert pair.fredholm_index() == 0
-        assert 0 <= pair.intersection_dim() <= n
-    sp = standard_space(2)
-    W = lagrangian_from_matrix(np.eye(4)[:, [0, 1]], sp)
-    pair = SubspacePair(W, W)
-    assert pair.intersection_dim() == 2
-    assert pair.fredholm_index() == 0
