@@ -2,8 +2,9 @@
 """Lagrangian frames, the gap metric and the Souriau map.
 
 Walks through the basic dictionary: orthonormal frames for Lagrangian
-subspaces, distances between subspaces, and the unitary whose spectrum
-detects intersections.
+subspaces, the gap distance between subspaces, and the unitary whose
+eigenvalue -1 detects intersections, checked against the rank count
+2n - rank[F_L | F_W].
 """
 
 import numpy as np
@@ -12,10 +13,8 @@ from hamflow import (
     standard_space,
     lagrangian_from_matrix,
     gap_distance,
-    graph_gap_distance,
     souriau_map,
-    intersection_dimension,
-    complexify_commuting_operator,
+    intersection_dimension_rank,
 )
 
 sp = standard_space(1)
@@ -33,14 +32,6 @@ for deg in (10, 30, 60, 90):
     L = lagrangian_from_matrix(np.array([[np.cos(a)], [np.sin(a)]]), sp)
     print(f"{deg:5d}   {gap_distance(W, L):.6f}      {abs(np.sin(a)):.6f}")
 
-# graphs of operators live in the doubled space
-print("\ngap between the graphs of [0] and [1]:",
-      f"{graph_gap_distance(np.array([[0.0]]), np.array([[1.0]])):.6f}",
-      "(the angle between slopes 0 and 1 is 45 degrees)")
-
-# J acts as multiplication by i after complexification
-print("\ncomplexification of J:", complexify_commuting_operator(sp.J, sp).ravel())
-
 # the Souriau unitary of the rotating line winds twice as fast
 print("\nlambda   Souriau unitary      exp(2 pi i lambda)")
 for lam in (0.1, 0.25, 0.5, 0.75):
@@ -53,4 +44,5 @@ for lam in (0.1, 0.25, 0.5, 0.75):
 lam = 0.5
 L = lagrangian_from_matrix(np.array([[-np.sin(np.pi * lam)], [np.cos(np.pi * lam)]]), sp)
 print("\nat lambda = 1/2 the moving line coincides with the reference:")
-print("  intersection dimension:", intersection_dimension(W, L, sp))
+print("  Souriau unitary:", f"{souriau_map(W, L, sp)[0, 0]:+.4f}")
+print("  intersection dimension (rank count):", intersection_dimension_rank(W, L))

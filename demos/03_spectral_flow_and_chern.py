@@ -2,8 +2,10 @@
 """Spectral flow of matrix paths and the determinant-winding route.
 
 The flow counts eigenvalues crossing zero with sign, certified on an
-adaptive partition.  The same integer is the winding number of
-det(A(lambda) + i s) along a rectangle around the singular set.
+adaptive partition.  It is unchanged when the path is read as complex
+Hermitian matrices or shifted by a small multiple of the identity.  The
+same integer is the winding number of det(A(lambda) + i s) along a
+rectangle around the singular set.
 """
 
 import numpy as np
@@ -12,8 +14,6 @@ from hamflow import (
     SymmetricMatrixPath,
     spectral_flow,
     normalization_path,
-    shifted_flow,
-    complexify_path,
     chern_winding,
 )
 
@@ -23,12 +23,14 @@ flow, cert = spectral_flow(path)
 print("spectral flow of [2 lambda - 1]:", flow)
 print("certificate:", cert.summary())
 
-# the reference path: one rank-one branch through zero
+# the reference path of order 3 + 1 + 3: one rank-one branch through zero
 nor = normalization_path(3, 3)
 print("\nnormalization path flow:", spectral_flow(nor)[0])
 print("reversed:", spectral_flow(nor.reverse())[0])
-print("complexified:", spectral_flow(complexify_path(nor))[0])
-print("shifted by +1e-3:", shifted_flow(nor, 1e-3))
+complexified = SymmetricMatrixPath(lambda lam: nor(lam).astype(complex), nor.lipschitz)
+print("complexified:", spectral_flow(complexified)[0])
+shifted = SymmetricMatrixPath(lambda lam: nor(lam) + 1e-3 * np.eye(7), nor.lipschitz)
+print("shifted by +1e-3:", spectral_flow(shifted)[0])
 
 # determinant winding: kappa(lambda, s) = lambda - 1/2 + i s turns once
 print("\nchern winding of [2 lambda - 1]:", chern_winding(path))

@@ -15,11 +15,8 @@ from .symplectic import (
     standard_space,
     lagrangian_from_matrix,
     gap_distance,
-    graph_gap_distance,
     souriau_map,
-    intersection_dimension,
     intersection_dimension_rank,
-    complexify_commuting_operator,
 )
 from .maslov import (
     UnitaryPath,
@@ -37,18 +34,13 @@ from .spectral import (
     FlowCertificate,
     spectral_flow,
     normalization_path,
-    shifted_flow,
-    complexify_path,
     chern_winding,
 )
 from .hamiltonian import (
     HamiltonianFamily,
-    FundamentalSolution,
     BoundaryValueOperator,
     IndexReport,
     stable_unstable_splitting,
-    relative_dimension,
-    fundamental_solution,
     propagate_subspace,
     unstable_space,
     stable_space,

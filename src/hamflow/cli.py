@@ -139,7 +139,8 @@ def _is_real(value) -> bool:
 
 def _check_family_params(params: dict) -> None:
     """Every family takes an integer n >= 1, an optional list of n real rates
-    and otherwise real numbers."""
+    and otherwise real numbers; its time scales (width, bump_width,
+    ramp_scale) are positive."""
     for key, val in params.items():
         if key == "n":
             if not (_is_int(val) and val >= 1):
@@ -151,6 +152,8 @@ def _check_family_params(params: dict) -> None:
                 raise ConfigError("family parameter 'rates' must be a list of n real numbers")
         elif not _is_real(val):
             raise ConfigError(f"family parameter '{key}' must be a real number")
+        elif key in ("width", "bump_width", "ramp_scale") and val <= 0:
+            raise ConfigError(f"family parameter '{key}' must be positive")
 
 
 def _validate_ranges(cfg: ScenarioConfig) -> None:

@@ -3,9 +3,9 @@
 Systems Ju' + S_lam(t)u = 0 with S_lam(t) = B_lam + K_lam(t), where the
 perturbation K has limits at t = +-infinity and the asymptotic coefficient
 matrices J B_lam and J S_lam(+-infinity) are hyperbolic.  The module builds
-fundamental solutions, stable/unstable subspaces, and P1 Galerkin
-discretizations of the boundary-value operators whose spectral flow is
-compared against the Maslov index of the stable/unstable pair path.
+stable/unstable subspaces and P1 Galerkin discretizations of the
+boundary-value operators whose spectral flow is compared against the Maslov
+index of the stable/unstable pair path.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ STEPS_PER_UNIT = 64
 STEP_CHUNK = 64      # transport steps per family call, so memory is O(L STEP_CHUNK d^2)
 QR_EVERY = 8         # transport steps between re-orthonormalizations
 _GAUSS = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0  # Gauss-Legendre nodes on [0, 1]
-TOL_SYMPLECTIC = 1e-8
 SIGN_TOL = 1e-10     # relative 1-norm change that ends the sign iteration
 SIGN_MAX_STEPS = 100
 
@@ -77,7 +76,7 @@ class HamiltonianFamily:
     lam-independent ``(d, d)`` return is legal because it broadcasts.  So
     ``S`` evaluates a whole (lam, t) grid in one call; ``check_contract``
     checks the contract once per family, before any such call.
-    ``decay_scale`` certifies the envelope
+    ``decay_scale``, finite and positive, certifies the envelope
     |K(lam, t) - K(lam, +-inf)| <= C exp(-|t| / decay_scale).  Per-lambda
     results are memoized on the instance, so its fields must not change after
     use; ``shifted`` returns a new family with an empty memo.
@@ -91,6 +90,9 @@ class HamiltonianFamily:
     name: str = "custom"
 
     def __post_init__(self):
+        if not (np.isfinite(self.decay_scale) and self.decay_scale > 0):
+            raise AssumptionError(
+                f"decay_scale must be finite and positive, got {self.decay_scale}")
         self._space = standard_space(self.n)
         self._memo = {}  # per-lambda frames and spectra, shared by every report
 
@@ -182,8 +184,9 @@ class HamiltonianFamily:
                     f"residual {tail:.3e}); decay_scale looks wrong")
         return {"hyperbolicity_margin": float(margin)}
 
-    def lambda_lipschitz(self, lam_samples=None, t_samples=None, safety: float = 1.5) -> float:
-        """Bound on sup_t ||d S / d lam||, certifying pencil eigenvalue speed."""
+    def lambda_lipschitz(self, lam_samples=None, t_samples=None) -> float:
+        """Bound on sup_t ||d S / d lam||, certifying pencil eigenvalue speed:
+        1.5 times the largest sampled difference quotient."""
         self.check_contract()
         lams = np.asarray(lam_samples if lam_samples is not None else np.linspace(0.0, 1.0, 9),
                           dtype=float)[:, None]
@@ -192,7 +195,7 @@ class HamiltonianFamily:
         h = 1e-4
         lo, hi = np.maximum(0.0, lams - h), np.minimum(1.0, lams + h)
         rates = np.linalg.norm(self.S(hi, ts) - self.S(lo, ts), 2, axis=(-2, -1)) / (hi - lo)
-        return safety * float(np.max(rates)) + 1e-9
+        return 1.5 * float(np.max(rates)) + 1e-9
 
     def shifted(self, delta: float) -> "HamiltonianFamily":
         """Family with S replaced by S + delta I (B absorbs the shift)."""
@@ -213,7 +216,7 @@ def hyperbolicity_margin(M) -> float:
     return float(np.min(np.abs(np.linalg.eigvals(np.asarray(M, dtype=float)).real)))
 
 
-def stable_unstable_splitting(M, space: Optional[SymplecticSpace] = None):
+def stable_unstable_splitting(M):
     """Orthonormal frames for the stable (Re < 0) and unstable (Re > 0) subspaces.
 
     Broadcasts over a stack (..., d, d) whose matrices split alike.  The
@@ -221,9 +224,6 @@ def stable_unstable_splitting(M, space: Optional[SymplecticSpace] = None):
     Z <- (mu Z + (mu Z)^-1) / 2 with determinant scaling (Kenney and Laub
     1991) and one unscaled step after it converges; the frames are the
     leading left singular vectors of the spectral projectors (I -+ Z) / 2.
-    When ``space`` is given, the frames are certified Lagrangian (true
-    whenever M = JS with S symmetric) and returned as LagrangianFrame
-    objects, a list of them per side for a stack.
     """
     M = np.asarray(M, dtype=float)
     d = M.shape[-1]
@@ -252,46 +252,11 @@ def stable_unstable_splitting(M, space: Optional[SymplecticSpace] = None):
         resid = np.linalg.norm(MV - V @ (V.swapaxes(-1, -2) @ MV), 2, axis=(-2, -1))
         if np.any(resid > 100 * 1e-9 * scale):
             raise ValueError(f"invariant-subspace residual {np.max(resid):.3e} too large")
-    if space is None:
-        return Vm, Vp
-    frames = [[LagrangianFrame(v) for v in V.reshape((-1,) + V.shape[-2:])] for V in (Vm, Vp)]
-    for f in frames[0] + frames[1]:
-        f.check(space, tol=1e-8)
-    return tuple(fs if M.ndim > 2 else fs[0] for fs in frames)
-
-
-def relative_dimension(V, W) -> int:
-    """dim(W /\\ V_perp) - dim(W_perp /\\ V) for orthonormal frames V, W."""
-    V = V.columns if isinstance(V, LagrangianFrame) else np.asarray(V)
-    W = W.columns if isinstance(W, LagrangianFrame) else np.asarray(W)
-    s = np.linalg.svd(V.T @ W, compute_uv=False) if min(V.shape[1], W.shape[1]) else np.array([])
-    r = int(np.count_nonzero(s > 1e-8 * (s[0] if s.size and s[0] > 0 else 1.0)))
-    return (W.shape[1] - r) - (V.shape[1] - r)
+    return Vm, Vp
 
 
 # ---------------------------------------------------------------------------
 # flows
-
-
-@dataclass
-class FundamentalSolution:
-    """Sampled fundamental solution Psi of J Psi' + S Psi = 0, Psi(0) = I."""
-
-    lam: float
-    ts: np.ndarray
-    Psi: np.ndarray
-    symplectic_residual: float
-    space: SymplecticSpace = field(repr=False, default=None)
-
-    def at(self, t: float) -> np.ndarray:
-        idx = int(np.argmin(np.abs(self.ts - t)))
-        if abs(self.ts[idx] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"t={t} is not on the stored grid")
-        return self.Psi[idx]
-
-    def inverse_at(self, t: float) -> np.ndarray:
-        J = self.space.J
-        return -J @ self.at(t).T @ J
 
 
 def _magnus_steps(family, lams, t_from, t_to, nsteps):
@@ -317,31 +282,6 @@ def _magnus_steps(family, lams, t_from, t_to, nsteps):
         omega = 0.5 * h * (A1 + A2) + (np.sqrt(3.0) / 12.0) * h * h * (A2 @ A1 - A1 @ A2)
         even = eye + omega @ omega / 12.0
         yield np.linalg.solve(even - 0.5 * omega, even + 0.5 * omega)
-
-
-def fundamental_solution(family: HamiltonianFamily, lam: float, t0: float,
-                         steps: int = 256) -> FundamentalSolution:
-    """Psi with J Psi' + S_lam Psi = 0, Psi(0) = I, on 2 steps + 1 points of [-t0, t0].
-
-    Magnus-Pade steps (see ``_magnus_steps``) run out from t = 0 both ways.
-    They are symplectic, so the residual max ||Psi^T J Psi - J|| is rounding
-    error; above ``TOL_SYMPLECTIC`` it raises ``RuntimeError``.
-    """
-    J = family.space.J
-    ts = np.linspace(-t0, t0, 2 * steps + 1)
-    Psi = np.empty((len(ts), family.dim, family.dim))
-    Psi[steps] = np.eye(family.dim)
-    for sign in (1, -1):
-        i = steps
-        for chunk in _magnus_steps(family, [lam], 0.0, sign * t0, steps):
-            for step in chunk[0]:
-                Psi[i + sign] = step @ Psi[i]
-                i += sign
-    resid = float(np.max(np.linalg.norm(Psi.swapaxes(-1, -2) @ J @ Psi - J, 2, axis=(-2, -1))))
-    if resid > TOL_SYMPLECTIC:
-        raise RuntimeError(f"symplectic residual {resid:.3e} exceeds {TOL_SYMPLECTIC:g}")
-    return FundamentalSolution(lam=lam, ts=ts, Psi=Psi, symplectic_residual=resid,
-                               space=family.space)
 
 
 def propagate_subspace(frame, family: HamiltonianFamily, lam, t_from: float, t_to: float,
@@ -583,12 +523,6 @@ class BoundaryValueOperator:
             if self._shared:
                 self._interior = (L, C)
         return L, C
-
-    def smallest_magnitude(self, window: float):
-        """Smallest windowed |mu| (``window`` if none); a stack gives a list."""
-        vals = self.eigenvalues(window=window)
-        least = lambda v: float(np.min(np.abs(v))) if v.size else float(window)
-        return [least(v) for v in vals] if self._stacked else least(vals)
 
 
 def _ghost_filter(vals, vecs, R, cut):

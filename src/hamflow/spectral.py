@@ -21,7 +21,6 @@ a window, and a contour that does not settle raises
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -62,15 +61,6 @@ class SymmetricMatrixPath:
     def reverse(self) -> "SymmetricMatrixPath":
         fn = self.evaluator
         return SymmetricMatrixPath(lambda lam: fn(1.0 - lam), self.lipschitz)
-
-    def shifted(self, delta: float) -> "SymmetricMatrixPath":
-        fn = self.evaluator
-
-        def shifted_eval(lam):
-            A = np.asarray(fn(lam))
-            return A + delta * np.eye(A.shape[0], dtype=A.dtype)
-
-        return SymmetricMatrixPath(shifted_eval, self.lipschitz)
 
 
 @dataclass
@@ -321,28 +311,6 @@ def normalization_path(dim_minus: int, dim_plus: int) -> SymmetricMatrixPath:
         return np.diag(d)
 
     return SymmetricMatrixPath(evaluate, lipschitz=1.0)
-
-
-def shifted_flow(path: SymmetricMatrixPath, delta: float) -> int:
-    """Spectral flow of lam -> A(lam) + delta I.
-
-    For small positive delta this equals spectral_flow(path); a warning is
-    emitted when delta is large relative to the endpoint gaps.
-    """
-    shifted = path.shifted(delta)
-    gap = min(float(np.min(np.abs(np.linalg.eigvalsh(path.evaluate(lam))))) for lam in (0.0, 1.0))
-    if abs(delta) > 0.5 * gap > 0:
-        warnings.warn(
-            f"shift delta={delta:.3g} exceeds half the endpoint gap {gap:.3g}; "
-            "the shifted flow may differ from the unshifted one", RuntimeWarning)
-    flow, _ = spectral_flow(shifted)
-    return flow
-
-
-def complexify_path(path: SymmetricMatrixPath) -> SymmetricMatrixPath:
-    """The same path viewed as complex Hermitian matrices."""
-    fn = path.evaluator
-    return SymmetricMatrixPath(lambda lam: np.asarray(fn(lam)).astype(complex), path.lipschitz)
 
 
 def chern_winding(path: SymmetricMatrixPath, half_height: Optional[float] = None,

@@ -9,14 +9,12 @@ to J, so that complexification is an exact algebra map.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 TOL_STRUCTURE = 1e-10
 TOL_FRAME = 1e-10
-TOL_EIG = 1e-6
 RANK_RTOL = 1e-8
 
 
@@ -72,10 +70,6 @@ class SymplecticSpace:
     @property
     def n(self) -> int:
         return self.J.shape[0] // 2
-
-    def omega(self, x, y) -> float:
-        """Symplectic form w(x, y) = <Jx, y>."""
-        return float(np.dot(self.J @ np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
 
     def product(self, other: "SymplecticSpace") -> "SymplecticSpace":
         """Product space carrying the form w x (-w'), i.e. J~ = diag(J, -J')."""
@@ -136,9 +130,6 @@ class LagrangianFrame:
     def projection(self) -> np.ndarray:
         return self.columns @ self.columns.T
 
-    def check(self, space: SymplecticSpace, tol: float = TOL_FRAME) -> None:
-        check_frame_columns(self.columns, space, tol)
-
 
 def check_frame_columns(F, space: SymplecticSpace, tol: float = TOL_FRAME) -> None:
     """Raise SymplecticError unless the (d, k) frame F, or every frame of an
@@ -189,37 +180,6 @@ def gap_distance(U: LagrangianFrame, V: LagrangianFrame) -> float:
     return _signed_norm(U.projection() - V.projection())
 
 
-def graph_gap_distance(A, B) -> float:
-    """Gap metric between operators A, B via their graphs in R^{2N}."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if A.shape != B.shape or A.shape[0] != A.shape[1]:
-        raise SymplecticError("A and B must be square matrices of equal size")
-    N = A.shape[0]
-    ga, _ = np.linalg.qr(np.vstack([np.eye(N), A]))
-    gb, _ = np.linalg.qr(np.vstack([np.eye(N), B]))
-    return _signed_norm(ga @ ga.T - gb @ gb.T)
-
-
-def complexify_commuting_operator(M, space: SymplecticSpace) -> np.ndarray:
-    """Matrix of a J-commuting real operator as a C-linear map on C^n.
-
-    M must commute with J to 1e-8 of max(1, ||M||).  In the adapted basis a
-    commuting M has the block form [[A, B], [-B, A]] and acts on z = x + iy
-    as A - iB.
-    """
-    M = np.asarray(M, dtype=float)
-    comm = _spectral_norm(M @ space.J - space.J @ M)
-    if comm > 1e-8 * max(1.0, _spectral_norm(M)):
-        raise SymplecticError(f"operator does not commute with J: residual {comm:.3e}")
-    C = space.adapted_basis
-    Mc = C.T @ M @ C
-    n = space.n
-    A = 0.5 * (Mc[:n, :n] + Mc[n:, n:])
-    B = 0.5 * (Mc[:n, n:] - Mc[n:, :n])
-    return A - 1j * B
-
-
 def _reflection(F: LagrangianFrame, space: SymplecticSpace) -> np.ndarray:
     """Z Z^T, where z -> Z Z^T conj(z) is the reflection 2 P_F - I on C^n.
 
@@ -243,28 +203,6 @@ def souriau_map(W: LagrangianFrame, L: LagrangianFrame, space: SymplecticSpace) 
     if resid > 1e-8:
         raise SymplecticError(f"Souriau image is not unitary: residual {resid:.3e}; inputs likely not Lagrangian")
     return U
-
-
-def intersection_dimension(W: LagrangianFrame, L: LagrangianFrame, space: SymplecticSpace) -> int:
-    """dim(L /\\ W), counted as eigenvalues of the Souriau unitary within
-    ``TOL_EIG`` of -1.
-
-    Cross-checked against the rank oracle 2n - rank[F_L | F_W]; a warning is
-    emitted when the two counts disagree, noting an eigenvalue that sits
-    ambiguously near the ``TOL_EIG`` boundary.
-    """
-    U = souriau_map(W, L, space)
-    phases = np.angle(-np.linalg.eigvals(U))  # 0 <=> eigenvalue -1
-    count_s = int(np.count_nonzero(np.abs(phases) <= TOL_EIG))
-    count_rank = 2 * space.n - _rank(np.column_stack([L.columns, W.columns]))
-    if count_s != count_rank:
-        near = np.abs(np.abs(phases) - TOL_EIG) < 10 * TOL_EIG
-        warnings.warn(
-            f"intersection dimension ambiguous: Souriau count {count_s}, rank count {count_rank}"
-            + (" (eigenphases near the tolerance boundary)" if near.any() else ""),
-            RuntimeWarning,
-        )
-    return count_s
 
 
 def intersection_dimension_rank(W: LagrangianFrame, L: LagrangianFrame) -> int:

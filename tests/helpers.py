@@ -1,4 +1,4 @@
-"""Shared generators for randomized tests.
+"""Shared generators and references for randomized tests.
 
 Lagrangian subspaces of R^{2n} correspond to real spans of unitary frames
 through the complex identification z = x + iy, so random Lagrangian paths
@@ -7,8 +7,9 @@ are built from Hermitian generator paths.
 
 import numpy as np
 
-from hamflow.symplectic import LagrangianFrame, standard_space
-from hamflow.maslov import LagrangianPath
+from hamflow import hamiltonian as ha
+from hamflow.symplectic import LagrangianFrame, souriau_map, standard_space
+from hamflow.maslov import LagrangianPath, _eigenphases
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -80,3 +81,36 @@ def phase_block_path(signs, fixed_phases, grid=17, speed=0.5 * np.pi):
         return frame_from_unitary(U)
 
     return LagrangianPath.from_callable(space, frame, grid=grid), W, space
+
+
+def souriau_intersection_count(W, L, space):
+    """dim(L /\\ W) by the rule find_crossings gives a record: the Souriau
+    eigenphases within 1e-6 of -1."""
+    return int(np.count_nonzero(np.abs(_eigenphases(souriau_map(W, L, space))) <= 1e-6))
+
+
+def relative_dimension(V, W):
+    """Reference: dim(W /\\ V_perp) - dim(W_perp /\\ V) for orthonormal frames V, W."""
+    s = np.linalg.svd(V.T @ W, compute_uv=False)
+    r = int(np.count_nonzero(s > 1e-8 * (s[0] if s.size and s[0] > 0 else 1.0)))
+    return (W.shape[1] - r) - (V.shape[1] - r)
+
+
+def fundamental_solution(family, lam, t0, steps):
+    """Psi with J Psi' + S_lam Psi = 0 and Psi(0) = I, composed from the
+    transport's Magnus-Pade steps run out from t = 0 both ways: an array of
+    2 steps + 1 matrices, Psi[steps + k] at t = k t0 / steps."""
+    Psi = np.empty((2 * steps + 1, family.dim, family.dim))
+    Psi[steps] = np.eye(family.dim)
+    for sign in (1, -1):
+        i = steps
+        for chunk in ha._magnus_steps(family, [lam], 0.0, sign * t0, steps):
+            for step in chunk[0]:
+                Psi[i + sign] = step @ Psi[i]
+                i += sign
+    return Psi
+
+
+def symplectic_residual(Psi, J):
+    """max ||Psi^T J Psi - J||_2 over a stack of matrices."""
+    return float(np.max(np.linalg.norm(Psi.swapaxes(-1, -2) @ J @ Psi - J, 2, axis=(-2, -1))))

@@ -13,8 +13,6 @@ from hamflow.families import rotating_asymptotics_family, sech_family
 from hamflow.hamiltonian import (
     assemble_Q_operator,
     corollary_A_report,
-    fundamental_solution,
-    relative_dimension,
     stable_unstable_splitting,
     theorem_A_report,
     theorem_B_report,
@@ -33,14 +31,11 @@ from hamflow.maslov import (
 from hamflow.spectral import (
     SymmetricMatrixPath,
     chern_winding,
-    complexify_path,
     normalization_path,
-    shifted_flow,
     spectral_flow,
 )
 from hamflow.symplectic import (
     gap_distance,
-    intersection_dimension,
     intersection_dimension_rank,
     lagrangian_from_matrix,
     souriau_map,
@@ -48,15 +43,19 @@ from hamflow.symplectic import (
 )
 from helpers import (
     frame_from_unitary,
+    fundamental_solution,
     gamma_nor_path,
     phase_block_path,
     random_hermitian,
     random_lagrangian_frame,
     random_lagrangian_path,
+    relative_dimension,
+    souriau_intersection_count,
+    symplectic_residual,
     unitary_from_hermitian,
 )
 
-from test_spectral import random_piecewise_linear
+from test_spectral import complexified_path, random_piecewise_linear, shifted_path
 
 
 def _report(name, ok, detail=""):
@@ -246,7 +245,7 @@ def test_criterion_8b_intersection_count_equality():
         phases = np.concatenate([np.zeros(k), rng.uniform(0.3, np.pi - 0.3, n - k)])
         W = frame_from_unitary(Q)
         L = frame_from_unitary(Q @ O @ np.diag(np.exp(1j * phases)) @ O.T)
-        if not (intersection_dimension(W, L, sp) == intersection_dimension_rank(W, L) == k):
+        if not (souriau_intersection_count(W, L, sp) == intersection_dimension_rank(W, L) == k):
             bad += 1
     _report("8b intersection count equality", bad == 0, f"engineered dims 0..n, {bad} failures (150 trials)")
 
@@ -268,8 +267,8 @@ def test_criterion_8d_symplectic_identities():
     worst = 0.0
     for _ in range(100):
         fam = random_family(rng, n=int(rng.integers(1, 3)))
-        fs = fundamental_solution(fam, float(rng.uniform(0, 1)), 3.0, steps=192)
-        worst = max(worst, fs.symplectic_residual)
+        Psi = fundamental_solution(fam, float(rng.uniform(0, 1)), 3.0, steps=192)
+        worst = max(worst, symplectic_residual(Psi, fam.space.J))
     _report("8d fundamental solution symplectic identities", worst <= 1e-8,
             f"worst residual {worst:.2e} (100 trials)")
 
@@ -321,7 +320,7 @@ def test_criterion_8g_shift_invariance():
         p = random_piecewise_linear(rng, 4)
         gap = min(np.abs(np.linalg.eigvalsh(p.evaluate(lam))).min() for lam in (0.0, 1.0))
         base, _ = spectral_flow(p)
-        ok &= shifted_flow(p, 1e-3 * gap) == base
+        ok &= spectral_flow(shifted_path(p, 1e-3 * gap))[0] == base
     _report("8g small-shift invariance of the spectral flow", ok, "(100 trials)")
 
 
@@ -331,7 +330,7 @@ def test_criterion_8h_complexification():
     for _ in range(100):
         p = random_piecewise_linear(rng, int(rng.integers(2, 7)))
         fr, _ = spectral_flow(p)
-        fc, _ = spectral_flow(complexify_path(p))
+        fc, _ = spectral_flow(complexified_path(p))
         ok &= fr == fc
     _report("8h complexification equality", ok, "(100 trials)")
 

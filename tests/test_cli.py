@@ -127,6 +127,24 @@ def test_schema_type_violations(tmp_path, overrides):
     assert not (tmp_path / "results").exists()
 
 
+@pytest.mark.parametrize("family", [
+    {"id": "rotating-asymptotics", "ramp_scale": -2},
+    {"id": "rotating-asymptotics", "ramp_scale": 0},
+    {"id": "sech-perturbation", "width": -1},
+    {"id": "sech-perturbation", "width": 0},
+    {"id": "gamma-nor-embedding", "bump_width": -0.25},
+    {"id": "gamma-nor-embedding", "bump_width": 0},
+], ids=["ramp-negative", "ramp-zero", "width-negative", "width-zero", "bump-negative",
+        "bump-zero"])
+def test_non_positive_time_scale_rejected(tmp_path, family):
+    cfgp = write_config(tmp_path, family=family)
+    key = next(k for k in family if k != "id")
+    with pytest.raises(cli.ConfigError, match=f"'{key}' must be positive"):
+        cli.load_config(cfgp)
+    assert cli.main(["run", cfgp]) == cli.EXIT_SCHEMA
+    assert not (tmp_path / "results").exists()
+
+
 @pytest.mark.parametrize("overrides", [
     {"numeric": {"mesh": 2049}},
     {"numeric": {"mesh": 1025, "doubling": True}},

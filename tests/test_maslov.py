@@ -17,7 +17,7 @@ from hamflow.maslov import (
 from hamflow.spectral import FlowRefinementError, SymmetricMatrixPath, chern_winding
 from hamflow.symplectic import (
     LagrangianFrame,
-    intersection_dimension,
+    intersection_dimension_rank,
     lagrangian_from_matrix,
     souriau_map,
     standard_space,
@@ -29,6 +29,7 @@ from helpers import (
     phase_block_path,
     random_hermitian,
     random_lagrangian_path,
+    souriau_intersection_count,
     unitary_from_hermitian,
 )
 
@@ -136,7 +137,7 @@ class TestMaslovIndex:
 
         path = LagrangianPath.from_callable(sp, frame, grid=9)
         for lam, F in path.samples:
-            assert intersection_dimension(F, W, sp) == 0
+            assert souriau_intersection_count(F, W, sp) == 0
         assert maslov_index(path, W) == 0
 
     def test_concatenation_additivity(self):
@@ -197,7 +198,7 @@ class TestMaslovPair:
         p1 = LagrangianPath.from_callable(sp, lambda lam: line_frame(sp, 180.0 * lam), grid=17)
         p2 = LagrangianPath.from_callable(sp, lambda lam: line_frame(sp, 60.0 + 180.0 * lam), grid=17)
         for lam in np.linspace(0, 1, 9):
-            assert intersection_dimension(p1.frame(lam), p2.frame(lam), sp) == 0
+            assert souriau_intersection_count(p1.frame(lam), p2.frame(lam), sp) == 0
         assert maslov_index_pair(p1, p2) == 0
 
     def test_second_slot_orientation(self):
@@ -358,4 +359,5 @@ class TestFindCrossings:
         U = souriau_map(W, path.frame(0.5), sp)
         phases = np.angle(-np.linalg.eigvals(U))
         assert np.count_nonzero(np.abs(phases) < 1e-9) == 2
-        assert intersection_dimension(W, path.frame(0.5), sp) == 2
+        assert souriau_intersection_count(W, path.frame(0.5), sp) == 2
+        assert intersection_dimension_rank(W, path.frame(0.5)) == 2

