@@ -278,11 +278,13 @@ def _tracks_rows(cfg, family, T, grid):
     path_u, path_s = ha.stable_unstable_pair_path(family, grid, 0.0, T)
     rows = []
     spectra = node_fn([lam for lam, _ in path_u.samples])
-    for (lam, eu), (_, es), vals in zip(path_u.samples, path_s.samples, spectra):
+    Us = souriau_map(*(np.stack([F.columns for _, F in p.samples]) for p in (path_u, path_s)),
+                     family.space)
+    for (lam, eu), (_, es), vals, psi in zip(path_u.samples, path_s.samples, spectra,
+                                             ma._eigenphases(Us)):
         vals = np.sort(vals)
         vals = vals[np.argsort(np.abs(vals))[:n_eigs]]
         eigs = list(vals) + [np.nan] * (n_eigs - len(vals))
-        psi = ma._eigenphases(souriau_map(eu, es, family.space))
         psi = psi[np.argsort(np.abs(psi))][:2]
         phases = list(psi) + [np.nan] * (2 - len(psi))
         dim = intersection_dimension_rank(eu, es)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hamiltonian import HamiltonianFamily
+from .hamiltonian import AssumptionError, HamiltonianFamily
 from .symplectic import standard_space
 
 # amplitude at which the default sech family first acquires a homoclinic
@@ -115,8 +115,11 @@ def gamma_nor_embedding_family(n: int = 1, angle: float = np.pi, bump_width: flo
     The isotropic bump integrates to one, so crossing t = 0 rotates every
     solution by about angle * lam; the unstable frame at 0 traces a rotating
     line against the fixed stable frame, reproducing the one-crossing
-    normalization data for angle = pi.
+    normalization data for angle = pi.  ``bump_width`` must be finite and
+    positive: a negative width turns the rotation backwards.
     """
+    if not (np.isfinite(bump_width) and bump_width > 0):
+        raise AssumptionError(f"bump_width must be finite and positive, got {bump_width}")
     rates = rates if rates is not None else 1.0 + np.arange(n)
     B = _hyperbolic_B(n, rates)
     eye = np.eye(2 * n)

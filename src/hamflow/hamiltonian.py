@@ -412,14 +412,15 @@ class BoundaryValueOperator:
     eigenfunctions score O(1), ghosts score ~12/h^2.  Windowed spectra are
     therefore filtered at 2/h^2 (``rough_cut``) by default.
 
-    The operator holds what assembly computes: ``blocks``, the (diagonal,
-    upper, lower) d x d blocks of the stiffness, mass and roughness forms,
-    each stacked over (form, pencil), and the boundary ``frames``.  A stack
-    of L pencils that share interval and mesh holds two sequences of L
-    (d, k) frame columns, and blocks of L pencils, or of one pencil that all
-    share when there is no potential.  Each solve writes one pencil's dense forms from
-    the blocks (``_reduce``); ``stiffness``, ``mass`` and ``roughness_form``
-    are read-only dense forms written the same way, (L, m, m) for a stack.
+    The operator holds what assembly computes: ``blocks``, the stiffness,
+    mass and roughness forms, each as its (diagonal, upper, lower) d x d
+    blocks led by a pencil axis, and the boundary ``frames``.  A stack of L
+    pencils that share interval and mesh holds two sequences of L (d, k)
+    frame columns; its stiffness blocks have L entries when there is a
+    potential, and every other form one entry, which all pencils share.
+    The solve works from the blocks and never writes a pencil's dense
+    forms; ``stiffness``, ``mass`` and ``roughness_form`` are read-only
+    dense forms written from them (``_reduce``), (L, m, m) for a stack.
     ``size`` is one pencil's order m.
     """
 
@@ -445,16 +446,17 @@ class BoundaryValueOperator:
 
     @property
     def _shared(self) -> bool:
-        """The blocks hold one pencil's forms, which every pencil shares."""
-        return self.blocks[0].shape[1] == 1
-
-    def _forms(self, i):
-        """Pencil i's dense (stiffness, mass, roughness) forms, a (3, m, m) array."""
-        j = 0 if self._shared else i
-        return _reduce(*(x[:, j] for x in self.blocks), *self._frames(i))
+        """Every pencil shares the stiffness blocks, as it does the other forms'."""
+        return len(self.blocks[0][0]) == 1
 
     def _dense(self, form):
-        A = np.array(self._per_pencil(lambda i: self._forms(i)[form]))
+        blocks = self.blocks[form]
+
+        def one(i):
+            j = i if len(blocks[0]) > 1 else 0
+            return _reduce(*(x[j] for x in blocks), *self._frames(i))
+
+        A = np.array(self._per_pencil(one))
         A.flags.writeable = False
         return A
 
@@ -465,7 +467,7 @@ class BoundaryValueOperator:
     @property
     def size(self) -> int:
         F0, F1 = self._frames(0)
-        return F0.shape[1] + (self.mesh - 1) * self.blocks[0].shape[-1] + F1.shape[1]
+        return F0.shape[1] + (self.mesh - 1) * self.blocks[0][0].shape[-1] + F1.shape[1]
 
     @property
     def step(self) -> float:
@@ -483,113 +485,179 @@ class BoundaryValueOperator:
 
         With ``drop_rough``, parity-ghost modes are removed by the roughness
         filter (``_ghost_filter``).  A stack gives the list of its pencils'
-        arrays.  Each pencil is solved in its interior's mass basis with its
-        frame rows and columns as the border (``_interior_basis_eigh``).
+        arrays, solved together from the blocks (``_solve``).
         """
-        return self._per_pencil(lambda i: self._windowed(i, window, drop_rough))
+        spectra = self._solve(window, drop_rough)
+        return spectra if self._stacked else spectra[0]
 
-    def _windowed(self, i, window, drop_rough):
-        K, M, R = self._forms(i)
-        border = [F.shape[1] for F in self._frames(i)]
-        if not drop_rough:
-            return _interior_basis_eigh(K, M, *border, window, False, self._interior_factor)
-        vals, vecs = _interior_basis_eigh(K, M, *border, window, True, self._interior_factor)
-        return _ghost_filter(vals, vecs, R, self.rough_cut)
+    def _solve(self, window, vectors):
+        """Every pencil's eigenvalues in (-window, window], ascending, as
+        scipy's windowed ``eigh`` gives them; with ``vectors`` ghost-filtered.
+        One LAPACK ``dsyevx`` per pencil solves C = L^-1 K L^-T, M = L L^T
+        (Golub and Van Loan, Matrix Computations, 8.7).
 
-    def _interior_factor(self, M_in, K_in):
-        """(L_II, C_II) for a pencil's interior blocks: the Cholesky factor of
-        M_II in band storage and the lower triangle of C_II = L_II^-1 K_II L_II^-T.
+        The frame coordinates are the border b, ordered after the interior.
+        L = [[L_II, 0], [X^T, L_bb]] with X = L_II^-1 M_Ib and L_bb the factor
+        of the Schur complement M_bb - X^T X, so M is positive definite
+        exactly when M_II and it are (Haynsworth 1968).  With W = L_II^-1 K_Ib,
+        Z = L_bb^-1, Y = X Z^T and V = W Z^T, C's border columns are
+        G = V - C_II Y and its border block is Z K_bb Z^T - V^T Y - Y^T G.
+        The stack shares M, so X and W of every pencil come from one banded
+        solve over all border columns, the k x k Schur complements are
+        factored as one stack, and the back-transform x = L^-T z of every
+        found eigenvector is one transposed banded solve.  A pencil's own
+        work is its C_II (none when the stack shares it), one ``dsymm`` for
+        G and its ``dsyevx``.  No BLAS or LAPACK call gets an empty operand,
+        which some mishandle.
+        """
+        lapack = scipy.linalg.lapack
+        K, M, R = self.blocks
+        if not all(np.isfinite(x).all() for x in K + M):
+            raise ValueError("array must not contain infs or NaNs")
+        F0, F1 = (np.stack(F if self._stacked else [F.columns]) for F in self.frames)
+        count, k0 = len(F0), F0.shape[-1]
+        k, d = k0 + F1.shape[-1], K[0].shape[-1]
+        n_in = (self.mesh - 1) * d
+        L_II, C_shared = self._interior_factor()
+        # border rows of M and K for every pencil; rhs holds their interior
+        # columns M_Ib and K_Ib transposed, (form, pencil, k, n_in)
+        bb = np.zeros((2, count, k, k))
+        rhs = np.zeros((2, count, k, n_in))
+        for f, form in enumerate((M, K)):
+            c0, e0, e1, c1 = _frame_border(*form, F0, F1)
+            bb[f, :, :k0, :k0], bb[f, :, k0:, k0:] = c0, c1
+            rhs[f, :, :k0, :d], rhs[f, :, k0:, -d:] = e0, e1.swapaxes(-1, -2)
+        Xt, Wt = lapack.dtbtrs(L_II, rhs.reshape(-1, n_in).T, uplo="L")[0].T.reshape(rhs.shape)
+        try:
+            Z = np.linalg.inv(np.linalg.cholesky(bb[0] - Xt @ Xt.swapaxes(-1, -2)))
+        except np.linalg.LinAlgError:
+            raise ValueError("mass matrix is not positive definite") from None
+        Yt, Vt = Z @ Xt, Z @ Wt
+        Q = Z @ bb[1] @ Z.swapaxes(-1, -2) - Vt @ Yt.swapaxes(-1, -2)
+        spectra, found = [], []
+        for i in range(count):
+            C_II = C_shared if C_shared is not None else _standard_form(L_II, K, i)
+            G = scipy.linalg.blas.dsymm(-1.0, C_II, Yt[i].T, beta=1.0, c=Vt[i].T, lower=1)
+            C = np.empty((n_in + k, n_in + k), order="F")  # dsyevx reads its lower triangle only
+            C[:n_in, :n_in] = C_II
+            C[n_in:, :n_in] = G.T
+            C[n_in:, n_in:] = Q[i] - Yt[i] @ G
+            vals, z, m, _, info = lapack.dsyevx(C, compute_v=int(vectors), range="V", lower=1,
+                                                vl=-window, vu=window, overwrite_a=1)
+            if info:
+                raise scipy.linalg.LinAlgError(f"dsyevx failed with info {info}")
+            spectra.append(vals[:m])
+            if vectors and m:
+                found.append((i, z[:, :m].copy()))  # not a view that keeps all of z
+        if not vectors:
+            return spectra
+        u = np.zeros((self.mesh + 1, d, sum(z.shape[1] for _, z in found)))
+        if found:  # x = L^-T z, as nodal values
+            owner = np.concatenate([np.full(z.shape[1], i) for i, z in found])
+            z = np.concatenate([z for _, z in found], axis=1)
+            xb = np.einsum("cjk,jc->kc", Z[owner], z[n_in:])
+            x_in = z[:n_in] - np.einsum("ckn,kc->nc", Yt[owner], z[n_in:])
+            u[1:-1] = lapack.dtbtrs(L_II, x_in, uplo="L", trans="T")[0].reshape(-1, d, len(owner))
+            u[0] = np.einsum("cdk,kc->dc", F0[owner], xb[:k0])
+            u[-1] = np.einsum("cdk,kc->dc", F1[owner], xb[k0:])
+        return _ghost_filter(spectra, u, R, self.rough_cut)
+
+    def _interior_factor(self):
+        """(L_II, C_II or None): the Cholesky factor of the interior mass M_II
+        in band storage and, when the pencils share their forms (no
+        potential), the lower triangle of C_II = L_II^-1 K_II L_II^-T.
 
         Every pencil of a stack has the same M_II, so the stack factors it on
-        its first solve and keeps the factor; when the pencils share their
-        forms (no potential) it keeps C_II too.  The factor and solves are
+        its first solve and keeps the factor.  The factor and solves are
         banded because OpenBLAS hands dense ones of these orders to its
         thread pool.  Threads that race on a first solve factor twice and
         keep either result, which are equal; each reads the pair once, so
         its L_II and C_II agree.
         """
-        lapack = scipy.linalg.lapack
         if self._interior is None:
-            band = _lower_band(M_in)
-            if not np.isfinite(band).all():
-                raise ValueError("array must not contain infs or NaNs")
-            L, info = lapack.dpbtrf(band, lower=1)
+            L, info = scipy.linalg.lapack.dpbtrf(_interior_band(*self.blocks[1]), lower=1)
             if info:
                 raise ValueError("mass matrix is not positive definite")
-            self._interior = (L, None)
-        L, C = self._interior
-        if C is None:
-            C = lapack.dtbtrs(L, lapack.dtbtrs(L, K_in, uplo="L")[0].T, uplo="L")[0]
-            if self._shared:
-                self._interior = (L, C)
-        return L, C
+            self._interior = (L, _standard_form(L, self.blocks[0], 0) if self._shared else None)
+        return self._interior
 
 
-def _ghost_filter(vals, vecs, R, cut):
-    """The eigenvalues whose eigenvectors (v^T M v = 1) have roughness v^T R v
-    below ``cut``; a roughness within a factor 1.5 of the cut warns."""
-    rough = np.einsum("ij,ij->j", vecs, R @ vecs)
-    ambiguous = (rough > 0.5 * cut) & (rough < 1.5 * cut)
-    if ambiguous.any():
-        warnings.warn("eigenvector roughness near the ghost-filter cut; "
-                      "refine the mesh to separate the sectors", RuntimeWarning)
-    return vals[rough < cut]
+def _ghost_filter(spectra, u, rough, cut):
+    """Each pencil's eigenvalues whose eigenvectors have roughness u^T R u below
+    ``cut``.  ``u`` holds the (N+1, d) nodal values of every eigenvector
+    (v^T M v = 1), pencil after pencil, and ``rough`` the roughness form's
+    (diagonal, upper, lower) blocks; a pencil with a roughness within a
+    factor 1.5 of the cut warns."""
+    diag, upper, lower = (x[0] for x in rough)
+    Ru = np.einsum("pij,pjc->pic", diag, u)
+    Ru[:-1] += np.einsum("pij,pjc->pic", upper, u[1:])
+    Ru[1:] += np.einsum("pij,pjc->pic", lower, u[:-1])
+    roughness = np.einsum("pic,pic->c", u, Ru)
+    kept, start = [], 0
+    for vals in spectra:
+        r = roughness[start:start + len(vals)]
+        start += len(vals)
+        if np.any((r > 0.5 * cut) & (r < 1.5 * cut)):
+            warnings.warn("eigenvector roughness near the ghost-filter cut; "
+                          "refine the mesh to separate the sectors", RuntimeWarning)
+        kept.append(vals[r < cut])
+    return kept
 
 
-def _lower_band(M):
-    """M's lower band in LAPACK band storage, band[k, j] = M[j + k, j], reaching
-    back to every row's first nonzero: every entry a dense Cholesky reads."""
-    m = len(M)
-    cols = np.arange(m)
-    rows = np.arange(int(np.max(cols - np.argmax(M != 0, axis=1))) + 1)[:, None] + cols
-    return np.where(rows < m, M[np.minimum(rows, m - 1), cols], 0.0)
+def _interior_blocks(diag, upper, lower):
+    """A form's symmetrized interior blocks: (X + X^T) / 2 on the diagonal of
+    nodes 1 .. N-1 and (upper + lower^T) / 2 off it."""
+    sym_diag = (diag[..., 1:-1, :, :] + diag[..., 1:-1, :, :].swapaxes(-1, -2)) * 0.5
+    sym_upper = (upper[..., 1:-1, :, :] + lower[..., 1:-1, :, :].swapaxes(-1, -2)) * 0.5
+    return sym_diag, sym_upper
 
 
-def _interior_basis_eigh(K, M, k0, k1, window, vectors, interior):
-    """What scipy's windowed ``eigh`` gives: the pencil's eigenvalues in
-    (-window, window], ascending, and with ``vectors`` its (m, count)
-    eigenvectors, x^T M x = 1; by one LAPACK ``dsyevx`` of C = L^-1 K L^-T,
-    M = L L^T (Golub and Van Loan, Matrix Computations, 8.7).
+def _dense_interior(sym_diag, sym_upper):
+    """The dense interior, (N-1) d square, of a form's symmetrized interior blocks."""
+    nodes, d = sym_diag.shape[:2]
+    at = d * np.arange(nodes)[:, None, None]
+    rows, cols = at + np.arange(d)[:, None], at + np.arange(d)
+    A = np.zeros((nodes * d, nodes * d))
+    A[rows, cols] = sym_diag
+    A[rows[:-1], cols[1:]] = sym_upper
+    A[rows[1:], cols[:-1]] = sym_upper.swapaxes(-1, -2)
+    return A
 
-    The k0 first and k1 last unknowns are the border b.  Interior first,
-    L = [[L_II, 0], [X^T, L_bb]] with X = L_II^-1 M_Ib and L_bb the factor
-    of the Schur complement M_bb - X^T X, so M is positive definite exactly
-    when M_II and it are (Haynsworth 1968).  ``interior(M_II, K_II)`` gives
-    (L_II, C_II).  With W = L_II^-1 K_Ib, C's border rows are
-    L_bb^-1 (W - C_II X)^T and
-    L_bb^-1 (K_bb - X^T W - W^T X + X^T C_II X) L_bb^-T.  No BLAS or LAPACK
-    call gets an empty operand, which some mishandle.
-    """
-    if not np.isfinite(K).all():
-        raise ValueError("array must not contain infs or NaNs")
+
+def _interior_band(diag, upper, lower):
+    """The shared interior form's lower band in LAPACK band storage,
+    band[k, j] = A[j + k, j], reaching back to every row's first nonzero:
+    every entry a dense Cholesky reads."""
+    sym_diag, sym_upper = _interior_blocks(diag[0], upper[0], lower[0])
+    nodes, d = sym_diag.shape[:2]
+    # column block q holds rows q d .. q d + 2d - 1 of its d columns
+    cols = np.zeros((nodes, 2 * d, d))
+    cols[:, :d] = sym_diag
+    cols[:-1, d:] = sym_upper.swapaxes(-1, -2)
+    k, b = np.arange(2 * d)[:, None], np.arange(d)
+    band = np.where(k + b < 2 * d, cols[:, np.minimum(k + b, 2 * d - 1), b], 0.0)
+    band = band.transpose(1, 0, 2).reshape(2 * d, nodes * d)
+    return band[:np.flatnonzero(band.any(axis=1))[-1] + 1]
+
+
+def _standard_form(L, stiffness, j):
+    """C_II = L^-1 K_II L^-T for pencil j's stiffness blocks, by two banded
+    solves of its dense interior K_II."""
     lapack = scipy.linalg.lapack
-    m = len(K)
-    n_in = m - k0 - k1
-    inner, border = slice(k0, m - k1), np.concatenate((np.arange(k0), np.arange(m - k1, m)))
-    L, C_in = interior(M[inner, inner], K[inner, inner])
-    Mb, Kb = M[border], K[border]
-    X, W = (lapack.dtbtrs(L, A[:, inner].T, uplo="L")[0] for A in (Mb, Kb))
-    L_bb, info = lapack.dpotrf(Mb[:, border] - X.T @ X, lower=1)
-    if info:
-        raise ValueError("mass matrix is not positive definite")
-    Z = lapack.dtrtri(L_bb, lower=1)[0]
-    CX = scipy.linalg.blas.dsymm(1.0, C_in, X, lower=1)
-    XW = X.T @ W
-    C = np.empty((m, m), order="F")  # dsyevx reads its lower triangle only
-    C[:n_in, :n_in] = C_in
-    C[n_in:, :n_in] = Z @ (W - CX).T
-    C[n_in:, n_in:] = Z @ (Kb[:, border] - XW - XW.T + X.T @ CX) @ Z.T
-    vals, z, found, _, info = lapack.dsyevx(
-        C, compute_v=int(vectors), range="V", lower=1, vl=-window, vu=window, overwrite_a=1)
-    if info:
-        raise scipy.linalg.LinAlgError(f"dsyevx failed with info {info}")
-    if not vectors:
-        return vals[:found]
-    x = np.zeros((m, found))  # x = L^-T z
-    if found:
-        x[border] = Z.T @ z[n_in:, :found]
-        x[inner] = lapack.dtbtrs(L, z[:n_in, :found] - X @ x[border], uplo="L", trans="T")[0]
-    return vals[:found], x
+    K = _dense_interior(*_interior_blocks(*(x[j] for x in stiffness)))
+    return lapack.dtbtrs(L, lapack.dtbtrs(L, K, uplo="L")[0].T, uplo="L")[0]
+
+
+def _frame_border(diag, upper, lower, F0, F1):
+    """The frame rows of one form for a stack of pencils, symmetrized as
+    ``_reduce`` symmetrizes them: F0^T D_0 F0, the rows (F0^T U_0 + (L_0 F0)^T) / 2
+    that couple c0 with node 1, the columns (U_{N-1} F1 + (F1^T L_{N-1})^T) / 2
+    that couple node N-1 with c1, and F1^T D_N F1."""
+    F0t, F1t = F0.swapaxes(-1, -2), F1.swapaxes(-1, -2)
+    c0, c1 = F0t @ diag[:, 0] @ F0, F1t @ diag[:, -1] @ F1
+    e0 = (F0t @ upper[:, 0] + (lower[:, 0] @ F0).swapaxes(-1, -2)) * 0.5
+    e1 = (upper[:, -1] @ F1 + (F1t @ lower[:, -1]).swapaxes(-1, -2)) * 0.5
+    return ((c0 + c0.swapaxes(-1, -2)) * 0.5, e0, e1, (c1 + c1.swapaxes(-1, -2)) * 0.5)
 
 
 def _tridiagonal(d, N, diag_block, off_block):
@@ -633,8 +701,7 @@ def _potential_matrix(space, a, b, N, S_fn):
 
 
 def _reduce(diag, upper, lower, F0, F1):
-    """One pencil's C^T X C, symmetrized as (r + r^T) / 2, for each of its forms X,
-    as a (form, m, m) array, from the forms' blocks stacked alike.
+    """One pencil's C^T X C for a form X, symmetrized as (r + r^T) / 2, from X's blocks.
 
     C puts the frames F0, F1 in place of the end nodes: the interior is X's
     own blocks, and only the frame rows and columns take products, over a whole
@@ -644,27 +711,21 @@ def _reduce(diag, upper, lower, F0, F1):
     N, d = upper.shape[-3:-1]
     k0, k1 = F0.shape[1], F1.shape[1]
     m = k0 + (N - 1) * d + k1
-    out = np.zeros((len(diag), m, m))
-    sym_diag = (diag[:, 1:N] + diag[:, 1:N].swapaxes(-1, -2)) * 0.5
-    sym_upper = (upper[:, 1:N - 1] + lower[:, 1:N - 1].swapaxes(-1, -2)) * 0.5
-    at = k0 + d * np.arange(N - 1)[:, None, None]
-    rows, cols = at + np.arange(d)[:, None], at + np.arange(d)
-    out[:, rows, cols] = sym_diag
-    out[:, rows[:-1], cols[1:]] = sym_upper
-    out[:, rows[1:], cols[:-1]] = sym_upper.swapaxes(-1, -2)
-    top, bottom = np.zeros((2, len(out), d, (N + 1) * d))
-    left, right = np.zeros((2, len(out), m, d))
-    top[..., :d], top[..., d:2 * d] = diag[:, 0], upper[:, 0]
-    bottom[..., -2 * d:-d], bottom[..., -d:] = lower[:, -1], diag[:, -1]
+    out = np.zeros((m, m))
+    out[k0:m - k1, k0:m - k1] = _dense_interior(*_interior_blocks(diag, upper, lower))
+    top, bottom = np.zeros((2, d, (N + 1) * d))
+    left, right = np.zeros((2, m, d))
+    top[:, :d], top[:, d:2 * d] = diag[0], upper[0]
+    bottom[:, -2 * d:-d], bottom[:, -d:] = lower[-1], diag[-1]
     r0, r1 = F0.T @ top, F1.T @ bottom
-    left[:, :k0], left[:, k0:k0 + d] = r0[..., :d], lower[:, 0]
-    right[:, -k1 - d:-k1], right[:, -k1:] = upper[:, -1], r1[..., -d:]
+    left[:k0], left[k0:k0 + d] = r0[:, :d], lower[0]
+    right[-k1 - d:-k1], right[-k1:] = upper[-1], r1[:, -d:]
     c0, c1 = left @ F0, right @ F1
     # r's frame rows and columns, then (r + r^T) / 2 on the corners holding them
-    out[:, :k0 + d, :k0], out[:, :k0, k0:k0 + d] = c0[:, :k0 + d], r0[..., d:2 * d]
-    out[:, -k1 - d:, -k1:], out[:, -k1:, -k1 - d:-k1] = c1[:, -k1 - d:], r1[..., -2 * d:-d]
-    for corner in (out[:, :k0 + d, :k0 + d], out[:, -k1 - d:, -k1 - d:]):
-        corner[...] = (corner + corner.swapaxes(-1, -2)) * 0.5
+    out[:k0 + d, :k0], out[:k0, k0:k0 + d] = c0[:k0 + d], r0[:, d:2 * d]
+    out[-k1 - d:, -k1:], out[-k1:, -k1 - d:-k1] = c1[-k1 - d:], r1[:, -2 * d:-d]
+    for corner in (out[:k0 + d, :k0 + d], out[-k1 - d:, -k1 - d:]):
+        corner[...] = (corner + corner.T) * 0.5
     return out
 
 
@@ -672,9 +733,11 @@ DEFAULT_STABILIZATION = 0.05
 
 
 def _form_blocks(space, a, b, N, S_fn, stabilization, scheme):
-    """(diagonal, upper, lower) blocks of the stiffness, mass and roughness forms, stacked
-    over (form, pencil); the stiffness sums its parts as a dense assembly does.  The
-    pencil axis has one entry unless the potential has a leading pencil axis."""
+    """The stiffness, mass and roughness forms, each as its (diagonal, upper,
+    lower) blocks led by a pencil axis; the stiffness sums its parts as a
+    dense assembly does.  The stiffness's pencil axis has one entry per
+    pencil when the potential has a leading pencil axis; every other
+    form's has one entry, which the pencils share."""
     d = space.dim
     h = (b - a) / N
     I = np.eye(d)
@@ -691,10 +754,7 @@ def _form_blocks(space, a, b, N, S_fn, stabilization, scheme):
         M = _tridiagonal(d, N, 0.5 * h * I, 0.0 * I)
     else:
         M = _tridiagonal(d, N, (h / 3.0) * I, (h / 6.0) * I)
-    blocks = [np.empty((3,) + (x.shape[:-3] or (1,)) + x.shape[-3:]) for x in K]
-    for part, *forms in zip(blocks, K, M, rough):
-        part[0], part[1], part[2] = forms
-    return blocks
+    return tuple(tuple(x.reshape((-1,) + x.shape[-3:]) for x in form) for form in (K, M, rough))
 
 
 def _assemble(space, L0, L1, a, b, N, S_fn=None, stabilization=None, scheme="galerkin"):
@@ -703,8 +763,8 @@ def _assemble(space, L0, L1, a, b, N, S_fn=None, stabilization=None, scheme="gal
     L0 and L1 are frames, or sequences of L (d, k) frame columns (an (L, d, k)
     array is one) for a stack of L pencils; S_fn then returns a leading L axis
     (see ``_potential_matrix``).  The operator holds the forms as d x d blocks
-    (the potential from one ``S_fn`` call) and writes each pencil from them
-    when it is solved.  A small consistent second-difference term (O(h^2) on
+    (the potential from one ``S_fn`` call) and solves from them.  A small
+    consistent second-difference term (O(h^2) on
     smooth modes) keeps the parity-ghost sector spectrally separated from
     genuine near-kernel modes so the roughness filter never sees hybridized
     eigenvectors; ``stabilization=0`` disables it, which exhibits the doubled
@@ -815,7 +875,9 @@ def theorem_B_report(path0: LagrangianPath, path1: LagrangianPath, a: float, b: 
     -U and U = souriau_map(L0, L1).  So between two nodes its eigenvalues move
     at most _phase_margin(|U(hi) - U(lo)|) / (2(b - a)), the unitary-step rule
     the Maslov side counts with; the drift adds each node's measured gap from
-    the windowed pencil eigenvalues to that spectrum.
+    the windowed pencil eigenvalues to that spectrum.  A refinement round's
+    pencils are one stack, and its unitaries, eigenphases and step norms
+    take one call each.
     """
     space = path0.space
     if path1.space.dim != space.dim:
@@ -832,20 +894,20 @@ def theorem_B_report(path0: LagrangianPath, path1: LagrangianPath, a: float, b: 
         # per new lam: (windowed pencil eigenvalues, Souriau unitary, gap to the explicit
         # spectrum); k in {-1, 0, 1} suffices since the report window
         # 3 pi / (4 length) < pi / length
-        L0s, L1s = path0.frames(lams), path1.frames(lams)
-        spectra = assemble_Q_operator([f.columns for f in L0s], [f.columns for f in L1s],
-                                      a, b, N, space).eigenvalues(window=1.5 * w)
-        for lam, L0, L1, vals in zip(lams, L0s, L1s, spectra):
-            U = souriau_map(L0, L1, space)
-            exact = (2.0 * np.pi * np.arange(-1, 2)[:, None] - _eigenphases(U)).ravel() / length
+        L0s, L1s = (np.stack([f.columns for f in p.frames(lams)]) for p in (path0, path1))
+        spectra = assemble_Q_operator(L0s, L1s, a, b, N, space).eigenvalues(window=1.5 * w)
+        Us = souriau_map(L0s, L1s, space)
+        for lam, vals, U, theta in zip(lams, spectra, Us, _eigenphases(Us)):
+            exact = (2.0 * np.pi * np.arange(-1, 2)[:, None] - theta).ravel() / length
             gap = float(np.abs(vals[:, None] - exact).min(axis=1).max()) if vals.size else 0.0
             nodes[lam] = (vals, U, gap)
         return spectra
 
-    def drift_fn(lo, hi):
-        (_, U_lo, gap_lo), (_, U_hi, gap_hi) = nodes[lo], nodes[hi]
-        step = float(np.linalg.norm(U_hi - U_lo, 2))
-        return _phase_margin(step) / length + gap_lo + gap_hi
+    def drift_fn(pairs):
+        steps = np.linalg.norm(np.stack([nodes[hi][1] - nodes[lo][1] for lo, hi in pairs]), 2,
+                               axis=(-2, -1))
+        return [_phase_margin(step) / length + nodes[lo][2] + nodes[hi][2]
+                for step, (lo, hi) in zip(steps.tolist(), pairs)]
 
     flow, cert = flow_from_spectra(node_fn, drift_fn, path0.lo, path0.hi,
                                    initial_nodes=[s[0] for s in path0.samples], window=w,
@@ -888,8 +950,9 @@ def _a0_flow_setup(family, grid, T, N):
     report_band = max(1.5 * w_report, min(6.0 * w_report, 0.45 * gap_asym))
 
     def flow(node_fn, **kwargs):
-        return flow_from_spectra(node_fn, lambda lo, hi: lam_lip * (hi - lo), float(grid[0]),
-                                 float(grid[-1]), initial_nodes=grid, window=w_report,
+        drift_fn = lambda pairs: [lam_lip * (hi - lo) for lo, hi in pairs]
+        return flow_from_spectra(node_fn, drift_fn, float(grid[0]), float(grid[-1]),
+                                 initial_nodes=grid, window=w_report,
                                  report_window=report_band, **kwargs)
 
     return _a0_node_fn(family, T, N, report_band), report_band, flow

@@ -30,7 +30,8 @@ from .symplectic import (
 
 
 def _eigenphases(U):
-    """Signed angular distance of each eigenvalue from -1, in (-pi, pi]."""
+    """Signed angular distance of each eigenvalue from -1, in (-pi, pi]; for a
+    stack of unitaries, one row per unitary from one ``eigvals`` call."""
     return np.angle(-np.linalg.eigvals(U))
 
 
@@ -56,7 +57,7 @@ class UnitaryPath:
     ``samples`` is a list of (lam, U) with strictly increasing lam; the
     canonical parameter domain is [0, 1].  When ``evaluator`` is provided it
     is used to insert midpoints during certification: it maps a sequence of
-    lam to the list of their unitaries, and each refinement round of
+    lam to the sequence of their unitaries, and each refinement round of
     ``winding_number`` makes one call.  ``from_callable`` adapts a function
     of one lam.
     """
@@ -70,12 +71,13 @@ class UnitaryPath:
         lams = [s[0] for s in self.samples]
         if any(b <= a for a, b in zip(lams, lams[1:])):
             raise ValueError("sample parameters must be strictly increasing")
-        for lam, U in self.samples:
-            U = np.asarray(U)
-            n = U.shape[0]
-            resid = np.linalg.norm(U @ U.conj().T - np.eye(n))  # Frobenius >= spectral
-            if resid > 1e-8:
-                raise ValueError(f"sample at lam={lam} is not unitary (residual {resid:.2e})")
+        Us = np.stack([np.asarray(U) for _, U in self.samples])
+        # Frobenius >= spectral
+        resid = np.linalg.norm(Us @ Us.conj().swapaxes(-1, -2) - np.eye(Us.shape[-1]),
+                               axis=(-2, -1))
+        if np.any(resid > 1e-8):
+            i = int(np.argmax(resid > 1e-8))
+            raise ValueError(f"sample at lam={lams[i]} is not unitary (residual {resid[i]:.2e})")
 
     @classmethod
     def from_callable(cls, fn: Callable[[float], np.ndarray], grid=17, lo: float = 0.0,
@@ -98,21 +100,25 @@ def winding_number(d: UnitaryPath, endpoint_kernel_dims=None) -> int:
     ``endpoint_kernel_dims`` optionally declares (k0, k1) eigenvalues at -1
     at the two path endpoints; their eigenphases are snapped with a looser
     tolerance (1e-5) so that restrictions cut exactly at a crossing count it.
+
+    The samples, and each refinement round's new unitaries, take one
+    evaluator call, one ``eigvals`` call and one norm call for their steps.
     """
     lams = [lam for lam, _ in d.samples]
     unitaries = dict(d.samples)
     phases = {}
 
     def phases_at(lams):
-        # a refinement round's new unitaries come from one evaluator call
-        for lam, U in zip(lams, _lookup(unitaries, d.evaluator, lams)):
-            if lam not in phases:
-                phases[lam] = _eigenphases(np.asarray(U))
+        new = [lam for lam in dict.fromkeys(lams) if lam not in phases]
+        if new:
+            Us = _lookup(unitaries, d.evaluator, new)
+            phases.update(zip(new, _eigenphases(np.stack([np.asarray(U) for U in Us]))))
         return [phases[lam] for lam in lams]
 
+    phases_at(lams)
     if endpoint_kernel_dims is not None:
         for lam, k in zip((lams[0], lams[-1]), endpoint_kernel_dims):
-            psi = phases_at([lam])[0]
+            psi = phases[lam]
             order = np.argsort(np.abs(psi))
             if k and np.abs(psi[order[: int(k)]]).max() > 1e-5:
                 warnings.warn("declared endpoint kernel not visible in eigenphases", RuntimeWarning)
@@ -120,8 +126,9 @@ def winding_number(d: UnitaryPath, endpoint_kernel_dims=None) -> int:
             psi[order[: int(k)]] = 0.0
             phases[lam] = psi
 
-    def step_norm(a, b):
-        return float(np.linalg.norm(np.asarray(unitaries[b]) - np.asarray(unitaries[a]), 2))
+    def step_norm(pairs):
+        steps = np.stack([np.asarray(unitaries[b]) - np.asarray(unitaries[a]) for a, b in pairs])
+        return np.linalg.norm(steps, 2, axis=(-2, -1)).tolist()
 
     total, _ = unitary_count(phases_at, step_norm, lams)
     return total
@@ -187,12 +194,17 @@ class LagrangianPath:
         return LagrangianPath(self.space, [(a, Fa)] + inner + [(b, Fb)], self.evaluator)
 
     def souriau_path(self, W: LagrangianFrame) -> UnitaryPath:
-        space = self.space
-        samples = [(lam, souriau_map(W, F, space)) for lam, F in self.samples]
+        """The unitaries of the path against W; the samples, and each
+        evaluator call, take one Souriau call on the stack of their frames."""
+        def unitaries(frames):
+            return souriau_map(W, np.stack([F.columns for F in frames]), self.space)
+
+        samples = list(zip([lam for lam, _ in self.samples],
+                           unitaries([F for _, F in self.samples])))
         ev = None
         if self.evaluator is not None:
             fn = self.evaluator
-            ev = lambda lams: [souriau_map(W, F, space) for F in fn(lams)]
+            ev = lambda lams: unitaries(fn(lams))
         return UnitaryPath(samples, ev)
 
 
@@ -382,14 +394,16 @@ def find_crossings(path: LagrangianPath, W: LagrangianFrame, coarse: int = 64) -
     skipped before refinement when the drift rule of ``winding_number``
     keeps every eigenphase off zero across its cell, and dropped after it
     when no eigenphase lies within 1e-6 of zero.
-    Crossings at the path endpoints are flagged.  Each coarse node's
-    Souriau unitary is computed once and serves its phase, its record and
-    the drift rule of both cells it bounds.
+    Crossings at the path endpoints are flagged.  The coarse nodes' Souriau
+    unitaries come from one call, their phases from one ``eigvals`` call and
+    the step norms of the cells the drift rule checks from one norm call;
+    each node's unitary serves its phase, its record and both cells it
+    bounds.
     """
     phase_tol = 1e-6
     lams = np.linspace(path.lo, path.hi, coarse + 1)
-    Us = [souriau_map(W, path.frame(lam), path.space) for lam in lams]
-    psis = [_eigenphases(U) for U in Us]
+    Us = souriau_map(W, np.stack([F.columns for F in path.frames(list(lams))]), path.space)
+    psis = _eigenphases(Us)
     vals = np.array([_nearest(psi) for psi in psis])
     records = []
 
@@ -407,15 +421,16 @@ def find_crossings(path: LagrangianPath, W: LagrangianFrame, coarse: int = 64) -
                 warnings.warn(f"crossing at path endpoint lam={lams[i]:.6g}", RuntimeWarning)
             record_at(lams[i], psis[i])
 
-    for i in range(len(lams) - 1):
+    cells = [i for i in range(len(lams) - 1)
+             if min(abs(vals[i]), abs(vals[i + 1])) > phase_tol
+             and np.sign(vals[i]) != np.sign(vals[i + 1])]
+    steps = (np.linalg.norm(Us[[i + 1 for i in cells]] - Us[cells], 2, axis=(-2, -1))
+             if cells else [])
+    for i, step in zip(cells, steps):
         a, b = lams[i], lams[i + 1]
         fa, fb = vals[i], vals[i + 1]
-        if abs(fa) <= phase_tol or abs(fb) <= phase_tol:
-            continue
-        if np.sign(fa) == np.sign(fb):
-            continue
         # |fa|, |fb| are the ends' smallest |eigenphase|: none reaches 0 inside
-        drift = _unitary_drift(float(np.linalg.norm(Us[i + 1] - Us[i], 2)))
+        drift = _unitary_drift(float(step))
         if drift is not None and min(abs(fa), abs(fb)) > drift:
             continue
         lam = _shrink_bracket(lambda lam: _nearest_phase(path, W, lam), a, b, fa, fb, 1e-10)

@@ -118,18 +118,20 @@ def certified_count(values, drift, window, nodes, zero_snap, max_depth):
 
     ``values(lams)`` maps a list of nodes to the list of their signed spectra,
     measured from the crossing point (eigenvalues from 0, Souriau eigenphases
-    from -1).  ``drift(a, b)`` bounds how far any value moves over [a, b], or
-    returns None when [a, b] must be split.  ``window(va, vb, m)`` returns a
-    bound eps whose +-eps stays clear of both node spectra by more than the
+    from -1).  ``drift(pairs)`` maps a list of subintervals (a, b) to the
+    list of bounds on how far any value moves over each, with None for one
+    that must be split.  ``window(va, vb, m)`` returns a bound eps whose
+    +-eps stays clear of both node spectra by more than the
     drift m, or None.  The total is the sum over subintervals of the right
     count minus the left count of values in [-zero_snap, eps].
 
-    The partition is refined in rounds.  Each round decides every subinterval
-    whose ends are known, raising ``FlowRefinementError`` on one that fails
-    at ``max_depth`` or cannot be halved, then halves the leftmost failing
-    subintervals and asks for all their midpoints in one ``values`` call, so
-    a batched evaluator (the transport behind a Maslov winding) serves a
-    whole round.  A round halves at most as many subintervals as the initial
+    The partition is refined in rounds.  Each round asks for the drift of
+    every subinterval whose ends are known in one ``drift`` call, decides
+    them, raising ``FlowRefinementError`` on one that fails at ``max_depth``
+    or cannot be halved, then halves the leftmost failing subintervals and
+    asks for all their midpoints in one ``values`` call, so a batched
+    evaluator (the transport behind a Maslov winding) serves a whole round.
+    A round halves at most as many subintervals as the initial
     partition has: a path that never settles (a discontinuous one) would
     otherwise double the work of every round up to the depth limit, while
     with the cap it fails after about that many times ``max_depth``
@@ -143,9 +145,12 @@ def certified_count(values, drift, window, nodes, zero_snap, max_depth):
     todo = [(a, b, 0) for a, b in zip(nodes, nodes[1:])]
     failing, intervals = [], []
     while todo:
-        for a, b, depth in todo:
+        drifts = list(drift([(a, b) for a, b, _ in todo]))
+        if len(drifts) != len(todo):
+            raise ValueError(f"a drift function maps a list of subintervals to a list of bounds; "
+                             f"asked for {len(todo)}, it returned {len(drifts)}")
+        for (a, b, depth), m in zip(todo, drifts):
             va, vb = known[a], known[b]
-            m = drift(a, b)
             eps = None if m is None else window(va, vb, m)
             if eps is None:
                 mid = 0.5 * (a + b)
@@ -201,16 +206,17 @@ def unitary_count(phases, step_norm, nodes):
     """Net count of eigenvalues crossing -1 counterclockwise along a path of unitaries.
 
     ``phases(lams)`` maps a list of nodes to their eigenphases, the signed
-    angular distances from -1 in (-pi, pi], and ``step_norm(a, b)`` returns
-    ||U(b) - U(a)|| for two nodes already asked for.  A subinterval counts
-    once its step norm is within ``UNITARY_BUDGET`` and a window of
+    angular distances from -1 in (-pi, pi], and ``step_norm(pairs)`` maps a
+    list of subintervals (a, b), whose nodes were asked for, to the list of
+    their ||U(b) - U(a)||.  A subinterval counts once its step norm is
+    within ``UNITARY_BUDGET`` and a window of
     half-width eps around -1 clears both nodes' phases by more than
     ``_phase_margin`` of the step; node phases within ``SNAP_TOL`` of -1
     count as crossings, and refinement stops at ``MAX_REFINE_DEPTH``
     halvings.  Returns ``certified_count``'s (total, certificate).
     """
-    return certified_count(phases, lambda a, b: _unitary_drift(step_norm(a, b)), _phase_window,
-                           nodes, SNAP_TOL, MAX_REFINE_DEPTH)
+    return certified_count(phases, lambda pairs: [_unitary_drift(s) for s in step_norm(pairs)],
+                           _phase_window, nodes, SNAP_TOL, MAX_REFINE_DEPTH)
 
 
 def flow_from_spectra(node_fn, drift_fn, lo=0.0, hi=1.0, initial_nodes=17, window=None,
@@ -221,10 +227,10 @@ def flow_from_spectra(node_fn, drift_fn, lo=0.0, hi=1.0, initial_nodes=17, windo
     ``node_fn(lams)`` maps a list of nodes to the list of their (real)
     eigenvalues relevant for counting; it is asked once for both endpoints and
     then once per refinement round, for the nodes not asked before, so a
-    batched evaluator serves a whole round.  ``drift_fn(lamL, lamR)`` returns
-    a certified bound on how far any of them moves over the subinterval
-    (e.g. a Weyl, Lipschitz or unitary-step bound) for two nodes already
-    asked for.
+    batched evaluator serves a whole round.  ``drift_fn(pairs)`` maps a list
+    of subintervals (lamL, lamR), whose nodes were asked for, to the list of
+    certified bounds on how far any of the eigenvalues moves over each (e.g.
+    a Weyl, Lipschitz or unitary-step bound); it is asked once per round.
     With a ``window``, counting boundaries stay below it; ``report_window``
     (>= window, default equal) declares how far out ``node_fn`` reports, so
     unreported eigenvalues are known to be at least that far from zero at the
@@ -262,8 +268,8 @@ def flow_from_spectra(node_fn, drift_fn, lo=0.0, hi=1.0, initial_nodes=17, windo
         cap = min(window, rw - m) if window is not None else np.inf
         return _choose_eps(np.abs(np.concatenate((sa, sb))), m, cap, 0.0, max(1e-14, 1e-9 * m))
 
-    return certified_count(spec, lambda a, b: drift_fn(a, b) + 1e-12, eps_for, nodes,
-                           zero_snap, max_depth)
+    return certified_count(spec, lambda pairs: [m + 1e-12 for m in drift_fn(pairs)], eps_for,
+                           nodes, zero_snap, max_depth)
 
 
 def spectral_flow(path: SymmetricMatrixPath, initial_nodes=17, check_endpoints=True):
@@ -283,11 +289,12 @@ def spectral_flow(path: SymmetricMatrixPath, initial_nodes=17, check_endpoints=T
     def node_fn(lams):
         return [np.linalg.eigvalsh(mat(lam)) for lam in lams]
 
-    def drift_fn(a, b):
-        step = float(np.linalg.norm(mat(b) - mat(a), 2))
-        if path.lipschitz is not None:
-            step = min(step if step > 0 else np.inf, path.lipschitz * (b - a))
-        return step
+    def drift_fn(pairs):
+        steps = np.linalg.norm(np.stack([mat(b) - mat(a) for a, b in pairs]), 2, axis=(-2, -1))
+        if path.lipschitz is None:
+            return steps.tolist()
+        return [min(step if step > 0 else np.inf, path.lipschitz * (b - a))
+                for step, (a, b) in zip(steps.tolist(), pairs)]
 
     return flow_from_spectra(node_fn, drift_fn, 0.0, 1.0, initial_nodes=initial_nodes,
                              check_endpoints=check_endpoints)
@@ -362,11 +369,14 @@ def chern_winding(path: SymmetricMatrixPath, half_height: Optional[float] = None
         polar.update(zip(taus, zip(np.clip(xs, 0.0, 1.0), vecs, z / np.abs(z))))
         return list(np.angle(-z))
 
-    def step_norm(a, b):
-        (xa, Va, ua), (xb, Vb, ub) = polar[a], polar[b]
-        if xa == xb:  # one A, so both polar factors have its eigenvectors
-            return float(np.max(np.abs(ub - ua)))
-        return float(np.linalg.norm((Vb * ub) @ Vb.conj().T - (Va * ua) @ Va.conj().T, 2))
+    def step_norm(pairs):
+        ends = [(polar[a], polar[b]) for a, b in pairs]
+        moved = [(Vb * ub) @ Vb.conj().T - (Va * ua) @ Va.conj().T
+                 for (xa, Va, ua), (xb, Vb, ub) in ends if xa != xb]
+        norms = iter(np.linalg.norm(np.stack(moved), 2, axis=(-2, -1)).tolist() if moved else ())
+        # one A at both ends, so both polar factors have its eigenvectors
+        return [float(np.max(np.abs(ub - ua))) if xa == xb else next(norms)
+                for (xa, _, ua), (xb, _, ub) in ends]
 
     total, _ = unitary_count(phases, step_norm, np.linspace(0.0, 1.0, samples + 1))
     return total

@@ -180,28 +180,35 @@ def gap_distance(U: LagrangianFrame, V: LagrangianFrame) -> float:
     return _signed_norm(U.projection() - V.projection())
 
 
-def _reflection(F: LagrangianFrame, space: SymplecticSpace) -> np.ndarray:
-    """Z Z^T, where z -> Z Z^T conj(z) is the reflection 2 P_F - I on C^n.
+def _reflection(F, space: SymplecticSpace) -> np.ndarray:
+    """Z Z^T, where z -> Z Z^T conj(z) is the reflection 2 P_F - I on C^n, for
+    (..., 2n, n) frame columns F.
 
     Z = X + iY holds the frame's columns in the adapted basis.
     """
-    G = space.adapted_basis.T @ F.columns
-    Z = G[:space.n] + 1j * G[space.n:]
-    return Z @ Z.T
+    G = space.adapted_basis.T @ F
+    Z = G[..., :space.n, :] + 1j * G[..., space.n:, :]
+    return Z @ Z.swapaxes(-1, -2)
 
 
-def souriau_map(W: LagrangianFrame, L: LagrangianFrame, space: SymplecticSpace) -> np.ndarray:
+def souriau_map(W, L, space: SymplecticSpace) -> np.ndarray:
     """Unitary -(I - 2 P_L)(I - 2 P_W) on C^n for Lagrangian L, W.
 
     Both reflections are antilinear, z -> Z Z^T conj(z), so the product is
     -(Z_L Z_L^T) conj(Z_W Z_W^T).  dim(L /\\ W) equals the multiplicity of -1
-    in the spectrum of the result.
+    in the spectrum of the result.  Broadcasts over stacks of frames as
+    ``propagate_subspace`` does over lam: W and L are frames or (..., 2n, n)
+    stacks of frame columns, which broadcast against each other, and two
+    frames give one (n, n) unitary.
     """
+    W, L = (F.columns if isinstance(F, LagrangianFrame) else np.asarray(F, dtype=float)
+            for F in (W, L))
     U = -_reflection(L, space) @ _reflection(W, space).conj()
     # the Frobenius norm bounds the spectral norm from above
-    resid = float(np.linalg.norm(U @ U.conj().T - np.eye(space.n)))
-    if resid > 1e-8:
-        raise SymplecticError(f"Souriau image is not unitary: residual {resid:.3e}; inputs likely not Lagrangian")
+    resid = np.linalg.norm(U @ U.conj().swapaxes(-1, -2) - np.eye(space.n), axis=(-2, -1))
+    if np.any(resid > 1e-8):
+        raise SymplecticError(f"Souriau image is not unitary: residual {np.max(resid):.3e}; "
+                              f"inputs likely not Lagrangian")
     return U
 
 

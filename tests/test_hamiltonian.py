@@ -847,6 +847,18 @@ class TestPencilStacks:
         for vals in assemble_Q_operator(frames, frames, 0.0, 1.0, 64, sp).eigenvalues(0.3):
             assert np.count_nonzero(np.abs(vals) < 1e-8) == 1
 
+    def test_a_stack_holds_the_shared_forms_once(self):
+        # only the stiffness carries a potential, so only it is held per pencil
+        fam, lams, N = sech_family(2, amplitude=2.0), np.linspace(0.0, 1.0, 7), 16
+        stack = assemble_A0_operator(fam, lams, 2.0, N)
+        d = fam.dim
+        for form, pencils in zip(stack.blocks, (len(lams), 1, 1)):
+            assert [x.shape for x in form] == [(pencils, N + 1, d, d), (pencils, N, d, d),
+                                               (pencils, N, d, d)]
+        frames = np.stack([ha._asymptotic_frames(fam, [0.3], -1)[0].columns] * 3)
+        q = assemble_Q_operator(frames, frames, 0.0, 1.0, N, fam.space)
+        assert {x.shape[0] for form in q.blocks for x in form} == {1}
+
     def test_q_assembly_peaks_under_one_dense_form(self):
         # order 144 (n = 3, N = 24): assembly holds the forms as d x d blocks,
         # so it stays under one dense m x m form
@@ -1082,15 +1094,75 @@ class TestInteriorBasisSolve:
         assert mismatches == []
 
 
+class TestRoundWork:
+    """Work counts of a stack solve and of a refinement round."""
+
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_a_stack_takes_one_border_solve_and_one_dsyevx_per_pencil(self, count, monkeypatch):
+        # a shared interior: one banded solve for every border column, two
+        # for C_II and one back-transform, however many pencils
+        rng = np.random.default_rng(11)
+        sp = standard_space(2)
+        frames = [np.stack([_random_lagrangian(rng, sp).columns for _ in range(count)])
+                  for _ in range(2)]
+        stack = assemble_Q_operator(*frames, 0.0, 1.0, 24, sp)
+        solves, dsyevx = _counting(monkeypatch, "dtbtrs"), _counting(monkeypatch, "dsyevx")
+        stack.eigenvalues(1.5 * pencil_window(0.0, 1.0))
+        assert solves == [23 * 4] * 4
+        assert dsyevx == [stack.size] * count
+        solves.clear()
+        stack.eigenvalues(1.5 * pencil_window(0.0, 1.0), drop_rough=False)
+        assert solves == [23 * 4]  # C_II is the stack's now, and no vectors
+
+    def test_an_a0_stack_solves_its_border_columns_at_once(self, monkeypatch):
+        # with a potential each pencil has its own C_II, two banded solves
+        stack = assemble_A0_operator(sech_family(1, amplitude=2.0), (0.2, 0.5, 0.8), 2.0, 32)
+        solves, dsyevx = _counting(monkeypatch, "dtbtrs"), _counting(monkeypatch, "dsyevx")
+        stack.eigenvalues(0.5)
+        assert len(solves) == 1 + 2 * 3 + 1
+        assert dsyevx == [stack.size] * 3
+
+    def test_theorem_b_makes_one_souriau_call_per_round(self, monkeypatch):
+        path, W, sp = gamma_nor_path()
+        const = LagrangianPath.from_callable(sp, lambda lam: W, grid=17)
+        rounds, souriau = [], []
+        assemble, souriau_map = ha.assemble_Q_operator, ha.souriau_map
+
+        def counting_assemble(L0, L1, *args, **kwargs):
+            rounds.append(len(L0))
+            return assemble(L0, L1, *args, **kwargs)
+
+        def counting_souriau(W, L, space):
+            souriau.append(len(rounds))
+            return souriau_map(W, L, space)
+
+        monkeypatch.setattr(ha, "assemble_Q_operator", counting_assemble)
+        monkeypatch.setattr(ha, "souriau_map", counting_souriau)
+        rep = theorem_B_report(path, const, 0.0, 1.0, 64)
+        assert rep.sfl == rep.maslov == 1
+        assert len(rounds) > 1
+        assert souriau == list(range(1, len(rounds) + 1))  # one after each round's pencils
+
+
 class TestGhostFilterWarning:
-    # With cut 32 the eigenvector e_0 of mu = 0.1 has roughness R[0, 0],
-    # inside the warning band (16, 48); e_1 has roughness 0.
-    VALS, VECS = np.array([0.1, 0.5]), np.eye(4)[:, :2]
+    # With cut 32, roughness blocks diag(rough, 0) at a node give the nodal
+    # eigenvector e_0 there, of mu = 0.1, roughness rough, inside the warning
+    # band (16, 48) for 24, 32 and 40 (0.75, 1 and 1.25 x cut); e_1 of
+    # mu = 0.5 has roughness 0.
+    VALS = np.array([0.1, 0.5])
 
     @staticmethod
-    def _filter(rough):
-        return ha._ghost_filter(TestGhostFilterWarning.VALS, TestGhostFilterWarning.VECS,
-                                np.diag([rough, 0.0, 0.0, 0.0]), 32.0)
+    def _filter(roughs):
+        """The solve's filter on one pencil per roughness, mesh N = len(roughs):
+        pencil j's eigenvectors e_0, e_1 sit at node j."""
+        N = len(roughs)
+        diag = np.zeros((1, N + 1, 2, 2))
+        diag[0, :N, 0, 0] = roughs
+        off = np.zeros((1, N, 2, 2))
+        u = np.zeros((N + 1, 2, 2 * N))
+        for j in range(N):
+            u[j, :, 2 * j:2 * j + 2] = np.eye(2)
+        return ha._ghost_filter([TestGhostFilterWarning.VALS] * N, u, (diag, off, off), 32.0)
 
     def test_cut(self):
         # on (0, 1) with mesh 4 the cut is 2 / h^2 = 32
@@ -1101,16 +1173,22 @@ class TestGhostFilterWarning:
     @pytest.mark.parametrize("rough, kept", [(24.0, True), (32.0, False), (40.0, False)])
     def test_single_pencil(self, rough, kept):
         with pytest.warns(RuntimeWarning, match="ghost-filter cut"):
-            vals = self._filter(rough)
+            [vals] = self._filter([rough])
         assert vals.tolist() == ([0.1, 0.5] if kept else [0.5])
 
     def test_stack(self):
         with pytest.warns(RuntimeWarning, match="ghost-filter cut"):
-            vals = [self._filter(rough) for rough in (24.0, 40.0)]
+            vals = self._filter([24.0, 40.0])
         assert [v.tolist() for v in vals] == [[0.1, 0.5], [0.5]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert self._filter(0.0).tolist() == [0.1, 0.5]
+            assert [v.tolist() for v in self._filter([0.0])] == [[0.1, 0.5]]
+
+    def test_one_warning_per_pencil_near_the_cut(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            self._filter([24.0, 0.0, 40.0, 32.0])
+        assert len(caught) == 3
 
 
 class TestTheoremB:
@@ -1270,6 +1348,13 @@ class TestFamilyValidation:
         # scales, which then pass a ramp that runs backwards
         with pytest.raises(AssumptionError, match="decay_scale"):
             make_family("rotating-asymptotics", ramp_scale=-2.0)
+
+    @pytest.mark.parametrize("width", [-0.25, 0.0])
+    def test_non_positive_bump_width_rejected(self, width):
+        # decay_scale = max(bump_width, 0.5) stays positive, so the family
+        # checks the width itself: -0.25 would run the rotation backwards
+        with pytest.raises(AssumptionError, match="bump_width"):
+            make_family("gamma-nor-embedding", bump_width=width)
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, np.inf, np.nan])
     def test_decay_scale_must_be_finite_and_positive(self, scale):

@@ -342,13 +342,15 @@ class TestFlowFromSpectra:
             return [v[np.abs(v) <= 2.0] for v in vals]
 
         # the branch 2 lam - 1 moves at speed 2
-        flow, cert = flow_from_spectra(node_fn, drift_fn=lambda a, b: 2.0 * (b - a),
+        flow, cert = flow_from_spectra(node_fn, drift_fn=lambda pairs: [2.0 * (b - a)
+                                                                        for a, b in pairs],
                                        window=2.0, initial_nodes=17)
         assert flow == 1
 
     def test_node_function_maps_a_list(self):
         with pytest.raises(ValueError, match="asked for 2, it returned 1"):
-            flow_from_spectra(lambda lams: [np.array([0.5])], drift_fn=lambda a, b: 0.0,
+            flow_from_spectra(lambda lams: [np.array([0.5])],
+                              drift_fn=lambda pairs: [0.0] * len(pairs),
                               window=1.0, initial_nodes=5)
 
     def test_refinement_exhaustion(self):
@@ -358,8 +360,8 @@ class TestFlowFromSpectra:
             return [rng.standard_normal(3) for _ in lams]  # discontinuous garbage
 
         with pytest.raises((FlowRefinementError, EndpointKernelError)):
-            flow_from_spectra(node_fn, drift_fn=lambda a, b: 1e3 * (b - a), window=1.0,
-                              initial_nodes=5, max_depth=6)
+            flow_from_spectra(node_fn, drift_fn=lambda pairs: [1e3 * (b - a) for a, b in pairs],
+                              window=1.0, initial_nodes=5, max_depth=6)
 
     def test_failing_count_stops_at_the_width_cap(self):
         # every subinterval fails, so rounds must not widen with the tree
@@ -371,17 +373,43 @@ class TestFlowFromSpectra:
 
         with pytest.raises(FlowRefinementError,
                            match=r"^refinement exhausted on \[[^,]+, [^\]]+\] \(drift 10\)$"):
-            flow_from_spectra(node_fn, drift_fn=lambda a, b: 10.0, window=1.0, initial_nodes=17)
+            flow_from_spectra(node_fn, drift_fn=lambda pairs: [10.0] * len(pairs), window=1.0,
+                              initial_nodes=17)
         assert len(calls) <= 16 * (MAX_FLOW_DEPTH + 1) + 17
 
 
+    def test_drift_is_asked_once_per_round(self):
+        asked, drifts = [], []
+
+        def node_fn(lams):
+            asked.append(len(lams))
+            return [np.array([2 * lam - 1.0]) for lam in lams]
+
+        def drift_fn(pairs):
+            drifts.append(len(pairs))
+            return [2.0 * (b - a) for a, b in pairs]
+
+        flow, cert = flow_from_spectra(node_fn, drift_fn, window=0.3, initial_nodes=5)
+        assert flow == 1 and len(cert.eps) > 4
+        # the endpoints, the other initial nodes, then each round's midpoints;
+        # every round but the last has midpoints
+        assert len(drifts) == len(asked) - 1 > 1
+        assert drifts[0] == 4
+
+    def test_drift_function_maps_a_list(self):
+        with pytest.raises(ValueError, match="asked for 4, it returned 1"):
+            flow_from_spectra(lambda lams: [np.array([0.5]) for _ in lams],
+                              drift_fn=lambda pairs: [0.0], window=1.0, initial_nodes=5)
+
+
 def _recursive_certified_count(values, drift, window, nodes, zero_snap, max_depth):
-    """Reference: the depth-first bisection, one scalar ``values(lam)`` at a time."""
+    """Reference: the depth-first bisection, one scalar ``values(lam)`` and one
+    subinterval's ``drift([(a, b)])`` at a time."""
     intervals = []
 
     def process(a, b, depth):
         va, vb = values(a), values(b)
-        m = drift(a, b)
+        [m] = drift([(a, b)])
         eps = None if m is None else window(va, vb, m)
         if eps is None:
             mid = 0.5 * (a + b)
@@ -419,7 +447,8 @@ def _random_flows():
         spectral_flow(path)
         # a window below the spectrum's spread makes the count refine
         flow_from_spectra(lambda lams: [np.linalg.eigvalsh(path(lam)) for lam in lams],
-                          lambda a, b: float(np.linalg.norm(path(b) - path(a), 2)),
+                          lambda pairs: [float(np.linalg.norm(path(b) - path(a), 2))
+                                         for a, b in pairs],
                           window=0.5, initial_nodes=5)
 
 
