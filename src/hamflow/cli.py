@@ -38,8 +38,8 @@ EXIT_NUMERIC = 3
 
 KNOWN_REPORTS = ("theorem-a", "theorem-b", "corollary-a", "self-tests")
 
-# Each pencil is solved dense: one windowed solve of order mesh * 2n peaked
-# at 6.0 dense matrices under tracemalloc, 807 MB at order 4096.  The limit
+# Each pencil is solved dense: one windowed solve of order mesh * 2n peaks
+# at 3.0 dense matrices under tracemalloc, 403 MB at order 4096.  The limit
 # bounds (mesh + 1) * 2n, the unknowns before frame reduction; 4098 is mesh
 # 2048 at n = 1.
 MAX_PENCIL_ORDER = 4098

@@ -419,9 +419,7 @@ class BoundaryValueOperator:
     frame columns; its stiffness blocks have L entries when there is a
     potential, and every other form one entry, which all pencils share.
     The solve works from the blocks and never writes a pencil's dense
-    forms; ``stiffness``, ``mass`` and ``roughness_form`` are read-only
-    dense forms written from them (``_reduce``), (L, m, m) for a stack.
-    ``size`` is one pencil's order m.
+    forms.  ``size`` is one pencil's order m.
     """
 
     blocks: tuple
@@ -436,38 +434,15 @@ class BoundaryValueOperator:
     def _stacked(self) -> bool:
         return not isinstance(self.frames[0], LagrangianFrame)
 
-    def _frames(self, i):
-        """Pencil i's (F0, F1) frame columns."""
-        return tuple(F[i] if self._stacked else F.columns for F in self.frames)
-
-    def _per_pencil(self, fn):
-        """fn(i) for each pencil i: a list for a stack, the one value otherwise."""
-        return [fn(i) for i in range(len(self.frames[0]))] if self._stacked else fn(0)
-
     @property
     def _shared(self) -> bool:
         """Every pencil shares the stiffness blocks, as it does the other forms'."""
         return len(self.blocks[0][0]) == 1
 
-    def _dense(self, form):
-        blocks = self.blocks[form]
-
-        def one(i):
-            j = i if len(blocks[0]) > 1 else 0
-            return _reduce(*(x[j] for x in blocks), *self._frames(i))
-
-        A = np.array(self._per_pencil(one))
-        A.flags.writeable = False
-        return A
-
-    stiffness = property(lambda self: self._dense(0))
-    mass = property(lambda self: self._dense(1))
-    roughness_form = property(lambda self: self._dense(2))
-
     @property
     def size(self) -> int:
-        F0, F1 = self._frames(0)
-        return F0.shape[1] + (self.mesh - 1) * self.blocks[0][0].shape[-1] + F1.shape[1]
+        k = sum((F[0] if self._stacked else F.columns).shape[1] for F in self.frames)
+        return k + (self.mesh - 1) * self.blocks[0][0].shape[-1]
 
     @property
     def step(self) -> float:
@@ -612,18 +587,6 @@ def _interior_blocks(diag, upper, lower):
     return sym_diag, sym_upper
 
 
-def _dense_interior(sym_diag, sym_upper):
-    """The dense interior, (N-1) d square, of a form's symmetrized interior blocks."""
-    nodes, d = sym_diag.shape[:2]
-    at = d * np.arange(nodes)[:, None, None]
-    rows, cols = at + np.arange(d)[:, None], at + np.arange(d)
-    A = np.zeros((nodes * d, nodes * d))
-    A[rows, cols] = sym_diag
-    A[rows[:-1], cols[1:]] = sym_upper
-    A[rows[1:], cols[:-1]] = sym_upper.swapaxes(-1, -2)
-    return A
-
-
 def _interior_band(diag, upper, lower):
     """The shared interior form's lower band in LAPACK band storage,
     band[k, j] = A[j + k, j], reaching back to every row's first nonzero:
@@ -642,15 +605,23 @@ def _interior_band(diag, upper, lower):
 
 def _standard_form(L, stiffness, j):
     """C_II = L^-1 K_II L^-T for pencil j's stiffness blocks, by two banded
-    solves of its dense interior K_II."""
+    solves of its dense interior K_II, (N-1) d square."""
     lapack = scipy.linalg.lapack
-    K = _dense_interior(*_interior_blocks(*(x[j] for x in stiffness)))
+    sym_diag, sym_upper = _interior_blocks(*(x[j] for x in stiffness))
+    nodes, d = sym_diag.shape[:2]
+    at = d * np.arange(nodes)[:, None, None]
+    rows, cols = at + np.arange(d)[:, None], at + np.arange(d)
+    K = np.zeros((nodes * d, nodes * d))
+    K[rows, cols] = sym_diag
+    K[rows[:-1], cols[1:]] = sym_upper
+    K[rows[1:], cols[:-1]] = sym_upper.swapaxes(-1, -2)
     return lapack.dtbtrs(L, lapack.dtbtrs(L, K, uplo="L")[0].T, uplo="L")[0]
 
 
 def _frame_border(diag, upper, lower, F0, F1):
-    """The frame rows of one form for a stack of pencils, symmetrized as
-    ``_reduce`` symmetrizes them: F0^T D_0 F0, the rows (F0^T U_0 + (L_0 F0)^T) / 2
+    """The frame rows of one form for a stack of pencils, as the dense
+    reduction (C^T X C + (C^T X C)^T) / 2 gives them, C putting the frames in
+    place of the end nodes: F0^T D_0 F0, the rows (F0^T U_0 + (L_0 F0)^T) / 2
     that couple c0 with node 1, the columns (U_{N-1} F1 + (F1^T L_{N-1})^T) / 2
     that couple node N-1 with c1, and F1^T D_N F1."""
     F0t, F1t = F0.swapaxes(-1, -2), F1.swapaxes(-1, -2)
@@ -689,44 +660,18 @@ def _potential_matrix(space, a, b, N, S_fn):
     S = np.broadcast_to(S, S.shape[:-4] + tg.shape + (d, d))
     S = 0.5 * (S + S.swapaxes(-1, -2))
     phi1 = ((tg - tl[:, None]) / h)[..., None, None]
-    phi0 = 1.0 - phi1
-    P00, P01, P10, P11 = (w * p * q * S for p, q in
-                          ((phi0, phi0), (phi0, phi1), (phi1, phi0), (phi1, phi1)))
+    phi = (1.0 - phi1, phi1)
+
+    def term(p, q, g):
+        # one weighted Gauss-point term, formed only when it is added
+        return w * phi[p][:, g] * phi[q][:, g] * S[..., g, :, :]
+
     diag = np.zeros(S.shape[:-4] + (N + 1, d, d))
-    for P, rows in ((P11, slice(1, None)), (P00, slice(None, -1))):
+    for p, rows in ((1, slice(1, None)), (0, slice(None, -1))):
         for g in (0, 1):
-            diag[..., rows, :, :] += P[..., g, :, :]
-    upper, lower = ((0.0 + P[..., 0, :, :]) + P[..., 1, :, :] for P in (P01, P10))
+            diag[..., rows, :, :] += term(p, p, g)
+    upper, lower = ((0.0 + term(p, q, 0)) + term(p, q, 1) for p, q in ((0, 1), (1, 0)))
     return diag, upper, lower
-
-
-def _reduce(diag, upper, lower, F0, F1):
-    """One pencil's C^T X C for a form X, symmetrized as (r + r^T) / 2, from X's blocks.
-
-    C puts the frames F0, F1 in place of the end nodes: the interior is X's
-    own blocks, and only the frame rows and columns take products, over a whole
-    d x (N+1)d block row and m x d column as a dense reduction takes them,
-    since a truncated product rounds differently for one-column frames.
-    """
-    N, d = upper.shape[-3:-1]
-    k0, k1 = F0.shape[1], F1.shape[1]
-    m = k0 + (N - 1) * d + k1
-    out = np.zeros((m, m))
-    out[k0:m - k1, k0:m - k1] = _dense_interior(*_interior_blocks(diag, upper, lower))
-    top, bottom = np.zeros((2, d, (N + 1) * d))
-    left, right = np.zeros((2, m, d))
-    top[:, :d], top[:, d:2 * d] = diag[0], upper[0]
-    bottom[:, -2 * d:-d], bottom[:, -d:] = lower[-1], diag[-1]
-    r0, r1 = F0.T @ top, F1.T @ bottom
-    left[:k0], left[k0:k0 + d] = r0[:, :d], lower[0]
-    right[-k1 - d:-k1], right[-k1:] = upper[-1], r1[:, -d:]
-    c0, c1 = left @ F0, right @ F1
-    # r's frame rows and columns, then (r + r^T) / 2 on the corners holding them
-    out[:k0 + d, :k0], out[:k0, k0:k0 + d] = c0[:k0 + d], r0[:, d:2 * d]
-    out[-k1 - d:, -k1:], out[-k1:, -k1 - d:-k1] = c1[-k1 - d:], r1[:, -2 * d:-d]
-    for corner in (out[:k0 + d, :k0 + d], out[-k1 - d:, -k1 - d:]):
-        corner[...] = (corner + corner.T) * 0.5
-    return out
 
 
 DEFAULT_STABILIZATION = 0.05
@@ -839,8 +784,6 @@ class IndexReport:
     chern: Optional[int] = None
     sfl_certificate: Optional[FlowCertificate] = None
     crossings: list = field(default_factory=list)
-    truncation: Optional[float] = None
-    grid_sizes: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
 
     @property
@@ -913,8 +856,7 @@ def theorem_B_report(path0: LagrangianPath, path1: LagrangianPath, a: float, b: 
                                    initial_nodes=[s[0] for s in path0.samples], window=w,
                                    report_window=1.5 * w)
     mas = maslov_index_pair(path0, path1)
-    return IndexReport(sfl=flow, maslov=mas, sfl_certificate=cert,
-                       grid_sizes={"mesh": N, "lambda_nodes": len(cert.nodes)})
+    return IndexReport(sfl=flow, maslov=mas, sfl_certificate=cert)
 
 
 def _a0_node_fn(family, T, N, window_report):
@@ -997,8 +939,7 @@ def theorem_A_report(family: HamiltonianFamily, lam_grid=None, T: Optional[float
     if locate_crossings:
         crossings = kernel_crossings(family, grid, t0, T)
 
-    report = IndexReport(sfl=flow, maslov=mas, sfl_certificate=cert, crossings=crossings,
-                         truncation=T, grid_sizes={"mesh": N, "lambda_nodes": len(grid)})
+    report = IndexReport(sfl=flow, maslov=mas, sfl_certificate=cert, crossings=crossings)
 
     if third_opinion:
         if general_case:
@@ -1121,5 +1062,4 @@ def corollary_A_report(family: HamiltonianFamily, lam_grid=None, T: Optional[flo
     node_fn, _, pencil_flow = _a0_flow_setup(family, grid, T, N)
     flow, cert = pencil_flow(node_fn)
 
-    return IndexReport(sfl=flow, maslov=mas, sfl_certificate=cert, truncation=T,
-                       grid_sizes={"mesh": N, "lambda_nodes": len(grid)})
+    return IndexReport(sfl=flow, maslov=mas, sfl_certificate=cert)

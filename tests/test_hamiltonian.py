@@ -556,9 +556,14 @@ class TestQOperator:
         sp = standard_space(2)
         W = lagrangian_from_matrix(np.vstack([np.eye(2), np.zeros((2, 2))]), sp)
         op = assemble_Q_operator(W, W, -1.0, 1.0, 32, sp)
-        K = op.stiffness
+        ref = _dense_pencil(sp, W.columns, W.columns, -1.0, 1.0, 32)
+        _assert_blocks_match(op, ref.forms)
+        for diag, upper, lower in op.blocks:
+            assert np.array_equal(diag, diag.swapaxes(-1, -2))
+            assert np.array_equal(lower, upper.swapaxes(-1, -2))
+        K, M, _ = ref.reduced
         assert np.linalg.norm(K - K.T, 2) <= 1e-12 * max(1.0, np.linalg.norm(K, 2))
-        scipy.linalg.cholesky(op.mass)
+        scipy.linalg.cholesky(M)
 
     def test_small_mesh_rejected(self):
         sp = standard_space(1)
@@ -644,8 +649,6 @@ def _loop_potential_matrix(space, a, b, N, S_fn):
 # The dense assembly that the block assembly replaced, kept as its bitwise
 # reference: every form as an (N+1)d x (N+1)d matrix, reduced by the frames.
 
-PENCIL_ATTRS = ("stiffness", "mass", "roughness_form")
-
 
 def _tridiagonal_blocks(d, N, diag_block, off_block):
     """Assembled matrix with per-element contributions (diag, off, off^T, diag)."""
@@ -701,7 +704,8 @@ def _reduce_by_frames(M, d, N, F0, F1):
 
 def _dense_pencil(space, F0, F1, a, b, N, S_fn=None, stabilization=None, scheme="galerkin",
                   potential=_dense_potential_matrix):
-    """Reference: one pencil's reduced forms, under the operator's attribute names."""
+    """Reference: one pencil's stiffness, mass and roughness forms, unreduced
+    (``forms``) and reduced by the frames (``reduced``)."""
     d = space.dim
     h = (b - a) / N
     K = _tridiagonal_blocks(d, N, np.zeros((d, d)), 0.5 * space.J)
@@ -717,17 +721,47 @@ def _dense_pencil(space, F0, F1, a, b, N, S_fn=None, stabilization=None, scheme=
         M = np.kron(np.diag(weights), np.eye(d))
     else:
         M = _tridiagonal_blocks(d, N, (h / 3.0) * np.eye(d), (h / 6.0) * np.eye(d))
-    reduced = {}
-    for attr, X in zip(PENCIL_ATTRS, (K, M, rough)):
-        r = _reduce_by_frames(X, d, N, F0, F1)
-        reduced[attr] = (r + r.T) * 0.5
-    return SimpleNamespace(**reduced)
+    forms = (K, M, rough)
+    reduced = tuple((r + r.T) * 0.5 for r in (_reduce_by_frames(X, d, N, F0, F1) for X in forms))
+    return SimpleNamespace(forms=forms, reduced=reduced)
 
 
 def _dense_a0_pencil(fam, lam, T, N, scheme="galerkin", potential=_dense_potential_matrix):
     F0, F1 = (ha._asymptotic_frames(fam, [lam], sign)[0].columns for sign in (-1, +1))
     return _dense_pencil(fam.space, F0, F1, -T, T, N, S_fn=lambda t: fam.S(lam, t),
                          scheme=scheme, potential=potential)
+
+
+def _held_blocks(op, i=0):
+    """Pencil i's (diagonal, upper, lower) blocks of each form: its own entry
+    of a form held per pencil, the shared entry 0 of every other."""
+    return [[x[i if len(form[0]) > 1 else 0] for x in form] for form in op.blocks]
+
+
+def _assert_blocks_match(op, forms, i=0):
+    """Pencil i's blocks are bitwise the d x d block slices of the unreduced forms."""
+    N = op.mesh
+    nodes, elements = np.arange(N + 1), np.arange(N)
+    for blocks, X in zip(_held_blocks(op, i), forms):
+        Xb = X.reshape(N + 1, X.shape[0] // (N + 1), N + 1, -1)
+        want = (Xb[nodes, :, nodes, :], Xb[elements, :, elements + 1, :],
+                Xb[elements + 1, :, elements, :])
+        for got, w in zip(blocks, want):
+            assert np.array_equal(got, w)
+
+
+def _assert_stack_matches(stack, ops, window):
+    """Each pencil of a stack has its own operator's blocks, frames and
+    windowed eigenvalues, bitwise."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        spectra = stack.eigenvalues(window)
+        for i, op in enumerate(ops):
+            for got, want in zip(_held_blocks(stack, i), _held_blocks(op)):
+                assert all(np.array_equal(x, y) for x, y in zip(got, want))
+            for F, G in zip(stack.frames, op.frames):
+                assert np.array_equal(F[i], G.columns)
+            assert np.array_equal(spectra[i], op.eigenvalues(window))
 
 
 class TestPencilAssembly:
@@ -739,9 +773,8 @@ class TestPencilAssembly:
         assert np.array_equal(_dense_potential_matrix(fam.space, -3.0, 3.0, N, S_fn),
                               _loop_potential_matrix(fam.space, -3.0, 3.0, N, S_fn))
         op = assemble_A0_operator(fam, 0.4, 3.0, N)
-        ref = _dense_a0_pencil(fam, 0.4, 3.0, N, potential=_loop_potential_matrix)
-        for attr in ("stiffness", "mass", "roughness_form"):
-            assert np.array_equal(getattr(op, attr), getattr(ref, attr))
+        _assert_blocks_match(op, _dense_a0_pencil(fam, 0.4, 3.0, N,
+                                                  potential=_loop_potential_matrix).forms)
 
     def test_pencil_build_calls_no_svd_or_dense_cholesky(self, monkeypatch):
         fam = sech_family(2, amplitude=2.0)
@@ -786,12 +819,10 @@ class TestPencilStacks:
         # a fresh family splits each lambda's boundary frames on its own
         fam = BATCH_FAMILIES[name]()
         assert stack.size == N * fam.dim
-        for i, lam in enumerate(lams):
-            op = assemble_A0_operator(fam, lam, 3.0, N, scheme=scheme)
-            ref = _dense_a0_pencil(fam, lam, 3.0, N, scheme=scheme)
-            for attr in PENCIL_ATTRS:
-                assert np.array_equal(getattr(stack, attr)[i], getattr(op, attr))
-                assert np.array_equal(getattr(op, attr), getattr(ref, attr))
+        ops = [assemble_A0_operator(fam, lam, 3.0, N, scheme=scheme) for lam in lams]
+        _assert_stack_matches(stack, ops, window=2.0)
+        for lam, op in zip(lams, ops):
+            _assert_blocks_match(op, _dense_a0_pencil(fam, lam, 3.0, N, scheme=scheme).forms)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_stacked_q_pencils_match_per_frame_bitwise(self, n):
@@ -801,16 +832,17 @@ class TestPencilStacks:
         L1s = [_random_lagrangian(rng, sp) for _ in range(2)] + [L0s[0]]
         stack = assemble_Q_operator(np.stack([f.columns for f in L0s]),
                                     np.stack([f.columns for f in L1s]), 0.0, 1.0, 24, sp)
-        for i, (L0, L1) in enumerate(zip(L0s, L1s)):
-            op = assemble_Q_operator(L0, L1, 0.0, 1.0, 24, sp)
-            for attr in PENCIL_ATTRS:
-                assert np.array_equal(getattr(stack, attr)[i], getattr(op, attr))
+        _assert_stack_matches(stack, [assemble_Q_operator(L0, L1, 0.0, 1.0, 24, sp)
+                                      for L0, L1 in zip(L0s, L1s)],
+                              window=1.5 * pencil_window(0.0, 1.0))
+        for L0, L1 in zip(L0s, L1s):
             for stabilization in (None, 0.0):
-                op = assemble_Q_operator(L0, L1, 0.0, 1.0, 24, sp, stabilization=stabilization)
-                ref = _dense_pencil(sp, L0.columns, L1.columns, 0.0, 1.0, 24,
-                                    stabilization=stabilization)
-                for attr in PENCIL_ATTRS:
-                    assert np.array_equal(getattr(op, attr), getattr(ref, attr))
+                for scheme in ("galerkin", "central"):
+                    op = assemble_Q_operator(L0, L1, 0.0, 1.0, 24, sp,
+                                             stabilization=stabilization, scheme=scheme)
+                    ref = _dense_pencil(sp, L0.columns, L1.columns, 0.0, 1.0, 24,
+                                        stabilization=stabilization, scheme=scheme)
+                    _assert_blocks_match(op, ref.forms)
 
     def test_stacked_frames_are_checked(self):
         sp = standard_space(1)
@@ -875,6 +907,20 @@ class TestPencilStacks:
         assert op.size == 144
         assert peak < 8 * op.size ** 2
 
+    def test_a_round_of_potentials_is_assembled_without_weighted_copies(self):
+        # a 65-pencil round at order 64: the potential's weighted Gauss-point
+        # terms are formed one at a time, not held as four copies of the stack
+        fam = sech_family(1, amplitude=2.0)
+        lams = [float(x) for x in np.linspace(0.0, 1.0, 65)]
+        assemble_A0_operator(fam, lams, 1.0, 32)  # memoizes the boundary frames
+        tracemalloc.start()
+        try:
+            assemble_A0_operator(fam, lams, 1.0, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.8e6
+
     def test_a_round_of_nodes_stays_under_a_third_of_its_dense_forms(self):
         # 65 pencils of order 64 as dense reduced forms would take 3 x 65 x
         # 32 KiB; their blocks and one pencil's dense forms stay under a third
@@ -914,27 +960,19 @@ class TestOperatorChecks:
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
             assemble_Q_operator(W, W, 0.0, np.inf, 8, sp, stabilization=0.0).eigenvalues(1.0)
 
-    def test_dense_forms_are_read_only(self):
-        sp = standard_space(1)
-        W = line_frame(sp, 0.0)
-        for op in (assemble_Q_operator(W, W, 0.0, 1.0, 8, sp),
-                   assemble_Q_operator(np.stack([W.columns] * 2), np.stack([W.columns] * 2),
-                                       0.0, 1.0, 8, sp)):
-            for attr in PENCIL_ATTRS:
-                with pytest.raises(ValueError, match="read-only"):
-                    getattr(op, attr)[..., 0, 0] = 1.0
 
 
-def _eigh_reference(op, window):
-    """Reference: a pencil's windowed spectrum by scipy's generalized ``eigh``
-    (LAPACK ``dsygvx``), the solve the interior-basis solve replaced, and the
-    roughness filter's keep mask."""
-    vals, vecs = scipy.linalg.eigh(op.stiffness, op.mass, subset_by_value=(-window, window))
-    return vals, np.einsum("ji,jk,ki->i", vecs, op.roughness_form, vecs) < op.rough_cut
+def _eigh_reference(reduced, cut, window):
+    """Reference: a pencil's windowed spectrum from its reduced dense forms by
+    scipy's generalized ``eigh`` (LAPACK ``dsygvx``), the solve the
+    interior-basis solve replaced, and the roughness filter's keep mask."""
+    K, M, R = reduced
+    vals, vecs = scipy.linalg.eigh(K, M, subset_by_value=(-window, window))
+    return vals, np.einsum("ji,jk,ki->i", vecs, R, vecs) < cut
 
 
-def _assert_matches_eigh(op, window):
-    want, keep = _eigh_reference(op, window)
+def _assert_matches_eigh(op, reduced, window):
+    want, keep = _eigh_reference(reduced, op.rough_cut, window)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         every, kept = op.eigenvalues(window, drop_rough=False), op.eigenvalues(window)
@@ -961,9 +999,11 @@ class TestInteriorBasisSolve:
     @pytest.mark.parametrize("N", [4, 32, 96])
     @pytest.mark.parametrize("scheme", ["galerkin", "central"])
     def test_a0_pencils_match_eigh(self, name, N, scheme):
-        op = assemble_A0_operator(BATCH_FAMILIES[name](), 0.4, 3.0, N, scheme=scheme)
+        fam = BATCH_FAMILIES[name]()
+        op = assemble_A0_operator(fam, 0.4, 3.0, N, scheme=scheme)
+        ref = _dense_a0_pencil(fam, 0.4, 3.0, N, scheme=scheme)
         for window in (2.0, 1e4):  # the near-kernel window and the whole spectrum
-            _assert_matches_eigh(op, window)
+            _assert_matches_eigh(op, ref.reduced, window)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("stabilization", [None, 0.0])
@@ -971,10 +1011,12 @@ class TestInteriorBasisSolve:
         rng = np.random.default_rng(60 + n)
         sp = standard_space(n)
         for _ in range(3):
-            op = assemble_Q_operator(_random_lagrangian(rng, sp), _random_lagrangian(rng, sp),
-                                     0.0, 1.0, 24, sp, stabilization=stabilization)
+            L0, L1 = _random_lagrangian(rng, sp), _random_lagrangian(rng, sp)
+            op = assemble_Q_operator(L0, L1, 0.0, 1.0, 24, sp, stabilization=stabilization)
+            ref = _dense_pencil(sp, L0.columns, L1.columns, 0.0, 1.0, 24,
+                                stabilization=stabilization)
             for window in (1.5 * pencil_window(0.0, 1.0), 1e4):
-                _assert_matches_eigh(op, window)
+                _assert_matches_eigh(op, ref.reduced, window)
 
     def test_a_q_stack_factors_its_interior_once(self, monkeypatch):
         rng = np.random.default_rng(8)

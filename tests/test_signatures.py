@@ -2,16 +2,22 @@
 
 Tolerances, budgets and scan resolutions are module policy, not per-call
 options.  This pins each entry point's parameter names, so a new keyword
-shows up as a diff of this file.
+shows up as a diff of this file.  The benchmark's tracer (``bench/tracer.py``)
+patches these entry points by name, so the last test installs it here.
 """
 
+import importlib.util
 import inspect
+import os
 
+import numpy as np
 import pytest
 
+from hamflow import cli
 from hamflow import hamiltonian as ha
 from hamflow import maslov as ma
 from hamflow import spectral as sf
+from hamflow.symplectic import lagrangian_from_matrix, standard_space
 
 SIGNATURES = {
     ha.theorem_A_report: ("family", "lam_grid", "T", "N", "t0", "third_opinion",
@@ -43,3 +49,34 @@ SIGNATURES = {
 @pytest.mark.parametrize("fn", list(SIGNATURES), ids=lambda fn: fn.__name__)
 def test_entry_point_parameters(fn):
     assert tuple(inspect.signature(fn).parameters) == SIGNATURES[fn]
+
+
+def _bench_tracer():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_tracer_finds_every_name_it_patches():
+    tracer = _bench_tracer()
+    for _, module, path, _ in tracer.ENTRY_POINTS:
+        owner, attr = tracer._resolve(module, path)
+        assert callable(getattr(owner, attr)), (module, path)
+    # install also replaces the tracks pool and the warnings module it counts ghosts by
+    assert inspect.isclass(cli.ThreadPoolExecutor) and callable(ha.warnings.warn)
+    # the pencil probes read each assembled operator's order
+    sp = standard_space(1)
+    W = lagrangian_from_matrix(np.array([[1.0], [0.0]]), sp)
+    assemble, trace = ha.assemble_Q_operator, tracer.Tracer()
+    trace.install()
+    try:
+        op = ha.assemble_Q_operator(W, W, 0.0, 1.0, 8, sp)
+        op.eigenvalues(1.0)
+    finally:
+        trace.uninstall()
+    metrics = trace.metrics()
+    assert metrics["hamiltonian.pencil.calls"] == metrics["hamiltonian.eigensolve.calls"] == 1
+    assert metrics["hamiltonian.pencil.rows"] == op.size == 16
+    assert ha.assemble_Q_operator is assemble
