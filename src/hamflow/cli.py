@@ -203,13 +203,6 @@ def _atomic_write(path: str, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _family(cfg: ScenarioConfig):
-    params = dict(cfg.family_params)
-    if "rates" in params and params["rates"] is not None:
-        params["rates"] = np.asarray(params["rates"], dtype=float)
-    return fam.make_family(cfg.family_id, **params)
-
-
 def _trunc(cfg, family) -> float:
     return float(cfg.trunc) if cfg.trunc is not None else 10.0 * family.decay_scale
 
@@ -313,7 +306,7 @@ def run_scenario(config_path: str, overrides: dict | None = None,
             setattr(cfg, key, val)
     _validate_ranges(cfg)
 
-    family = _family(cfg)
+    family = fam.make_family(cfg.family_id, **cfg.family_params)
     T = _trunc(cfg, family)
     grid = np.linspace(0.0, 1.0, int(cfg.grid))
     out = cfg.out

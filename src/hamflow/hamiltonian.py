@@ -33,11 +33,11 @@ from .maslov import (
     find_crossings,
     maslov_index_pair,
     pair_to_product_path,
-    partial_maslov_index,
 )
 from .spectral import (
     FlowCertificate,
     SymmetricMatrixPath,
+    _batched,
     _phase_margin,
     chern_winding,
     flow_from_spectra,
@@ -94,7 +94,7 @@ class HamiltonianFamily:
             raise AssumptionError(
                 f"decay_scale must be finite and positive, got {self.decay_scale}")
         self._space = standard_space(self.n)
-        self._memo = {}  # per-lambda frames and spectra, shared by every report
+        self._memo = {}  # per-quantity {lam: value} dicts and bounds, shared by every report
 
     def _cached(self, key, compute):
         if key not in self._memo:
@@ -102,12 +102,9 @@ class HamiltonianFamily:
         return self._memo[key]
 
     def _cached_batch(self, key, lams, compute):
-        """Memoized key(lam) for each lam; compute maps the tuple of the lam
-        missing from the memo to their values, in one call."""
-        missing = tuple(lam for lam in dict.fromkeys(lams) if key(lam) not in self._memo)
-        if missing:
-            self._memo.update(zip(map(key, missing), compute(missing)))
-        return [self._memo[key(lam)] for lam in lams]
+        """The quantity ``key`` at each lam, memoized per lam; compute maps the
+        tuple of the lam missing from the memo to their values, in one call."""
+        return _batched(self._memo.setdefault(key, {}), lams, compute)
 
     @property
     def dim(self) -> int:
@@ -324,7 +321,7 @@ def _asymptotic_frames(family, lams, sign):
     def split(missing):
         M = family.space.J @ np.stack([family.S_limit(lam, sign) for lam in missing])
         return map(LagrangianFrame, stable_unstable_splitting(M)[1 if sign < 0 else 0])
-    return family._cached_batch(lambda lam: ("frame", lam, sign), lams, split)
+    return family._cached_batch(("frame", sign), lams, split)
 
 
 def _decaying_frames(family, lams, sign, t0, T):
@@ -334,7 +331,7 @@ def _decaying_frames(family, lams, sign, t0, T):
     def transport(missing):
         starts = np.stack([f.columns for f in _asymptotic_frames(family, missing, sign)])
         return map(LagrangianFrame, propagate_subspace(starts, family, missing, sign * T, t0))
-    return family._cached_batch(lambda lam: ("decay", lam, sign, t0, T), lams, transport)
+    return family._cached_batch(("decay", sign, t0, T), lams, transport)
 
 
 def unstable_space(family: HamiltonianFamily, lam: float, t0: float, T: float,
@@ -822,6 +819,8 @@ def theorem_B_report(path0: LagrangianPath, path1: LagrangianPath, a: float, b: 
     pencils are one stack, and its unitaries, eigenphases and step norms
     take one call each.
     """
+    if not (np.isfinite(a) and np.isfinite(b) and a < b):
+        raise ValueError(f"the interval [a, b] must be finite with a < b, got [{a}, {b}]")
     space = path0.space
     if path1.space.dim != space.dim:
         raise SymplecticError("paths live in different spaces")
@@ -865,8 +864,7 @@ def _a0_node_fn(family, T, N, window_report):
     one splitting call per end."""
     def compute(missing):
         return assemble_A0_operator(family, missing, T, N).eigenvalues(window=window_report)
-    return lambda lams: family._cached_batch(lambda lam: ("a0", lam, T, N, window_report),
-                                             lams, compute)
+    return lambda lams: family._cached_batch(("a0", T, N, window_report), lams, compute)
 
 
 def _asymptotic_gap(family, lam_grid):
@@ -1014,19 +1012,14 @@ def _auto_delta(node_fn, grid, kernel_tol):
 
 
 def _shift_partial_correction(family, lam, t0, T, delta):
-    """Right partial Maslov index of the shift segment s -> spaces of S + s*delta*I."""
-    space = family.space
-
-    def eu(s):
-        return unstable_space(family.shifted(s * delta), lam, t0, T)
-
-    def es(s):
-        return stable_space(family.shifted(s * delta), lam, t0, T)
-
-    su = LagrangianPath.from_callable(space, eu, grid=9, lo=-1.0, hi=1.0)
-    ss = LagrangianPath.from_callable(space, es, grid=9, lo=-1.0, hi=1.0)
-    product, diag = pair_to_product_path(su, ss)
-    return partial_maslov_index(product, diag, 0.0, "right")
+    """Pair Maslov index of the shift segment s -> (E^u, E^s) of S_lam + s delta I
+    on s in [0, 1], itself a family in s with its own memo, from five nodes."""
+    eye, B, K, KL = np.eye(family.dim), family.B, family.K, family.K_limits
+    segment = HamiltonianFamily(
+        n=family.n, B=lambda s: np.asarray(B(lam)) + (np.asarray(s)[..., None, None] * delta) * eye,
+        K=lambda s, t: K(lam, t), K_limits=lambda s: KL(lam), decay_scale=family.decay_scale,
+        name=f"{family.name}@{lam:g}+s*{delta:g}I")
+    return maslov_index_pair(*stable_unstable_pair_path(segment, 5, t0, T))
 
 
 def corollary_A_report(family: HamiltonianFamily, lam_grid=None, T: Optional[float] = None,

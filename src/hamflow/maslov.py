@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .spectral import FlowRefinementError as RefinementError
-from .spectral import _unitary_drift, unitary_count
+from .spectral import _batched, _unitary_drift, unitary_count
 from .symplectic import (
     LagrangianFrame,
     SymplecticSpace,
@@ -38,16 +38,9 @@ def _eigenphases(U):
 def _lookup(known, evaluator, lams):
     """Path values at lams: known ones from the dict ``known``, the rest from
     one ``evaluator`` call, which are added to ``known``."""
-    missing = [lam for lam in dict.fromkeys(lams) if lam not in known]
-    if missing:
-        if evaluator is None:
-            raise RefinementError(f"path is not refinable and lam={missing[0]} is not sampled")
-        got = list(evaluator(missing))
-        if len(got) != len(missing):
-            raise ValueError(f"a path evaluator maps a sequence of lam to a list of values; "
-                             f"asked for {len(missing)}, it returned {len(got)}")
-        known.update(zip(missing, got))
-    return [known[lam] for lam in lams]
+    def unsampled(missing):
+        raise RefinementError(f"path is not refinable and lam={missing[0]} is not sampled")
+    return _batched(known, lams, evaluator or unsampled)
 
 
 @dataclass
@@ -109,11 +102,8 @@ def winding_number(d: UnitaryPath, endpoint_kernel_dims=None) -> int:
     phases = {}
 
     def phases_at(lams):
-        new = [lam for lam in dict.fromkeys(lams) if lam not in phases]
-        if new:
-            Us = _lookup(unitaries, d.evaluator, new)
-            phases.update(zip(new, _eigenphases(np.stack([np.asarray(U) for U in Us]))))
-        return [phases[lam] for lam in lams]
+        return _batched(phases, lams, lambda new: _eigenphases(
+            np.stack([np.asarray(U) for U in _lookup(unitaries, d.evaluator, new)])))
 
     phases_at(lams)
     if endpoint_kernel_dims is not None:

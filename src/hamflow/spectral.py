@@ -109,6 +109,20 @@ def _choose_eps(centers, margin, cap, floor, min_gap):
     return 0.5 * (lo + hi)
 
 
+def _batched(memo, keys, compute):
+    """Values at keys from the dict ``memo``.  The keys missing from it go to
+    ``compute`` as one tuple, deduplicated in first-seen order, and its
+    answer, one value per key, is added to the memo."""
+    missing = tuple(k for k in dict.fromkeys(keys) if k not in memo)
+    if missing:
+        got = list(compute(missing))
+        if len(got) != len(missing):
+            raise ValueError(f"a batched evaluator maps a sequence of lam to a list of values; "
+                             f"asked for {len(missing)}, it returned {len(got)}")
+        memo.update(zip(missing, got))
+    return [memo[k] for k in keys]
+
+
 def _min_abs(vals):
     return float(np.min(np.abs(vals))) if len(vals) else np.inf
 
@@ -242,15 +256,8 @@ def flow_from_spectra(node_fn, drift_fn, lo=0.0, hi=1.0, initial_nodes=17, windo
     cache = {}
 
     def spec(lams):
-        missing = [lam for lam in dict.fromkeys(lams) if lam not in cache]
-        if missing:
-            got = list(node_fn(missing))
-            if len(got) != len(missing):
-                raise ValueError(f"a node function maps a list of lam to a list of spectra; "
-                                 f"asked for {len(missing)}, it returned {len(got)}")
-            cache.update((lam, np.sort(np.asarray(v, dtype=float)))
-                         for lam, v in zip(missing, got))
-        return [cache[lam] for lam in lams]
+        return _batched(cache, lams, lambda missing: [np.sort(np.asarray(v, dtype=float))
+                                                      for v in node_fn(missing)])
 
     if np.isscalar(initial_nodes):
         nodes = list(np.linspace(lo, hi, int(initial_nodes)))
@@ -282,9 +289,7 @@ def spectral_flow(path: SymmetricMatrixPath, initial_nodes=17, check_endpoints=T
     mats = {}
 
     def mat(lam):
-        if lam not in mats:
-            mats[lam] = path.evaluate(lam)
-        return mats[lam]
+        return _batched(mats, [lam], lambda _: [path.evaluate(lam)])[0]
 
     def node_fn(lams):
         return [np.linalg.eigvalsh(mat(lam)) for lam in lams]
@@ -341,11 +346,8 @@ def chern_winding(path: SymmetricMatrixPath, half_height: Optional[float] = None
 
     def decompose(lams):
         # eigenpairs of A(lam), each round's new lam in one stacked eigh
-        new = [lam for lam in dict.fromkeys(lams) if lam not in eig]
-        if new:
-            vals, vecs = np.linalg.eigh(np.stack([path.evaluate(lam) for lam in new]))
-            eig.update(zip(new, zip(vals, vecs)))
-        return [eig[lam] for lam in lams]
+        return _batched(eig, lams, lambda new: zip(*np.linalg.eigh(
+            np.stack([path.evaluate(lam) for lam in new]))))
 
     if min(np.min(np.abs(vals)) for vals, _ in decompose([0.0, 1.0])) <= 1e-10:
         raise EndpointKernelError("chern_winding requires invertible endpoints")

@@ -38,7 +38,13 @@ from hamflow.hamiltonian import (
 )
 from hamflow import hamiltonian as ha
 from hamflow import maslov
-from hamflow.maslov import LagrangianPath, find_crossings, maslov_index_pair, pair_to_product_path
+from hamflow.maslov import (
+    LagrangianPath,
+    find_crossings,
+    maslov_index_pair,
+    pair_to_product_path,
+    partial_maslov_index,
+)
 from hamflow.symplectic import (
     LagrangianFrame,
     check_frame_columns,
@@ -1258,6 +1264,26 @@ class TestTheoremB:
         with pytest.raises(SymplecticError):
             theorem_B_report(shifted, const, 0.0, 1.0, 32)
 
+    def test_an_empty_or_reversed_interval_is_rejected(self):
+        path, W, sp = gamma_nor_path()
+        const = LagrangianPath.from_callable(sp, lambda lam: W, grid=17)
+        for a, b in ((0.0, 0.0), (1.0, 0.0), (0.0, np.inf), (np.nan, 1.0)):
+            with pytest.raises(ValueError, match="a < b"):
+                theorem_B_report(path, const, a, b, 8)
+
+
+def _nine_node_shift_correction(family, lam, t0, T, delta):
+    """Reference shift correction: the pair paths of S_lam + s delta I sampled at
+    nine nodes s of [-1, 1], one shifted family per node, and the right partial
+    Maslov index at s = 0."""
+    def side(space_at):
+        return LagrangianPath.from_callable(
+            family.space, lambda s: space_at(family.shifted(s * delta), lam, t0, T),
+            grid=9, lo=-1.0, hi=1.0)
+
+    product, diag = pair_to_product_path(side(unstable_space), side(stable_space))
+    return partial_maslov_index(product, diag, 0.0, "right")
+
 
 class TestTheoremA:
     def test_autonomous(self):
@@ -1317,6 +1343,28 @@ class TestTheoremA:
         assert "delta" in rep.extras
         assert rep.extras["sfl_shifted"] == rep.sfl
         assert rep.sfl == rep.maslov
+
+    # a pencil kernel eigenvalue of +5.0e-4 (amplitude 1.5) and of -2.8e-4 (1.499) at lam = 1
+    @pytest.mark.parametrize("amplitude,corrections", [(1.5, (0, 0)), (1.499, (0, 1))])
+    def test_shift_corrections_match_the_nine_node_reference(self, monkeypatch, amplitude,
+                                                             corrections):
+        fam = sech_family(1, amplitude=amplitude)
+        transport, segment_calls = ha.propagate_subspace, []
+
+        def recording_transport(frames, family, lams, t_from, *args):
+            if family is not fam:
+                segment_calls.append((np.size(lams), t_from))
+            return transport(frames, family, lams, t_from, *args)
+
+        monkeypatch.setattr(ha, "propagate_subspace", recording_transport)
+        rep = theorem_A_report(fam, lam_grid=np.linspace(0, 1, 17), T=9.0, N=128,
+                               locate_crossings=False, endpoint_kernel_tol=1e-3)
+        monkeypatch.undo()
+        reference = tuple(_nine_node_shift_correction(fam, lam, 0.0, 9.0, rep.extras["delta"])
+                          for lam in (0.0, 1.0))
+        assert rep.extras["shift_corrections"] == reference == corrections
+        # per end, each side's five segment nodes s in [0, 1] are transported in one call
+        assert [call for call in segment_calls if call[0] > 1] == [(5, -9.0), (5, 9.0)] * 2
 
 
 class TestCorollaryA:

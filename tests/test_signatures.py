@@ -17,6 +17,7 @@ from hamflow import cli
 from hamflow import hamiltonian as ha
 from hamflow import maslov as ma
 from hamflow import spectral as sf
+from hamflow.families import sech_family
 from hamflow.symplectic import lagrangian_from_matrix, standard_space
 
 SIGNATURES = {
@@ -80,3 +81,16 @@ def test_the_benchmark_tracer_finds_every_name_it_patches():
     assert metrics["hamiltonian.pencil.calls"] == metrics["hamiltonian.eigensolve.calls"] == 1
     assert metrics["hamiltonian.pencil.rows"] == op.size == 16
     assert ha.assemble_Q_operator is assemble
+    # the transport and A0 probes put the memo's batch of lam into their work keys,
+    # so the memo must hand it over hashable
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        ha.stable_unstable_pair_path(sech_family(), 3, 0.0, 1.0)
+        ha._a0_node_fn(sech_family(), 1.0, 8, 1.0)([0.0, 1.0])
+    finally:
+        trace.uninstall()
+    metrics = trace.metrics()
+    assert metrics["hamiltonian.transport.calls"] == 2 and metrics["hamiltonian.pencil.calls"] == 1
+    for layer in ("hamiltonian.transport", "hamiltonian.pencil"):
+        assert metrics[f"{layer}.unique_ratio"] == 1.0
