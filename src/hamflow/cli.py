@@ -38,10 +38,11 @@ EXIT_NUMERIC = 3
 
 KNOWN_REPORTS = ("theorem-a", "theorem-b", "corollary-a", "self-tests")
 
-# Each pencil is solved dense: one windowed solve of order mesh * 2n peaks
-# at 3.0 dense matrices under tracemalloc, 403 MB at order 4096.  The limit
-# bounds (mesh + 1) * 2n, the unknowns before frame reduction; 4098 is mesh
-# 2048 at n = 1.
+# A0 pencils are solved in band storage, O(m kd) memory, but theorem B's Q
+# pencils are solved dense: one windowed Q solve of order mesh * 2n peaks at
+# 3.0 dense matrices under tracemalloc, 403 MB at order 4096.  The limit
+# bounds (mesh + 1) * 2n, the unknowns before frame reduction, for every
+# report; 4098 is mesh 2048 at n = 1.
 MAX_PENCIL_ORDER = 4098
 
 _INT_KEYS = ("grid", "mesh")
@@ -76,6 +77,7 @@ class RunArtifacts:
     convergence_path: str | None
     integers: dict = field(default_factory=dict)
     all_agree: bool = True
+    agreement: dict = field(default_factory=dict)  # each report's flags, as IndexReport.agreement
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -357,7 +359,8 @@ def run_scenario(config_path: str, overrides: dict | None = None,
                 for name, rep in results.items()}
     return RunArtifacts(report_path=report_path, tracks_path=tracks_path,
                         crossings_path=crossings_path, convergence_path=convergence_path,
-                        integers=integers, all_agree=all_agree)
+                        integers=integers, all_agree=all_agree,
+                        agreement={name: rep.agreement for name, rep in results.items()})
 
 
 def _cmd_families() -> int:
@@ -442,9 +445,11 @@ def main(argv=None) -> int:
         chern = "" if ints["chern"] is None else f" chern={ints['chern']}"
         print(f"  {name}: sfl={ints['sfl']} maslov={ints['maslov']}{chern}")
     if not artifacts.all_agree:
-        diffs = [f"{name}: sfl={i['sfl']} maslov={i['maslov']} chern={i['chern']}"
+        diffs = [f"{name}: sfl={i['sfl']} maslov={i['maslov']} chern={i['chern']} (failed: "
+                 + ", ".join(flag for flag, ok in artifacts.agreement[name].items() if not ok)
+                 + ")"
                  for name, i in artifacts.integers.items()
-                 if i["sfl"] != i["maslov"] or (i["chern"] is not None and i["chern"] != i["sfl"])]
+                 if not all(artifacts.agreement[name].values())]
         print("DISAGREEMENT:\n  " + "\n  ".join(diffs), file=sys.stderr)
         return EXIT_DISAGREE
     return EXIT_OK

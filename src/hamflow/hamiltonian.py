@@ -10,6 +10,7 @@ index of the stable/unstable pair path.
 
 from __future__ import annotations
 
+import ctypes
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -316,11 +317,18 @@ def propagate_subspace(frame, family: HamiltonianFamily, lam, t_from: float, t_t
 def _asymptotic_frames(family, lams, sign):
     """Boundary frames at the end t -> sign * inf: the unstable splitting of
     J S_lam(-inf) for sign -1, the stable splitting of J S_lam(+inf) for +1.
-    Memoized on the family; the lam missing from the memo are split in one
-    stacked call."""
+    Memoized on the family per lam and per matrix (keyed by its bytes), so
+    each distinct J S_lam is split once; the unseen matrices of the lam
+    missing from the memo are split in one stacked call."""
     def split(missing):
         M = family.space.J @ np.stack([family.S_limit(lam, sign) for lam in missing])
-        return map(LagrangianFrame, stable_unstable_splitting(M)[1 if sign < 0 else 0])
+        keys = [m.tobytes() for m in M]
+        matrices = dict(zip(keys, M))
+
+        def split_unseen(unseen):
+            frames = stable_unstable_splitting(np.stack([matrices[k] for k in unseen]))
+            return map(LagrangianFrame, frames[1 if sign < 0 else 0])
+        return family._cached_batch(("split", sign), keys, split_unseen)
     return family._cached_batch(("frame", sign), lams, split)
 
 
@@ -411,30 +419,27 @@ class BoundaryValueOperator:
 
     The operator holds what assembly computes: ``blocks``, the stiffness,
     mass and roughness forms, each as its (diagonal, upper, lower) d x d
-    blocks led by a pencil axis, and the boundary ``frames``.  A stack of L
-    pencils that share interval and mesh holds two sequences of L (d, k)
-    frame columns; its stiffness blocks have L entries when there is a
-    potential, and every other form one entry, which all pencils share.
-    The solve works from the blocks and never writes a pencil's dense
-    forms.  ``size`` is one pencil's order m.
+    blocks led by a pencil axis, the boundary ``frames`` and whether the
+    stiffness carries a ``potential``.  A stack of L pencils that share
+    interval and mesh holds two sequences of L (d, k) frame columns; its
+    stiffness blocks have L entries when there is a potential, and every
+    other form one entry, which all pencils share.  The solve works from the
+    blocks and never writes a pencil's dense forms.  ``size`` is one
+    pencil's order m.
     """
 
     blocks: tuple
     frames: tuple
     interval: tuple
     mesh: int
+    potential: bool = False
 
     def __post_init__(self):
-        self._interior = None  # (L_II, C_II or None), from the stack's first solve
+        self._interior = None  # (L_II, C_II) of a stack without potential, from its first solve
 
     @property
     def _stacked(self) -> bool:
         return not isinstance(self.frames[0], LagrangianFrame)
-
-    @property
-    def _shared(self) -> bool:
-        """Every pencil shares the stiffness blocks, as it does the other forms'."""
-        return len(self.blocks[0][0]) == 1
 
     @property
     def size(self) -> int:
@@ -457,16 +462,65 @@ class BoundaryValueOperator:
 
         With ``drop_rough``, parity-ghost modes are removed by the roughness
         filter (``_ghost_filter``).  A stack gives the list of its pencils'
-        arrays, solved together from the blocks (``_solve``).
+        arrays, solved together from the blocks: in band storage when there
+        is a potential (``_band_solve``), else over the interior the pencils
+        share (``_shared_solve``).
         """
-        spectra = self._solve(window, drop_rough)
+        K, M, R = self.blocks
+        if not all(np.isfinite(x).all() for x in K + M):
+            raise ValueError("array must not contain infs or NaNs")
+        F0, F1 = (np.stack(F if self._stacked else [F.columns]) for F in self.frames)
+        solve = self._band_solve if self.potential else self._shared_solve
+        spectra, u = solve(F0, F1, window, drop_rough)
+        if drop_rough:
+            spectra = _ghost_filter(spectra, u, R, self.rough_cut)
         return spectra if self._stacked else spectra[0]
 
-    def _solve(self, window, vectors):
+    def _band_solve(self, F0, F1, window, vectors):
+        """Every pencil's eigenvalues in (-window, window], ascending, and with
+        ``vectors`` their eigenvectors' (N+1, d) nodal values, M-normalized,
+        pencil after pencil.
+
+        Each pencil's frame-reduced forms are written in band storage
+        (``_reduced_band``), each to its own half-bandwidth, so a pencil
+        solves alike in any stack.  ``_band_tridiagonal`` reduces the pencil
+        to a similar tridiagonal matrix, whose Sturm count (LAPACK dstebz)
+        finds the values with the guarantee ``dsyevx`` gives, and
+        ``_inverse_iteration`` finds the vectors.  Memory is O(m kd) per
+        pencil.
+        """
+        K, M = (_reduced_band(*form, F0, F1) for form in self.blocks[:2])
+        k0, k1, d = F0.shape[-1], F1.shape[-1], F0.shape[-2]
+        # each pencil's half-bandwidths: its last nonzero diagonals
+        kb = M.shape[-1] - 1 - np.argmax(M.any(axis=1)[:, ::-1], axis=1)
+        ka = np.maximum(kb, K.shape[-1] - 1 - np.argmax(K.any(axis=1)[:, ::-1], axis=1))
+        spectra, u = [], []
+        for i in range(len(F0)):
+            Ki, Mi = K[i, :, :ka[i] + 1], M[i, :, :kb[i] + 1]
+            diag, off = _band_tridiagonal(Ki, Mi)
+            count, vals, _, _, info = scipy.linalg.lapack.dstebz(diag, off, 1, -window, window,
+                                                                 0, 0, 0.0, "E")
+            if info:
+                raise scipy.linalg.LinAlgError(f"dstebz failed with info {info}")
+            spectra.append(vals[:count])
+            if vectors and count:
+                scale = np.abs(diag)  # dstein's cluster scale, the tridiagonal's 1-norm
+                scale[1:] += np.abs(off)
+                scale[:-1] += np.abs(off)
+                x = _inverse_iteration(Ki, Mi, spectra[-1], scale.max())
+                u.append(np.concatenate([(F0[i] @ x[:k0])[None],
+                                         x[k0:len(x) - k1].reshape(-1, d, count),
+                                         (F1[i] @ x[len(x) - k1:])[None]]))
+        if not vectors:
+            return spectra, None
+        return spectra, np.concatenate(u, axis=-1) if u else np.zeros((self.mesh + 1, d, 0))
+
+    def _shared_solve(self, F0, F1, window, vectors):
         """Every pencil's eigenvalues in (-window, window], ascending, as
-        scipy's windowed ``eigh`` gives them; with ``vectors`` ghost-filtered.
-        One LAPACK ``dsyevx`` per pencil solves C = L^-1 K L^-T, M = L L^T
-        (Golub and Van Loan, Matrix Computations, 8.7).
+        scipy's windowed ``eigh`` gives them, and with ``vectors`` their
+        eigenvectors' nodal values.  One LAPACK ``dsyevx`` per pencil solves
+        C = L^-1 K L^-T, M = L L^T (Golub and Van Loan, Matrix Computations,
+        8.7).
 
         The frame coordinates are the border b, ordered after the interior.
         L = [[L_II, 0], [X^T, L_bb]] with X = L_II^-1 M_Ib and L_bb the factor
@@ -474,23 +528,20 @@ class BoundaryValueOperator:
         exactly when M_II and it are (Haynsworth 1968).  With W = L_II^-1 K_Ib,
         Z = L_bb^-1, Y = X Z^T and V = W Z^T, C's border columns are
         G = V - C_II Y and its border block is Z K_bb Z^T - V^T Y - Y^T G.
-        The stack shares M, so X and W of every pencil come from one banded
+        The stack shares K_II and M_II, so C_II is the stack's
+        (``_interior_factor``), X and W of every pencil come from one banded
         solve over all border columns, the k x k Schur complements are
         factored as one stack, and the back-transform x = L^-T z of every
         found eigenvector is one transposed banded solve.  A pencil's own
-        work is its C_II (none when the stack shares it), one ``dsymm`` for
-        G and its ``dsyevx``.  No BLAS or LAPACK call gets an empty operand,
-        which some mishandle.
+        work is one ``dsymm`` for G and its ``dsyevx``.  No BLAS or LAPACK
+        call gets an empty operand, which some mishandle.
         """
         lapack = scipy.linalg.lapack
-        K, M, R = self.blocks
-        if not all(np.isfinite(x).all() for x in K + M):
-            raise ValueError("array must not contain infs or NaNs")
-        F0, F1 = (np.stack(F if self._stacked else [F.columns]) for F in self.frames)
+        K, M, _ = self.blocks
         count, k0 = len(F0), F0.shape[-1]
         k, d = k0 + F1.shape[-1], K[0].shape[-1]
         n_in = (self.mesh - 1) * d
-        L_II, C_shared = self._interior_factor()
+        L_II, C_II = self._interior_factor()
         # border rows of M and K for every pencil; rhs holds their interior
         # columns M_Ib and K_Ib transposed, (form, pencil, k, n_in)
         bb = np.zeros((2, count, k, k))
@@ -508,7 +559,6 @@ class BoundaryValueOperator:
         Q = Z @ bb[1] @ Z.swapaxes(-1, -2) - Vt @ Yt.swapaxes(-1, -2)
         spectra, found = [], []
         for i in range(count):
-            C_II = C_shared if C_shared is not None else _standard_form(L_II, K, i)
             G = scipy.linalg.blas.dsymm(-1.0, C_II, Yt[i].T, beta=1.0, c=Vt[i].T, lower=1)
             C = np.empty((n_in + k, n_in + k), order="F")  # dsyevx reads its lower triangle only
             C[:n_in, :n_in] = C_II
@@ -522,7 +572,7 @@ class BoundaryValueOperator:
             if vectors and m:
                 found.append((i, z[:, :m].copy()))  # not a view that keeps all of z
         if not vectors:
-            return spectra
+            return spectra, None
         u = np.zeros((self.mesh + 1, d, sum(z.shape[1] for _, z in found)))
         if found:  # x = L^-T z, as nodal values
             owner = np.concatenate([np.full(z.shape[1], i) for i, z in found])
@@ -532,25 +582,34 @@ class BoundaryValueOperator:
             u[1:-1] = lapack.dtbtrs(L_II, x_in, uplo="L", trans="T")[0].reshape(-1, d, len(owner))
             u[0] = np.einsum("cdk,kc->dc", F0[owner], xb[:k0])
             u[-1] = np.einsum("cdk,kc->dc", F1[owner], xb[k0:])
-        return _ghost_filter(spectra, u, R, self.rough_cut)
+        return spectra, u
 
     def _interior_factor(self):
-        """(L_II, C_II or None): the Cholesky factor of the interior mass M_II
-        in band storage and, when the pencils share their forms (no
-        potential), the lower triangle of C_II = L_II^-1 K_II L_II^-T.
+        """(L_II, C_II): the Cholesky factor of the interior mass M_II in band
+        storage and the lower triangle of C_II = L_II^-1 K_II L_II^-T, by two
+        banded solves of the dense interior K_II, (N-1) d square.
 
-        Every pencil of a stack has the same M_II, so the stack factors it on
-        its first solve and keeps the factor.  The factor and solves are
-        banded because OpenBLAS hands dense ones of these orders to its
-        thread pool.  Threads that race on a first solve factor twice and
-        keep either result, which are equal; each reads the pair once, so
-        its L_II and C_II agree.
+        Every pencil of a stack without potential has the same K_II and M_II,
+        so the stack computes the pair on its first solve and keeps it.  The
+        factor and solves are banded because OpenBLAS hands dense ones of
+        these orders to its thread pool.  Threads that race on a first solve
+        factor twice and keep either result, which are equal; each reads the
+        pair once, so its L_II and C_II agree.
         """
         if self._interior is None:
-            L, info = scipy.linalg.lapack.dpbtrf(_interior_band(*self.blocks[1]), lower=1)
+            lapack = scipy.linalg.lapack
+            L, info = lapack.dpbtrf(_interior_band(*self.blocks[1]), lower=1)
             if info:
                 raise ValueError("mass matrix is not positive definite")
-            self._interior = (L, _standard_form(L, self.blocks[0], 0) if self._shared else None)
+            sym_diag, sym_upper = _interior_blocks(*(x[0] for x in self.blocks[0]))
+            nodes, d = sym_diag.shape[:2]
+            at = d * np.arange(nodes)[:, None, None]
+            rows, cols = at + np.arange(d)[:, None], at + np.arange(d)
+            K = np.zeros((nodes * d, nodes * d))
+            K[rows, cols] = sym_diag
+            K[rows[:-1], cols[1:]] = sym_upper
+            K[rows[1:], cols[:-1]] = sym_upper.swapaxes(-1, -2)
+            self._interior = (L, lapack.dtbtrs(L, lapack.dtbtrs(L, K, uplo="L")[0].T, uplo="L")[0])
         return self._interior
 
 
@@ -584,35 +643,162 @@ def _interior_blocks(diag, upper, lower):
     return sym_diag, sym_upper
 
 
+def _node_columns(sym_diag, sym_upper):
+    """Each interior node's d columns from the diagonal down, (..., nodes, 2d, d):
+    its diagonal block over the block coupling it to the next node, which is
+    zero for the last node."""
+    nodes, d = sym_diag.shape[-3], sym_diag.shape[-1]
+    tall = np.zeros(sym_diag.shape[:-3] + (nodes, 2 * d, d))
+    tall[..., :d, :] = sym_diag
+    tall[..., :-1, d:, :] = sym_upper.swapaxes(-1, -2)
+    return tall
+
+
+def _band_columns(tall, width):
+    """A run of w columns in lower band storage, (..., w, width): ``tall``
+    (..., H, w) holds the columns from their diagonal entry down, so column
+    b's band entries are tall[b + k, b] for k < width, zero past row H."""
+    H, w = tall.shape[-2:]
+    rows, cols = np.arange(w)[:, None] + np.arange(width), np.arange(w)[:, None]
+    return np.where(rows < H, tall[..., np.minimum(rows, H - 1), cols], 0.0)
+
+
 def _interior_band(diag, upper, lower):
     """The shared interior form's lower band in LAPACK band storage,
     band[k, j] = A[j + k, j], reaching back to every row's first nonzero:
     every entry a dense Cholesky reads."""
-    sym_diag, sym_upper = _interior_blocks(diag[0], upper[0], lower[0])
-    nodes, d = sym_diag.shape[:2]
-    # column block q holds rows q d .. q d + 2d - 1 of its d columns
-    cols = np.zeros((nodes, 2 * d, d))
-    cols[:, :d] = sym_diag
-    cols[:-1, d:] = sym_upper.swapaxes(-1, -2)
-    k, b = np.arange(2 * d)[:, None], np.arange(d)
-    band = np.where(k + b < 2 * d, cols[:, np.minimum(k + b, 2 * d - 1), b], 0.0)
-    band = band.transpose(1, 0, 2).reshape(2 * d, nodes * d)
+    tall = _node_columns(*_interior_blocks(diag[0], upper[0], lower[0]))
+    band = _band_columns(tall, tall.shape[-2]).reshape(-1, tall.shape[-2]).T
     return band[:np.flatnonzero(band.any(axis=1))[-1] + 1]
 
 
-def _standard_form(L, stiffness, j):
-    """C_II = L^-1 K_II L^-T for pencil j's stiffness blocks, by two banded
-    solves of its dense interior K_II, (N-1) d square."""
+def _reduced_band(diag, upper, lower, F0, F1):
+    """One form's frame-reduced matrix for each pencil of a stack in lower
+    band storage, (L, m, 2d): row j of a pencil holds its column j from the
+    diagonal down, A[j + k, j], the coordinates ordered [c0, nodes 1 .. N-1,
+    c1], so it is LAPACK's (2d, m) band in column-major order.  The entries
+    are the symmetrized interior blocks and ``_frame_border``'s rows; no
+    m x m array is formed."""
+    c0, e0, e1, c1 = _frame_border(diag, upper, lower, F0, F1)
+    sym_diag, sym_upper = _interior_blocks(diag, upper, lower)
+    L, d, width = len(F0), sym_diag.shape[-1], 2 * sym_diag.shape[-1]
+    tall = _node_columns(np.broadcast_to(sym_diag, (L,) + sym_diag.shape[1:]), sym_upper)
+    tall[:, -1, d:d + F1.shape[-1]] = e1.swapaxes(-1, -2)  # the last node couples with c1
+    head = np.concatenate([c0, e0.swapaxes(-1, -2)], axis=-2)  # c0 couples with node 1
+    return np.concatenate([_band_columns(head, width),
+                           _band_columns(tall, width).reshape(L, -1, width),
+                           _band_columns(c1, width)], axis=1)
+
+
+_BAND_ARGS = {  # c: a character, passed as char *; p: the address of an int or a double
+    "dpbstf": "cppppp",
+    "dsbgst": "ccppppppppppp",
+    "dsbtrd": "ccpppppppppp",
+}
+_BAND_LAPACK = {}
+
+
+def _band_lapack(name):
+    """LAPACK ``name`` as a ctypes function of the pointer in scipy's
+    cython_lapack capsule, which scipy.linalg.lapack does not wrap; resolved
+    on first use.  The call releases the GIL."""
+    if name not in _BAND_LAPACK:
+        import scipy.linalg.cython_lapack
+        capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
+        api = ctypes.pythonapi
+        get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+        get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+            ("PyCapsule_GetPointer", api))
+        argtypes = [ctypes.c_char_p if a == "c" else ctypes.c_void_p for a in _BAND_ARGS[name]]
+        _BAND_LAPACK[name] = ctypes.CFUNCTYPE(None, *argtypes)(
+            get_pointer(capsule, get_name(capsule)))
+    return _BAND_LAPACK[name]
+
+
+def _band_tridiagonal(K, M):
+    """Diagonal and off-diagonal of a symmetric tridiagonal matrix with the
+    eigenvalues of the pencil (K, M).
+
+    K and M are in lower band storage as (m, ka + 1) and (m, kb + 1) arrays,
+    ka >= kb, row j holding column j from the diagonal down; they are only
+    read.  Their copies go through the split Cholesky factorization
+    M = S^T S (LAPACK dpbstf), Crawford's band-preserving reduction of K to
+    the standard form X^T K X (dsbgst) and its tridiagonalization (dsbtrd);
+    no vector is formed.  Raises ValueError when M is not positive definite.
+    Every buffer is this call's, so threads may solve at once.
+    """
+    (m, wa), wb = K.shape, M.shape[1]
+    # one buffer: K, M, the work array, the diagonal, the off-diagonal and the
+    # double that stands for the vectors VECT = 'N' leaves unreferenced
+    ends = np.cumsum([m * wa, m * wb, 2 * m, m, m, 1]).tolist()
+    buf = np.empty(ends[-1])
+    buf[:ends[0]].reshape(m, wa)[:] = K
+    buf[ends[0]:ends[1]].reshape(m, wb)[:] = M
+    at = buf.ctypes.data
+    pK, pM, work, diag, off, unused = [at + 8 * end for end in [0] + ends[:-1]]
+    ints = np.array([m, wa - 1, wb - 1, wa, wb, 1, 0], dtype=np.intc)
+    at, size = ints.ctypes.data, ints.itemsize
+    n, ka, kb, lda, ldb, one, info = range(at, at + 7 * size, size)
+    _band_lapack("dpbstf")(b"L", n, kb, pM, ldb, info)
+    if ints[-1]:
+        raise ValueError("mass matrix is not positive definite")
+    _band_lapack("dsbgst")(b"N", b"L", n, ka, kb, pK, lda, pM, ldb, unused, one, work, info)
+    _band_lapack("dsbtrd")(b"N", b"L", n, ka, pK, lda, diag, off, unused, one, work, info)
+    if ints[-1]:
+        raise scipy.linalg.LinAlgError(f"band reduction failed with info {ints[-1]}")
+    return buf[ends[2]:ends[3]], buf[ends[3]:ends[4] - 1]
+
+
+def _general_band(X, ka):
+    """A symmetric matrix in lower band storage (m, kx + 1), kx <= ka, in
+    LAPACK's general band storage with ka sub- and superdiagonals, as the
+    C-ordered transpose (m, 3 ka + 1) of the Fortran array dgbtrf factors,
+    whose first ka rows are free for the factor's fill."""
+    m = len(X)
+    G = np.zeros((m, 3 * ka + 1))
+    for k in range(X.shape[1]):
+        G[:m - k, 2 * ka + k] = X[:m - k, k]
+        G[k:, 2 * ka - k] = X[:m - k, k]
+    return G
+
+
+def _inverse_iteration(K, M, vals, scale):
+    """M-orthonormal eigenvectors, (m, len(vals)), of the band pencil (K, M)
+    at its ascending eigenvalues ``vals``.
+
+    Each takes two steps of inverse iteration with K - mu M in general band
+    storage (LAPACK dgbtrf and dgbtrs) from a fixed start, and each step is
+    M-orthogonalized against the earlier vectors of its cluster: the values
+    that follow each other within 1e-3 ``scale``, LAPACK dstein's rule.
+    """
     lapack = scipy.linalg.lapack
-    sym_diag, sym_upper = _interior_blocks(*(x[j] for x in stiffness))
-    nodes, d = sym_diag.shape[:2]
-    at = d * np.arange(nodes)[:, None, None]
-    rows, cols = at + np.arange(d)[:, None], at + np.arange(d)
-    K = np.zeros((nodes * d, nodes * d))
-    K[rows, cols] = sym_diag
-    K[rows[:-1], cols[1:]] = sym_upper
-    K[rows[1:], cols[:-1]] = sym_upper.swapaxes(-1, -2)
-    return lapack.dtbtrs(L, lapack.dtbtrs(L, K, uplo="L")[0].T, uplo="L")[0]
+    m, ka = len(K), K.shape[1] - 1
+    GK, GM = _general_band(K, ka), _general_band(M, ka)
+    Mt = np.ascontiguousarray(M).T  # LAPACK's (kb + 1, m) band, Fortran order
+
+    def mass(x):
+        return scipy.linalg.blas.dsbmv(M.shape[1] - 1, 1.0, Mt, x, lower=1)
+
+    # the fixed starts, taken as M x: sin((j + 1) i) for value j and row i
+    starts = np.sin(np.arange(1.0, len(vals) + 1.0)[:, None] * np.arange(1.0, m + 1.0))
+    X, MX = np.empty((m, len(vals))), np.empty((m, len(vals)))
+    first = 0
+    for j, mu in enumerate(vals):
+        if j and vals[j] - vals[j - 1] > 1e-3 * scale:
+            first = j
+        lu, piv, info = lapack.dgbtrf((GK - mu * GM).T, ka, ka, overwrite_ab=1)
+        if info > 0:  # mu is an eigenvalue to working precision: step off it
+            mu += np.finfo(float).eps * scale
+            lu, piv, info = lapack.dgbtrf((GK - mu * GM).T, ka, ka, overwrite_ab=1)
+        rhs = starts[j]
+        for _ in range(2):  # the steps are scale-free, so only the last is normalized
+            x = lapack.dgbtrs(lu, ka, ka, rhs, piv)[0]
+            if first < j:
+                x -= X[:, first:j] @ (MX[:, first:j].T @ x)
+            rhs = mass(x)
+        norm = np.sqrt(x @ rhs)
+        X[:, j], MX[:, j] = x / norm, rhs / norm
+    return X
 
 
 def _frame_border(diag, upper, lower, F0, F1):
@@ -721,7 +907,8 @@ def _assemble(space, L0, L1, a, b, N, S_fn=None, stabilization=None, scheme="gal
     for F in frames:
         check_frame_columns(np.stack([F.columns] if one else F), space)
     return BoundaryValueOperator(blocks=_form_blocks(space, a, b, N, S_fn, stabilization, scheme),
-                                 frames=frames, interval=(a, b), mesh=N)
+                                 frames=frames, interval=(a, b), mesh=N,
+                                 potential=S_fn is not None)
 
 
 def assemble_Q_operator(L0: LagrangianFrame, L1: LagrangianFrame, a: float, b: float,
@@ -746,7 +933,8 @@ def assemble_A0_operator(family: HamiltonianFamily, lam: float, T: float, N: int
     settled, so the pencil kernel matches intersections of E^u and E^s.
     Broadcasts over lam as ``propagate_subspace`` does: a float gives one
     pencil, a sequence one stack with a pencil per entry, whose frames are
-    split in one call per end and whose potential takes one ``S`` call.
+    split in at most one call per end and whose potential takes one ``S``
+    call.
     """
     family.check_contract()
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
@@ -772,9 +960,20 @@ def pencil_window(a: float, b: float, asym_gap: Optional[float] = None) -> float
 # theorem reports
 
 
+SHIFT_RECIPE = "shift recipe"
+
+
 @dataclass
 class IndexReport:
-    """The independently computed integers and their agreement flags."""
+    """The independently computed integers and their agreement flags.
+
+    A report whose ``extras["agreement_rule"]`` is ``SHIFT_RECIPE`` (theorem
+    A with an endpoint kernel) checks the recipe's identity
+    sfl_shifted = maslov + c1 - c0, with (c0, c1) its ``shift_corrections``,
+    instead of the raw sfl = maslov: the raw integers count the endpoint
+    kernels by conventions that the theorem does not equate, so the raw
+    comparison is no flag.
+    """
 
     sfl: int
     maslov: int
@@ -785,7 +984,11 @@ class IndexReport:
 
     @property
     def agreement(self) -> dict:
-        flags = {"sfl_vs_maslov": self.sfl == self.maslov}
+        if self.extras.get("agreement_rule") == SHIFT_RECIPE:
+            c0, c1 = self.extras["shift_corrections"]
+            flags = {"shift_recipe": self.extras["sfl_shifted"] == self.maslov + c1 - c0}
+        else:
+            flags = {"sfl_vs_maslov": self.sfl == self.maslov}
         if self.chern is not None:
             flags["chern_vs_sfl"] = self.chern == self.sfl
         return flags
@@ -861,7 +1064,7 @@ def theorem_B_report(path0: LagrangianPath, path1: LagrangianPath, a: float, b: 
 def _a0_node_fn(family, T, N, window_report):
     """Windowed A0 spectra for a list of lam, memoized on the family.  The
     lam missing from the memo are assembled as one stack: one ``S`` call and
-    one splitting call per end."""
+    at most one splitting call per end."""
     def compute(missing):
         return assemble_A0_operator(family, missing, T, N).eigenvalues(window=window_report)
     return lambda lams: family._cached_batch(("a0", T, N, window_report), lams, compute)
@@ -908,7 +1111,8 @@ def theorem_A_report(family: HamiltonianFamily, lam_grid=None, T: Optional[float
     computes the raw integers (kernel eigenvalues counted at the nodes), the
     spectral flow of the family shifted by a delta between the endpoint
     kernels and the first genuine gap, and the one-sided partial Maslov
-    indices of the shift segments at both endpoints.  With ``third_opinion``
+    indices of the shift segments at both endpoints, and its agreement
+    checks the recipe's identity (``IndexReport``).  With ``third_opinion``
     and invertible endpoints it adds the Chern winding of the sfl node
     spectra, labelled so in ``extras["chern_source"]``.
     """
@@ -961,6 +1165,7 @@ def theorem_A_report(family: HamiltonianFamily, lam_grid=None, T: Optional[float
         report.extras["shift_corrections"] = tuple(
             _shift_partial_correction(family, lam, t0, T, d)
             for lam in (grid[0], grid[-1]))
+        report.extras["agreement_rule"] = SHIFT_RECIPE
     return report
 
 

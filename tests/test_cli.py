@@ -221,6 +221,18 @@ def test_disagreement_exit_code(tmp_path, monkeypatch):
     assert cli.main(["run", cfgp]) == cli.EXIT_DISAGREE
 
 
+def test_a_balanced_endpoint_kernel_scenario_agrees(tmp_path, capsys):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    scenario = os.path.join(root, "scenarios", "sech_endpoint_kernel.json")
+    assert cli.main(["run", scenario, "--out", str(tmp_path / "results")]) == cli.EXIT_OK
+    report = (tmp_path / "results" / "report.txt").read_text()
+    for line in ("theorem-a.sfl = 1", "theorem-a.maslov = 0", "theorem-a.sfl_shifted = 1",
+                 "theorem-a.shift_corrections = (0, 1)",
+                 "theorem-a.agreement_rule = shift recipe", "all_agree = true"):
+        assert line in report.splitlines()
+    assert "DISAGREEMENT" not in capsys.readouterr().err
+
+
 def test_flag_overrides(tmp_path):
     cfgp = write_config(tmp_path)
     outdir = str(tmp_path / "other")

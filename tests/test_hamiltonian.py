@@ -1,5 +1,6 @@
 import inspect
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -1000,6 +1001,71 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def _band_reductions(monkeypatch):
+    """Record (order, stiffness band rows, mass band rows) of every band reduction."""
+    calls = []
+    reduce = ha._band_tridiagonal
+
+    def counting(K, M):
+        calls.append((len(K), K.shape[1], M.shape[1]))
+        return reduce(K, M)
+
+    monkeypatch.setattr(ha, "_band_tridiagonal", counting)
+    return calls
+
+
+class TestBandSolve:
+    @pytest.mark.parametrize("fam,kd", [(lambda: sech_family(1, amplitude=2.0), 3),
+                                        (lambda: sech_family(2, amplitude=2.0), 6)],
+                             ids=["sech-n1", "sech-n2"])
+    def test_band_values_match_eigh(self, fam, kd):
+        # the band holds the frame-reduced forms, and the reduction's
+        # tridiagonal has their generalized eigenvalues
+        fam = fam()
+        for lam in (0.3, 0.75):
+            op = assemble_A0_operator(fam, lam, 3.0, 24)
+            ref = _dense_a0_pencil(fam, lam, 3.0, 24)
+            F0, F1 = (F.columns[None] for F in op.frames)
+            K, M = (ha._reduced_band(*form, F0, F1)[0] for form in op.blocks[:2])
+            m = op.size
+            for band, dense in zip((K, M), ref.reduced):
+                rows, cols = np.tril_indices(m)
+                inside = rows - cols < band.shape[1]
+                assert np.allclose(band[cols[inside], rows[inside] - cols[inside]],
+                                   dense[rows[inside], cols[inside]], rtol=1e-14, atol=1e-14)
+                assert np.all(dense[rows[~inside], cols[~inside]] == 0.0)
+            widths = [np.flatnonzero(X.any(axis=0))[-1] for X in (K, M)]
+            assert widths[0] == kd and widths[1] < kd
+            diag, off = ha._band_tridiagonal(K[:, :kd + 1].copy(), M[:, :widths[1] + 1].copy())
+            got = scipy.linalg.eigvalsh_tridiagonal(diag, off)
+            want = scipy.linalg.eigh(*ref.reduced[:2], eigvals_only=True)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_an_indefinite_mass_is_rejected(self):
+        # a reversed interval has a negative mass
+        fam = sech_family(1, amplitude=2.0)
+        for lam in (0.4, (0.3, 0.4)):
+            op = assemble_A0_operator(fam, lam, -2.0, 8)
+            assert op.interval == (2.0, -2.0)
+            with pytest.raises(ValueError, match="not positive definite"):
+                op.eigenvalues(window=1.0)
+
+    def test_an_order_2048_solve_holds_no_dense_matrix(self):
+        # one dense 2048 x 2048 matrix is 32 MiB; the band solve and its
+        # vectors stay under a quarter of one
+        op = assemble_A0_operator(sech_family(1, amplitude=2.0), 0.75, 9.0, 1024)
+        assert op.size == 2048
+        op.eigenvalues(window=0.5)
+        tracemalloc.start()
+        try:
+            vals = op.eigenvalues(window=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(vals) > 0
+        assert peak < 8 << 20
+
+
 class TestInteriorBasisSolve:
     @pytest.mark.parametrize("name", sorted(BATCH_FAMILIES))
     @pytest.mark.parametrize("N", [4, 32, 96])
@@ -1040,11 +1106,14 @@ class TestInteriorBasisSolve:
             op.eigenvalues(window)
         assert cholesky == [23 * 4] + [19 * 4] * 5
 
-    def test_an_a0_stack_factors_its_mass_once(self, monkeypatch):
+    def test_an_a0_stack_factors_no_interior(self, monkeypatch):
+        # each pencil's split Cholesky of its whole band mass replaces the
+        # stack's interior factor
         stack = assemble_A0_operator(sech_family(1, amplitude=2.0), (0.2, 0.5, 0.8), 2.0, 32)
-        cholesky = _counting(monkeypatch, "dpbtrf")
+        cholesky, reductions = _counting(monkeypatch, "dpbtrf"), _band_reductions(monkeypatch)
         stack.eigenvalues(0.5)
-        assert cholesky == [31 * 2]
+        assert cholesky == []
+        assert reductions == [(stack.size, 4, 3)] * 3
 
     def test_theorem_b_factors_once_per_round(self, monkeypatch):
         path, W, sp = gamma_nor_path()
@@ -1162,13 +1231,17 @@ class TestRoundWork:
         stack.eigenvalues(1.5 * pencil_window(0.0, 1.0), drop_rough=False)
         assert solves == [23 * 4]  # C_II is the stack's now, and no vectors
 
-    def test_an_a0_stack_solves_its_border_columns_at_once(self, monkeypatch):
-        # with a potential each pencil has its own C_II, two banded solves
+    def test_an_a0_stack_takes_one_band_reduction_per_pencil(self, monkeypatch):
+        # with a potential each pencil is reduced in band storage, with and
+        # without vectors; nothing of the shared-interior solve runs
         stack = assemble_A0_operator(sech_family(1, amplitude=2.0), (0.2, 0.5, 0.8), 2.0, 32)
         solves, dsyevx = _counting(monkeypatch, "dtbtrs"), _counting(monkeypatch, "dsyevx")
-        stack.eigenvalues(0.5)
-        assert len(solves) == 1 + 2 * 3 + 1
-        assert dsyevx == [stack.size] * 3
+        cholesky, reductions = _counting(monkeypatch, "dpbtrf"), _band_reductions(monkeypatch)
+        for drop_rough in (True, False):
+            reductions.clear()
+            stack.eigenvalues(0.5, drop_rough=drop_rough)
+            assert reductions == [(stack.size, 4, 3)] * 3
+        assert solves == dsyevx == cholesky == []
 
     def test_theorem_b_makes_one_souriau_call_per_round(self, monkeypatch):
         path, W, sp = gamma_nor_path()
@@ -1344,6 +1417,32 @@ class TestTheoremA:
         assert rep.extras["sfl_shifted"] == rep.sfl
         assert rep.sfl == rep.maslov
 
+    def test_the_agreement_follows_the_shift_recipe(self):
+        # amplitude 1.499 leaves a kernel eigenvalue of -2.8e-4 at lam = 1: the
+        # raw integers differ, and sfl_shifted = maslov + c1 - c0 balances
+        rep = theorem_A_report(sech_family(1, amplitude=1.499), lam_grid=np.linspace(0, 1, 17),
+                               T=9.0, N=128, locate_crossings=False, endpoint_kernel_tol=1e-3)
+        assert (rep.sfl, rep.maslov, rep.extras["sfl_shifted"]) == (1, 0, 1)
+        assert rep.extras["shift_corrections"] == (0, 1)
+        assert rep.extras["agreement_rule"] == ha.SHIFT_RECIPE
+        assert rep.agreement == {"shift_recipe": True} and rep.agree
+
+    def test_the_reflected_family_pins_the_sign_of_c0(self):
+        # lam -> 1 - lam moves the kernel to lam = 0, so c0 carries the
+        # correction: -1 = 0 + 0 - 1 holds, and -1 = 0 + 0 + 1 would not
+        base = sech_family(1, amplitude=1.499)
+        fam = HamiltonianFamily(n=1, B=lambda lam: base.B(1.0 - np.asarray(lam)),
+                                K=lambda lam, t: base.K(1.0 - np.asarray(lam), t),
+                                K_limits=lambda lam: base.K_limits(1.0 - np.asarray(lam)),
+                                decay_scale=base.decay_scale, name="reflected")
+        rep = theorem_A_report(fam, lam_grid=np.linspace(0, 1, 17), T=9.0, N=128,
+                               locate_crossings=False, endpoint_kernel_tol=1e-3)
+        assert (rep.sfl, rep.maslov, rep.extras["sfl_shifted"]) == (-1, 0, -1)
+        assert rep.extras["shift_corrections"] == (1, 0)
+        assert rep.agree
+        unbalanced = ha.IndexReport(sfl=-1, maslov=0, extras=dict(rep.extras, sfl_shifted=1))
+        assert unbalanced.agreement == {"shift_recipe": False}
+
     # a pencil kernel eigenvalue of +5.0e-4 (amplitude 1.5) and of -2.8e-4 (1.499) at lam = 1
     @pytest.mark.parametrize("amplitude,corrections", [(1.5, (0, 0)), (1.499, (0, 1))])
     def test_shift_corrections_match_the_nine_node_reference(self, monkeypatch, amplitude,
@@ -1397,6 +1496,40 @@ class TestCorollaryA:
 def _certificate_bytes(cert):
     return [np.asarray(x, dtype=float).tobytes()
             for x in (cert.nodes, cert.eps, cert.counts, cert.drifts, cert.endpoint_gaps)]
+
+
+class TestSplittingMemo:
+    @pytest.mark.parametrize("scenario,calls", [("sech", 2), ("rotating", 7)])
+    def test_each_distinct_matrix_is_split_once(self, scenario, calls, tmp_path, monkeypatch):
+        # a benchmark scenario run; per-lambda memos alone split 20 and 12 times
+        from hamflow import cli
+        matrices, families = [], []
+        split, make = ha.stable_unstable_splitting, cli.fam.make_family
+
+        def counting_split(M):
+            matrices.append(len(M))
+            return split(M)
+
+        def recording_make(*args, **kwargs):
+            families.append(make(*args, **kwargs))
+            return families[-1]
+
+        monkeypatch.setattr(ha, "stable_unstable_splitting", counting_split)
+        monkeypatch.setattr(cli.fam, "make_family", recording_make)
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        cli.run_scenario(os.path.join(root, "bench", "scenarios", f"{scenario}.json"),
+                         {"out": str(tmp_path)})
+        monkeypatch.undo()
+        assert len(matrices) == calls
+        [fam] = families
+        seen = set()
+        for sign in (-1, +1):
+            for lam, frame in fam._memo[("frame", sign)].items():
+                M = fam.space.J @ fam.S_limit(lam, sign)
+                seen.add((sign, M.tobytes()))
+                alone = stable_unstable_splitting(M[None])[1 if sign < 0 else 0][0]
+                assert np.array_equal(frame.columns, alone)
+        assert sum(matrices) == len(seen)
 
 
 class TestSharedMemo:
