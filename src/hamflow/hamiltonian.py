@@ -1114,7 +1114,8 @@ def theorem_A_report(family: HamiltonianFamily, lam_grid=None, T: Optional[float
     indices of the shift segments at both endpoints, and its agreement
     checks the recipe's identity (``IndexReport``).  With ``third_opinion``
     and invertible endpoints it adds the Chern winding of the sfl node
-    spectra, labelled so in ``extras["chern_source"]``.
+    spectra, labelled so in ``extras["chern_source"]``: it reads the
+    spectra at the certificate's own nodes, so it solves no pencil of its own.
     """
     T = T if T is not None else 10.0 * family.decay_scale
     grid = np.asarray(lam_grid if lam_grid is not None else np.linspace(0.0, 1.0, 17), dtype=float)
@@ -1147,10 +1148,8 @@ def theorem_A_report(family: HamiltonianFamily, lam_grid=None, T: Optional[float
         if general_case:
             warnings.warn("chern winding skipped: endpoints are not invertible", RuntimeWarning)
         else:
-            lo, hi = float(grid[0]), float(grid[-1])
-            dense = np.union1d(cert.nodes, np.linspace(lo, hi, 65))
             report.chern = chern_winding(
-                _compressed_diagonal_path(node_fn, dense, pad=1.1 * report_band),
+                _compressed_diagonal_path(node_fn, cert.nodes, pad=1.1 * report_band),
                 half_height=1.2 * report_band + 1.0)
             report.extras["chern_source"] = "sfl node spectra"
 
@@ -1172,29 +1171,30 @@ def theorem_A_report(family: HamiltonianFamily, lam_grid=None, T: Optional[float
 def _compressed_diagonal_path(node_fn, lams, pad) -> SymmetricMatrixPath:
     """Continuous diagonal carrier of the near-zero pencil spectrum.
 
-    At each node the windowed eigenvalues are packed into a fixed number of
-    slots; missing slots are parked at -pad or +pad, the split chosen to
-    minimize slot movement from the previous node, so window traffic consumes
-    the pad on its entry side and the tracks stay continuous.  Between nodes
-    the slots are interpolated linearly; the winding of the resulting path's
-    determinant therefore sees exactly the zero crossings of the spectrum.
+    At each node the windowed eigenvalues fill consecutive slots, with pads
+    parked at -pad below them and at +pad above.  Each node's bottom-pad
+    offset, uncapped, is the one that minimizes slot movement from the previous
+    node, so an eigenvalue leaving the window turns into a pad on its exit
+    side however many leave on one side, and the tracks stay continuous.  The
+    slots span the offsets' range plus one spare pad on each side.  Between
+    nodes the slots are interpolated linearly; the winding of the resulting
+    path's determinant therefore sees exactly the zero crossings of the spectrum.
     """
     lams = sorted(set(float(x) for x in lams))
     values = [np.sort(np.asarray(vals, dtype=float)) for vals in node_fn(lams)]
     lams = np.asarray(lams)
-    m = max(len(v) for v in values) + 2
-    tracks = np.empty((len(lams), m))
-    prev = None
-    for row, v in enumerate(values):
+    offsets = [0]
+    for prev, v in zip(values, values[1:]):
+        # every shift of v against prev, on a slot window holding all of them
         k = len(v)
-        best = None
-        for d_low in range(m - k + 1):
-            cand = np.concatenate([np.full(d_low, -pad), v, np.full(m - k - d_low, pad)])
-            cost = abs(d_low - 0.5 * (m - k)) if prev is None else float(np.abs(cand - prev).sum())
-            if best is None or cost < best[0]:
-                best = (cost, cand)
-        prev = best[1]
-        tracks[row] = prev
+        base = np.concatenate([np.full(k, -pad), prev, np.full(k, pad)])
+        costs = [np.abs(np.concatenate([np.full(s, -pad), v, np.full(len(base) - k - s, pad)])
+                        - base).sum() for s in range(len(base) - k + 1)]
+        offsets.append(offsets[-1] + int(np.argmin(costs)) - k)
+    lo = min(offsets) - 1
+    m = max(o + len(v) for o, v in zip(offsets, values)) + 1 - lo
+    tracks = np.array([np.concatenate([np.full(o - lo, -pad), v, np.full(m - o + lo - len(v), pad)])
+                       for o, v in zip(offsets, values)])
 
     def evaluate(lam):
         x = float(np.clip(lam, lams[0], lams[-1]))

@@ -46,6 +46,7 @@ from hamflow.maslov import (
     pair_to_product_path,
     partial_maslov_index,
 )
+from hamflow.spectral import chern_winding
 from hamflow.symplectic import (
     LagrangianFrame,
     check_frame_columns,
@@ -1383,6 +1384,50 @@ class TestTheoremA:
                                third_opinion=True, locate_crossings=False)
         assert rep.chern == rep.sfl == 1
         assert rep.agree
+
+    # more eigenvalues leave the window on one side than two pad slots absorb:
+    # sfl = maslov = 2 and 9, where a packing capped at two pads read 1 and 1
+    @pytest.mark.parametrize("n,amplitude", [(1, 3.0), (2, 6.0)])
+    def test_third_opinion_counts_past_two_pads(self, n, amplitude):
+        rep = theorem_A_report(sech_family(n, amplitude=amplitude), lam_grid=np.linspace(0, 1, 9),
+                               T=4.0, N=96, third_opinion=True, locate_crossings=False)
+        assert rep.chern == rep.sfl == rep.maslov > 1
+        assert rep.agree
+
+    def test_third_opinion_solves_no_pencil_of_its_own(self, monkeypatch):
+        # the chern reads the spectra at the sfl certificate's nodes, which the flow solved
+        assembled, assemble = [], ha.assemble_A0_operator
+
+        def recording_assemble(family, lam, T, N, **kwargs):
+            assembled.extend(float(x) for x in np.atleast_1d(lam))
+            return assemble(family, lam, T, N, **kwargs)
+
+        monkeypatch.setattr(ha, "assemble_A0_operator", recording_assemble)
+        rep = theorem_A_report(sech_family(1, amplitude=2.0), lam_grid=np.linspace(0, 1, 9),
+                               T=1.0, N=32, third_opinion=True)
+        assert rep.chern == rep.sfl == 1
+        assert set(assembled) == set(rep.sfl_certificate.nodes)
+        assert len(set(assembled)) == 14
+
+    @pytest.mark.parametrize("make,grid,T,N", [
+        (lambda: sech_family(1, amplitude=2.0), 9, 1.0, 32),
+        (lambda: sech_family(1, amplitude=2.0), 17, 9.0, 128),
+        (lambda: gamma_nor_embedding_family(1), 17, 6.0, 96),
+        (lambda: rotating_asymptotics_family(1), 9, 0.5, 32),
+    ] + [(lambda seed=seed: random_family(np.random.default_rng(seed)), 9, 4.0, 64)
+         for seed in (1010, 1020, 1031)],
+        ids=["bench-sech", "sech", "gamma-nor", "rotating", "random-1010", "random-1020",
+             "random-1031"])
+    def test_third_opinion_matches_a_dense_node_reference(self, make, grid, T, N):
+        # reference: the same packing on the certificate nodes joined with 65 grid nodes
+        fam, lam_grid = make(), np.linspace(0, 1, grid)
+        rep = theorem_A_report(fam, lam_grid=lam_grid, T=T, N=N, third_opinion=True,
+                               locate_crossings=False)
+        node_fn, band, _ = ha._a0_flow_setup(fam, lam_grid, T, N)
+        dense = np.union1d(rep.sfl_certificate.nodes, np.linspace(0, 1, 65))
+        reference = chern_winding(ha._compressed_diagonal_path(node_fn, dense, pad=1.1 * band),
+                                  half_height=1.2 * band + 1.0)
+        assert rep.chern == reference == rep.sfl
 
     def test_oracle_triangle(self):
         # crossing location agrees between the kernel scan, the pencil zero
