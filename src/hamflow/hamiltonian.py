@@ -34,6 +34,7 @@ from .maslov import (
     find_crossings,
     maslov_index_pair,
     pair_to_product_path,
+    winding_number,
 )
 from .spectral import (
     FlowCertificate,
@@ -291,9 +292,10 @@ def propagate_subspace(frame, family: HamiltonianFamily, lam, t_from: float, t_t
     sequence lam, gives the transported (L, d, k) stack.  All frames share
     the max(16, ceil(span * steps_per_unit)) Magnus-Pade steps of
     ``_magnus_steps``, one family call per chunk of steps, and are
-    re-orthonormalized by one batched QR every ``QR_EVERY`` steps and at the
-    end; the subspace, not the individual solutions, is the invariant
-    object.  Memory is O(L STEP_CHUNK d^2).
+    re-orthonormalized every ``QR_EVERY`` steps and at the end, by one
+    batched QR with a positive R diagonal, which for one column is the
+    division by its norm; the subspace, not the individual solutions, is the
+    invariant object.  Memory is O(L STEP_CHUNK d^2).
     """
     one = np.ndim(lam) == 0
     F = frame.columns if isinstance(frame, LagrangianFrame) else np.asarray(frame, dtype=float)
@@ -307,7 +309,9 @@ def propagate_subspace(frame, family: HamiltonianFamily, lam, t_from: float, t_t
              for step in chunk.swapaxes(0, 1))
     for i, step in enumerate(steps, 1):
         F = step @ F
-        if i % QR_EVERY == 0 or i == nsteps:
+        if (i % QR_EVERY == 0 or i == nsteps) and F.shape[-1] == 1:
+            F = F / np.linalg.norm(F, axis=-2, keepdims=True)
+        elif i % QR_EVERY == 0 or i == nsteps:
             F, r = np.linalg.qr(F)
             # keep column orientation stable
             F = F * np.sign(np.sign(np.diagonal(r, axis1=-2, axis2=-1)) + 0.5)[:, None, :]
@@ -387,18 +391,17 @@ def kernel_crossings(family: HamiltonianFamily, lam_grid=None, t0: float = 0.0,
 
     The scan runs on the product path against the diagonal, so it is exactly
     the crossing set of the Maslov pipeline and serves as an independent
-    oracle for the spectral-flow side.  It scans at least 64 cells, and at
-    least one per cell of ``lam_grid``.  The scan nodes are transported in
-    one batch, so only the refinement transports single lam.
+    oracle for the spectral-flow side.  The pair path over ``lam_grid`` is
+    counted once; the scan, of at least 64 cells and one per grid cell,
+    transports new lam only in the count's cells the drift rule leaves open.
     """
     T = T if T is not None else 10.0 * family.decay_scale
     grid = np.asarray(lam_grid if lam_grid is not None else np.linspace(0.0, 1.0, 65),
                       dtype=float)
-    coarse = max(64, len(grid) - 1)
-    nodes = np.linspace(grid[0], grid[-1], coarse + 1)
-    path_u, path_s = stable_unstable_pair_path(family, nodes, t0, T)
+    path_u, path_s = stable_unstable_pair_path(family, grid, t0, T)
     product, diag = pair_to_product_path(path_u, path_s)
-    return find_crossings(product, diag, coarse=coarse)
+    winding_number(product.souriau_path(diag))
+    return find_crossings(product, diag, coarse=max(64, len(grid) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -1123,8 +1126,9 @@ def theorem_A_report(family: HamiltonianFamily, lam_grid=None, T: Optional[float
 
     node_fn, report_band, pencil_flow = _a0_flow_setup(family, grid, T, N)
 
+    spectra = node_fn(list(grid))  # one stack: the ends are read from it
     end_gaps = [float(np.min(np.abs(vals))) if len(vals) else np.inf
-                for vals in node_fn([grid[0], grid[-1]])]
+                for vals in (spectra[0], spectra[-1])]
     general_case = min(end_gaps) < endpoint_kernel_tol
 
     zero_snap = 1e-9 if not general_case else max(1e-9, 3.0 * min(end_gaps))
@@ -1136,11 +1140,10 @@ def theorem_A_report(family: HamiltonianFamily, lam_grid=None, T: Optional[float
         kernel_dims = tuple(
             intersection_dimension_rank(path_u.frame(lam), path_s.frame(lam))
             for lam in (grid[0], grid[-1]))
-    mas = maslov_index_pair(path_u, path_s, endpoint_kernel_dims=kernel_dims)
-
-    crossings = []
-    if locate_crossings:
-        crossings = kernel_crossings(family, grid, t0, T)
+    product, diag = pair_to_product_path(path_u, path_s)
+    mas = winding_number(product.souriau_path(diag), kernel_dims)
+    crossings = (find_crossings(product, diag, coarse=max(64, len(grid) - 1))
+                 if locate_crossings else [])
 
     report = IndexReport(sfl=flow, maslov=mas, sfl_certificate=cert, crossings=crossings)
 

@@ -52,7 +52,8 @@ class UnitaryPath:
     is used to insert midpoints during certification: it maps a sequence of
     lam to the sequence of their unitaries, and each refinement round of
     ``winding_number`` makes one call.  ``from_callable`` adapts a function
-    of one lam.
+    of one lam.  The unitaries it evaluates, and the certificate of its last
+    ``winding_number`` count (``_certificate``), are memoized on the path.
     """
 
     samples: list
@@ -71,6 +72,7 @@ class UnitaryPath:
         if np.any(resid > 1e-8):
             i = int(np.argmax(resid > 1e-8))
             raise ValueError(f"sample at lam={lams[i]} is not unitary (residual {resid[i]:.2e})")
+        self._known, self._certificate = dict(self.samples), None
 
     @classmethod
     def from_callable(cls, fn: Callable[[float], np.ndarray], grid=17, lo: float = 0.0,
@@ -79,8 +81,12 @@ class UnitaryPath:
         return cls([(float(l), fn(float(l))) for l in lams],
                    lambda lams: [fn(float(l)) for l in lams])
 
+    def unitaries(self, lams) -> list:
+        """Unitaries at lams: known ones looked up, the rest from one evaluator call."""
+        return _lookup(self._known, self.evaluator, lams)
+
     def evaluate(self, lam):
-        return np.asarray(_lookup(dict(self.samples), self.evaluator, [lam])[0])
+        return np.asarray(self.unitaries([lam])[0])
 
 
 def winding_number(d: UnitaryPath, endpoint_kernel_dims=None) -> int:
@@ -98,12 +104,11 @@ def winding_number(d: UnitaryPath, endpoint_kernel_dims=None) -> int:
     evaluator call, one ``eigvals`` call and one norm call for their steps.
     """
     lams = [lam for lam, _ in d.samples]
-    unitaries = dict(d.samples)
     phases = {}
 
     def phases_at(lams):
         return _batched(phases, lams, lambda new: _eigenphases(
-            np.stack([np.asarray(U) for U in _lookup(unitaries, d.evaluator, new)])))
+            np.stack([np.asarray(U) for U in d.unitaries(new)])))
 
     phases_at(lams)
     if endpoint_kernel_dims is not None:
@@ -117,10 +122,10 @@ def winding_number(d: UnitaryPath, endpoint_kernel_dims=None) -> int:
             phases[lam] = psi
 
     def step_norm(pairs):
-        steps = np.stack([np.asarray(unitaries[b]) - np.asarray(unitaries[a]) for a, b in pairs])
+        steps = np.stack([np.asarray(d._known[b]) - np.asarray(d._known[a]) for a, b in pairs])
         return np.linalg.norm(steps, 2, axis=(-2, -1)).tolist()
 
-    total, _ = unitary_count(phases_at, step_norm, lams)
+    total, d._certificate = unitary_count(phases_at, step_norm, lams)
     return total
 
 
@@ -146,6 +151,7 @@ class LagrangianPath:
             raise ValueError("a Lagrangian path needs at least two samples")
         if any(b <= a for a, b in zip(lams, lams[1:])):
             raise ValueError("sample parameters must be strictly increasing")
+        self._souriau = {}  # souriau_path per reference, by its columns' bytes
 
     @classmethod
     def from_callable(cls, space: SymplecticSpace, fn: Callable[[float], LagrangianFrame],
@@ -184,18 +190,21 @@ class LagrangianPath:
         return LagrangianPath(self.space, [(a, Fa)] + inner + [(b, Fb)], self.evaluator)
 
     def souriau_path(self, W: LagrangianFrame) -> UnitaryPath:
-        """The unitaries of the path against W; the samples, and each
-        evaluator call, take one Souriau call on the stack of their frames."""
-        def unitaries(frames):
-            return souriau_map(W, np.stack([F.columns for F in frames]), self.space)
+        """The unitaries of the path against W, memoized on the path per W;
+        the samples, and each evaluator call, take one Souriau call on the
+        stack of their frames."""
+        space, fn = self.space, self.evaluator  # the memoized path must not refer to self
 
-        samples = list(zip([lam for lam, _ in self.samples],
-                           unitaries([F for _, F in self.samples])))
-        ev = None
-        if self.evaluator is not None:
-            fn = self.evaluator
-            ev = lambda lams: unitaries(fn(lams))
-        return UnitaryPath(samples, ev)
+        def unitaries(frames):
+            return souriau_map(W, np.stack([F.columns for F in frames]), space)
+
+        key = W.columns.tobytes()
+        if key not in self._souriau:
+            samples = list(zip([lam for lam, _ in self.samples],
+                               unitaries([F for _, F in self.samples])))
+            ev = None if fn is None else (lambda lams: unitaries(fn(lams)))
+            self._souriau[key] = UnitaryPath(samples, ev)
+        return self._souriau[key]
 
 
 @dataclass
@@ -376,26 +385,32 @@ def _shrink_bracket(f, a, b, fa, fb, tol):
 def find_crossings(path: LagrangianPath, W: LagrangianFrame, coarse: int = 64) -> list:
     """Locate parameter values where the path intersects W.
 
-    Scans the Souriau eigenphase nearest -1 on ``coarse`` cells and shrinks
-    the bracket of each sign change below 1e-10 in lam by bracketed secant
-    steps; grid points already within 1e-6 of a crossing are reported
-    directly, and a record's dimension counts the eigenphases within 1e-6.
-    A sign change where the nearest phase only jumps between branches is
-    skipped before refinement when the drift rule of ``winding_number``
-    keeps every eigenphase off zero across its cell, and dropped after it
-    when no eigenphase lies within 1e-6 of zero.
-    Crossings at the path endpoints are flagged.  The coarse nodes' Souriau
-    unitaries come from one call, their phases from one ``eigvals`` call and
-    the step norms of the cells the drift rule checks from one norm call;
-    each node's unitary serves its phase, its record and both cells it
-    bounds.
+    The drift rule of ``winding_number`` first clears the cells of the
+    certified partition of the last count of ``path.souriau_path(W)``, or
+    of the samples when there was none, whose unitary step is within budget
+    and whose end eigenphases all lie farther from zero than the step can
+    move them and than 1e-6.  The ``coarse`` cells that meet a cell left
+    open are scanned: the Souriau eigenphase nearest -1 is read at their
+    nodes, whose missing unitaries take one call, and the bracket of each
+    sign change is shrunk below 1e-10 in lam by bracketed secant steps;
+    nodes within 1e-6 of a crossing are reported directly, and a record's
+    dimension counts the eigenphases within 1e-6 at the end of its final
+    bracket nearest its midpoint.  A sign change where the nearest phase
+    only jumps between branches is skipped before refinement when the drift
+    rule clears its cell, and dropped after it when no eigenphase lies
+    within 1e-6 of zero.  Crossings at the path endpoints are flagged.
     """
     phase_tol = 1e-6
-    lams = np.linspace(path.lo, path.hi, coarse + 1)
-    Us = souriau_map(W, np.stack([F.columns for F in path.frames(list(lams))]), path.space)
-    psis = _eigenphases(Us)
-    vals = np.array([_nearest(psi) for psi in psis])
+    upath = path.souriau_path(W)
     records = []
+
+    def unitaries(lams):
+        Us = np.stack(upath.unitaries(lams))
+        return Us, _eigenphases(Us)
+
+    def cleared(step, psi_a, psi_b):  # no eigenphase comes within phase_tol of zero inside
+        drift = _unitary_drift(float(step))
+        return drift is not None and np.abs(np.append(psi_a, psi_b)).min() > max(drift, phase_tol)
 
     def record_at(lam, psi):
         # a sign change with no eigenphase near zero is the nearest phase
@@ -405,26 +420,38 @@ def find_crossings(path: LagrangianPath, W: LagrangianFrame, coarse: int = 64) -
             records.append(CrossingRecord(lam=float(lam), intersection_dim=dim,
                                           signature=None, regular=False))
 
-    for i, v in enumerate(vals):
-        if abs(v) <= phase_tol:
-            if i in (0, len(vals) - 1):
+    cert = upath._certificate
+    ends = [lam for lam, _ in path.samples] if cert is None else cert.nodes.tolist()
+    Us, psis = unitaries(ends)
+    steps = np.linalg.norm(Us[1:] - Us[:-1], 2, axis=(-2, -1))
+    spans = np.array([(a, b) for a, b, step, pa, pb in zip(ends, ends[1:], steps, psis, psis[1:])
+                      if not cleared(step, pa, pb)]).reshape(-1, 2)
+    lams = np.linspace(path.lo, path.hi, coarse + 1)
+    # the grid cells that meet an open span, and their nodes
+    hit = ((lams[:-1, None] < spans[:, 1]) & (spans[:, 0] < lams[1:, None])).any(axis=1)
+    scan = np.flatnonzero(np.append(hit, False) | np.insert(hit, 0, False)).tolist()
+    Us, psis = (dict(zip(scan, x)) for x in unitaries(list(lams[scan]))) if scan else ({}, {})
+    vals = {i: _nearest(psis[i]) for i in scan}
+
+    for i in scan:
+        if abs(vals[i]) <= phase_tol:
+            if i in (0, coarse):
                 warnings.warn(f"crossing at path endpoint lam={lams[i]:.6g}", RuntimeWarning)
             record_at(lams[i], psis[i])
 
-    cells = [i for i in range(len(lams) - 1)
+    cells = [i for i in np.flatnonzero(hit).tolist()
              if min(abs(vals[i]), abs(vals[i + 1])) > phase_tol
              and np.sign(vals[i]) != np.sign(vals[i + 1])]
-    steps = (np.linalg.norm(Us[[i + 1 for i in cells]] - Us[cells], 2, axis=(-2, -1))
+    steps = (np.linalg.norm(np.stack([Us[i + 1] - Us[i] for i in cells]), 2, axis=(-2, -1))
              if cells else [])
     for i, step in zip(cells, steps):
-        a, b = lams[i], lams[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        # |fa|, |fb| are the ends' smallest |eigenphase|: none reaches 0 inside
-        drift = _unitary_drift(float(step))
-        if drift is not None and min(abs(fa), abs(fb)) > drift:
+        if cleared(step, psis[i], psis[i + 1]):
             continue
-        lam = _shrink_bracket(lambda lam: _nearest_phase(path, W, lam), a, b, fa, fb, 1e-10)
-        record_at(lam, _eigenphases(souriau_map(W, path.frame(lam), path.space)))
+        seen = {lams[i]: vals[i], lams[i + 1]: vals[i + 1]}
+        lam = _shrink_bracket(lambda lam: seen.setdefault(lam, _nearest_phase(path, W, lam)),
+                              lams[i], lams[i + 1], vals[i], vals[i + 1], 1e-10)
+        end = min(seen, key=lambda x: abs(x - lam))  # an end of the final bracket
+        record_at(lam, _eigenphases(souriau_map(W, path.frame(end), path.space)))
 
     records.sort(key=lambda r: r.lam)
     return records

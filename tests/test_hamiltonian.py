@@ -46,13 +46,14 @@ from hamflow.maslov import (
     pair_to_product_path,
     partial_maslov_index,
 )
-from hamflow.spectral import chern_winding
+from hamflow.spectral import _unitary_drift, chern_winding
 from hamflow.symplectic import (
     LagrangianFrame,
     check_frame_columns,
     gap_distance,
     intersection_dimension_rank,
     lagrangian_from_matrix,
+    souriau_map,
     standard_space,
 )
 from helpers import (
@@ -274,6 +275,31 @@ def _loop_transport(frame, family, lam, t_from, t_to, steps_per_unit=64):
     return F
 
 
+def _full_grid_crossings(family, lam_grid, T):
+    """Reference: the scan on every node of the coarse grid, a sign-change
+    cell refined unless the drift rule clears it, and each record's
+    dimension read at the refined midpoint's own frame."""
+    coarse = max(64, len(lam_grid) - 1)
+    nodes = np.linspace(lam_grid[0], lam_grid[-1], coarse + 1)
+    path, W = pair_to_product_path(*stable_unstable_pair_path(family, nodes, 0.0, T))
+    Us = souriau_map(W, np.stack([F.columns for _, F in path.samples]), path.space)
+    psis = maslov._eigenphases(Us)
+    vals = [psi[np.argmin(np.abs(psi))] for psi in psis]
+    found = [(lam, psi) for lam, v, psi in zip(nodes, vals, psis) if abs(v) <= 1e-6]
+    for i in range(coarse):
+        fa, fb = vals[i], vals[i + 1]
+        if min(abs(fa), abs(fb)) <= 1e-6 or np.sign(fa) == np.sign(fb):
+            continue
+        drift = _unitary_drift(float(np.linalg.norm(Us[i + 1] - Us[i], 2)))
+        if drift is not None and min(abs(fa), abs(fb)) > drift:
+            continue
+        lam = maslov._shrink_bracket(lambda x: maslov._nearest_phase(path, W, x),
+                                     nodes[i], nodes[i + 1], fa, fb, 1e-10)
+        found.append((lam, maslov._eigenphases(souriau_map(W, path.frame(lam), path.space))))
+    records = [(float(lam), int(np.count_nonzero(np.abs(psi) <= 1e-6))) for lam, psi in found]
+    return sorted(r for r in records if r[1])
+
+
 def _loop_lipschitz(family, lams, ts):
     """Reference: one S difference and one 2-norm per (lam, t) sample."""
     h = 1e-4
@@ -401,6 +427,21 @@ class TestBatchedTransport:
             assert np.abs(F - ref).max() <= 1e-13
             assert np.abs(single.columns - ref).max() <= 1e-13
 
+    def test_one_column_transport_calls_no_qr(self, monkeypatch):
+        # for one column the QR with a positive R diagonal is the division by its norm
+        fam, qr, calls = sech_family(1, amplitude=2.0), np.linalg.qr, []
+
+        def counting(A, *args, **kwargs):
+            calls.append(np.shape(A))
+            return qr(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting)
+        start = stable_unstable_splitting(fam.space.J @ fam.S_limit(0.4, -1))[1]
+        F = propagate_subspace(LagrangianFrame(start), fam, 0.4, -2.0, 0.5).columns
+        assert calls == []
+        monkeypatch.undo()
+        assert np.abs(F - _loop_transport(start, fam, 0.4, -2.0, 0.5)).max() <= 1e-13
+
     @pytest.mark.parametrize("name", ["sech", "rotating"])
     def test_pair_path_matches_single_spaces(self, name):
         fam = BATCH_FAMILIES[name]()
@@ -491,6 +532,80 @@ class TestKernelCrossings:
         recs = kernel_crossings(sech_family(1, amplitude=5.0), np.linspace(0, 1, 9), T=4.0)
         assert [r.lam for r in recs] == pytest.approx([0.3, 0.5, 0.7, 0.9], abs=1e-3)
         assert len(calls) <= 30  # refinement evaluations only; the scan keeps its unitaries
+
+
+    @pytest.mark.parametrize("make,grid,T,N,most", [
+        (lambda: sech_family(1, amplitude=2.0), 9, 1.0, 32, 21),
+        (lambda: rotating_asymptotics_family(1), 9, 0.5, 32, 4),
+        (lambda: autonomous_family(1), 9, 6.0, 64, 0),
+    ], ids=["bench-sech", "bench-rotating", "autonomous"])
+    def test_the_scan_transports_only_in_open_cells(self, make, grid, T, N, most, monkeypatch):
+        # after theorem A's one Maslov count, the scan transports new lam only
+        # inside the certificate cells the drift rule does not clear; the
+        # full 65-node scan transported 56 and 42 per side, and 48 on autonomous
+        count, transport = maslov.unitary_count, ha.propagate_subspace
+        certs, phases, scanned = [], {}, []
+
+        def counting(values, step_norm, nodes):
+            def kept(lams):
+                phases.update(zip(lams, values(lams)))
+                return [phases[lam] for lam in lams]
+            certs.append(count(kept, step_norm, nodes))
+            return certs[-1]
+
+        def recording(frames, family, lams, *args):
+            if certs:
+                scanned.append(np.atleast_1d(lams).tolist())
+            return transport(frames, family, lams, *args)
+
+        monkeypatch.setattr(maslov, "unitary_count", counting)
+        monkeypatch.setattr(ha, "propagate_subspace", recording)
+        rep = theorem_A_report(make(), np.linspace(0, 1, grid), T=T, N=N)
+        assert rep.sfl == rep.maslov
+        [(_, cert)] = certs  # the unitaries are counted once
+        open_cells = [(a, b) for a, b, m in zip(cert.nodes, cert.nodes[1:], cert.drifts)
+                      if min(np.abs(phases[a]).min(), np.abs(phases[b]).min()) <= max(m, 1e-6)]
+        assert all(any(a < lam < b for a, b in open_cells) for lams in scanned for lam in lams)
+        assert max(map(len, scanned), default=0) <= most
+        assert most or scanned == []
+
+    @pytest.mark.parametrize("make,grid,T", [
+        (lambda: sech_family(1, amplitude=2.0), 33, 10.0),
+        (lambda: sech_family(1, amplitude=5.0), 9, 4.0),
+        (lambda: sech_family(1, amplitude=6.0), 9, 4.0),
+        (lambda: sech_family(2, amplitude=6.0), 9, 4.0),
+        (lambda: rotating_asymptotics_family(1), 9, 0.5),
+        (lambda: gamma_nor_embedding_family(1), 17, 5.0),
+    ] + [(lambda seed=seed, n=n, kind=kind: random_family(np.random.default_rng(seed), n=n,
+                                                         kind=kind), 9, 4.0)
+         for seed, n, kind in ((6, 1, "sech"), (17, 1, "sech"), (13, 1, "tanh"),
+                               (5, 2, "sech"), (8, 2, "sech"), (3, 2, "tanh"))],
+        ids=["sech-2", "sech-5", "sech-6", "sech-n2-6", "rotating", "gamma-nor", "random-6",
+             "random-17", "random-tanh-13", "random-n2-5", "random-n2-8", "random-n2-tanh-3"])
+    def test_records_match_a_full_grid_reference(self, make, grid, T):
+        lam_grid = np.linspace(0, 1, grid)
+        recs = kernel_crossings(make(), lam_grid, T=T)
+        reference = _full_grid_crossings(make(), lam_grid, T)
+        assert [(r.lam, r.intersection_dim) for r in recs] == reference
+        assert reference  # every family here crosses
+
+    @pytest.mark.parametrize("scenario", ["autonomous", "gamma_nor", "rotating", "sech",
+                                          "sech_endpoint_kernel", "endpoint-crossing"])
+    def test_report_records_match_a_full_grid_reference(self, scenario):
+        # theorem A's scan reads its own count, which snaps declared endpoint
+        # kernels; amplitude 1.5 puts a crossing exactly at lam = 1
+        from hamflow import cli
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        name = "sech_endpoint_kernel" if scenario == "endpoint-crossing" else scenario
+        cfg = cli.load_config(os.path.join(root, "scenarios", f"{name}.json"))
+        params = dict(cfg.family_params, amplitude=1.5) if name != scenario else cfg.family_params
+        lam_grid, T = np.linspace(0, 1, cfg.grid), float(cfg.trunc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rep = theorem_A_report(make_family(cfg.family_id, **params), lam_grid, T=T,
+                                   N=cfg.mesh, endpoint_kernel_tol=cfg.tol)
+            reference = _full_grid_crossings(make_family(cfg.family_id, **params), lam_grid, T)
+        assert [(r.lam, r.intersection_dim) for r in rep.crossings] == reference
 
 
 class TestCrossingRefinement:
@@ -1393,6 +1508,22 @@ class TestTheoremA:
                                T=4.0, N=96, third_opinion=True, locate_crossings=False)
         assert rep.chern == rep.sfl == rep.maslov > 1
         assert rep.agree
+
+    def test_end_pencils_are_solved_with_the_grid(self, monkeypatch):
+        # the endpoint gaps are read from the grid's stack, not a stack of the two ends
+        stacks, assemble = [], ha.assemble_A0_operator
+
+        def recording_assemble(family, lam, T, N, **kwargs):
+            stacks.append(sorted(float(x) for x in np.atleast_1d(lam)))
+            return assemble(family, lam, T, N, **kwargs)
+
+        monkeypatch.setattr(ha, "assemble_A0_operator", recording_assemble)
+        grid = np.linspace(0, 1, 9)
+        rep = theorem_A_report(sech_family(1, amplitude=2.0), lam_grid=grid, T=1.0, N=32,
+                               third_opinion=True)
+        assert rep.chern == rep.sfl == 1
+        assert stacks[0] == grid.tolist()
+        assert [0.0, 1.0] not in stacks
 
     def test_third_opinion_solves_no_pencil_of_its_own(self, monkeypatch):
         # the chern reads the spectra at the sfl certificate's nodes, which the flow solved
