@@ -1186,18 +1186,24 @@ def _compressed_diagonal_path(node_fn, lams, pad) -> SymmetricMatrixPath:
     lams = sorted(set(float(x) for x in lams))
     values = [np.sort(np.asarray(vals, dtype=float)) for vals in node_fn(lams)]
     lams = np.asarray(lams)
-    offsets = [0]
-    for prev, v in zip(values, values[1:]):
-        # every shift of v against prev, on a slot window holding all of them
-        k = len(v)
-        base = np.concatenate([np.full(k, -pad), prev, np.full(k, pad)])
-        costs = [np.abs(np.concatenate([np.full(s, -pad), v, np.full(len(base) - k - s, pad)])
-                        - base).sum() for s in range(len(base) - k + 1)]
-        offsets.append(offsets[-1] + int(np.argmin(costs)) - k)
+
+    def placed(v, start, width):
+        return np.concatenate([np.full(start, -pad), v, np.full(width - start - len(v), pad)])
+
+    # the cost of every shift d in [-M, M] of each node against the previous one
+    # (M the largest node size): the previous node on slots [-M, 2M) against
+    # windows of the next one placed on [-2M, 3M); shifts leaving a gap are out
+    sizes = np.array([len(v) for v in values])
+    M = int(sizes.max())
+    placings = np.array([placed(v, 2 * M, 5 * M) for v in values])
+    shifted = np.lib.stride_tricks.sliding_window_view(placings[1:], 3 * M, axis=1)[:, ::-1]
+    costs = np.abs(shifted - placings[:-1, None, M:4 * M]).sum(axis=-1)
+    d = np.arange(-M, M + 1)
+    costs[(d < -sizes[1:, None]) | (d > sizes[:-1, None])] = np.inf
+    offsets = np.concatenate([[0], np.cumsum(np.argmin(costs, axis=1) - M)]).tolist()
     lo = min(offsets) - 1
     m = max(o + len(v) for o, v in zip(offsets, values)) + 1 - lo
-    tracks = np.array([np.concatenate([np.full(o - lo, -pad), v, np.full(m - o + lo - len(v), pad)])
-                       for o, v in zip(offsets, values)])
+    tracks = np.array([placed(v, o - lo, m) for o, v in zip(offsets, values)])
 
     def evaluate(lam):
         x = float(np.clip(lam, lams[0], lams[-1]))

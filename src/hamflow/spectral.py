@@ -50,11 +50,24 @@ class SymmetricMatrixPath:
     lipschitz: Optional[float] = None
 
     def evaluate(self, lam: float) -> np.ndarray:
-        A = np.asarray(self.evaluator(float(lam)))
-        resid = np.linalg.norm(A - A.conj().T, 2)
-        if resid > 1e-9 * max(1.0, np.linalg.norm(A, 2)):
-            raise ValueError(f"path value at lam={lam} is not symmetric (residual {resid:.2e})")
-        return 0.5 * (A + A.conj().T)
+        return self.evaluate_many([lam])[0]
+
+    def evaluate_many(self, lams) -> np.ndarray:
+        """Stack of the symmetrized values at ``lams``, checked in one batch.
+
+        Only a value with a nonzero residual A - A^H pays for the 2-norms of
+        the rule; a ``ValueError`` names the first value that breaks it."""
+        A = np.stack([np.asarray(self.evaluator(float(lam))) for lam in lams])
+        AH = A.conj().swapaxes(-1, -2)
+        suspect = np.flatnonzero(np.any(A != AH, axis=(-2, -1)))
+        if suspect.size:
+            resid = np.linalg.norm(A[suspect] - AH[suspect], 2, axis=(-2, -1))
+            bad = resid > 1e-9 * np.maximum(1.0, np.linalg.norm(A[suspect], 2, axis=(-2, -1)))
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(f"path value at lam={lams[suspect[i]]} is not symmetric "
+                                 f"(residual {resid[i]:.2e})")
+        return 0.5 * (A + AH)
 
     __call__ = evaluate
 
@@ -238,6 +251,10 @@ def flow_from_spectra(node_fn, drift_fn, lo=0.0, hi=1.0, initial_nodes=17, windo
                       report_window=None):
     """Certified spectral flow from node eigenvalue data.
 
+    The partition starts from ``initial_nodes``, a count (an integer >= 2)
+    of equally spaced nodes on [lo, hi] or a sequence of nodes, to which lo
+    and hi are added.
+
     ``node_fn(lams)`` maps a list of nodes to the list of their (real)
     eigenvalues relevant for counting; it is asked once for both endpoints and
     then once per refinement round, for the nodes not asked before, so a
@@ -260,7 +277,9 @@ def flow_from_spectra(node_fn, drift_fn, lo=0.0, hi=1.0, initial_nodes=17, windo
                                                       for v in node_fn(missing)])
 
     if np.isscalar(initial_nodes):
-        nodes = list(np.linspace(lo, hi, int(initial_nodes)))
+        if not isinstance(initial_nodes, (int, np.integer)) or initial_nodes < 2:
+            raise ValueError(f"initial_nodes must be an integer >= 2, got {initial_nodes!r}")
+        nodes = list(np.linspace(lo, hi, initial_nodes))
     else:
         nodes = sorted(set(float(x) for x in initial_nodes) | {lo, hi})
 
@@ -288,14 +307,14 @@ def spectral_flow(path: SymmetricMatrixPath, initial_nodes=17, check_endpoints=T
     """
     mats = {}
 
-    def mat(lam):
-        return _batched(mats, [lam], lambda _: [path.evaluate(lam)])[0]
-
     def node_fn(lams):
-        return [np.linalg.eigvalsh(mat(lam)) for lam in lams]
+        # flow_from_spectra asks only for new nodes: one check and one eigvalsh per round
+        A = path.evaluate_many(lams)
+        mats.update(zip(lams, A))
+        return list(np.linalg.eigvalsh(A))
 
     def drift_fn(pairs):
-        steps = np.linalg.norm(np.stack([mat(b) - mat(a) for a, b in pairs]), 2, axis=(-2, -1))
+        steps = np.linalg.norm(np.stack([mats[b] - mats[a] for a, b in pairs]), 2, axis=(-2, -1))
         if path.lipschitz is None:
             return steps.tolist()
         return [min(step if step > 0 else np.inf, path.lipschitz * (b - a))
@@ -326,7 +345,7 @@ def normalization_path(dim_minus: int, dim_plus: int) -> SymmetricMatrixPath:
 
 
 def chern_winding(path: SymmetricMatrixPath, half_height: Optional[float] = None,
-                  samples: int = 64) -> int:
+                  samples: int = 16) -> int:
     """Winding number of det(A(lam) + i s I) along a rectangle around [0,1] x {0}.
 
     The rectangle spans lam in [-0.05, 1.05] and s in [-half_height, half_height].
@@ -337,17 +356,22 @@ def chern_winding(path: SymmetricMatrixPath, half_height: Optional[float] = None
     whose eigenvalues (a_j + i s)/|a_j + i s|, a_j those of A, each turn
     less than half a turn along an edge, so ``unitary_count`` counts their
     flow through -1 and no step hides a whole turn of the product.  The
-    contour, run counterclockwise and parametrised by arc-length fraction,
-    starts from ``samples`` equal steps, halved until the polar factor moves
-    by at most ``UNITARY_BUDGET`` across each and a window clears it.  A
-    contour that does not settle raises ``FlowRefinementError``.
+    contour runs counterclockwise from corner to corner, each edge
+    parametrised by its fraction.  It starts from its four corners, with
+    ``samples`` (an integer >= 1) equal steps split evenly over the edges,
+    at least one each, so no step spans a corner.  Steps are halved until
+    the polar factor moves by at most ``UNITARY_BUDGET`` across each and a
+    window clears it; a contour that does not settle raises
+    ``FlowRefinementError``.  Each round's new lam are checked and
+    diagonalized in one stack, and its steps between distinct lam take one
+    stacked product and one batched 2-norm.
     """
+    if not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     eig = {}
 
     def decompose(lams):
-        # eigenpairs of A(lam), each round's new lam in one stacked eigh
-        return _batched(eig, lams, lambda new: zip(*np.linalg.eigh(
-            np.stack([path.evaluate(lam) for lam in new]))))
+        return _batched(eig, lams, lambda new: zip(*np.linalg.eigh(path.evaluate_many(new))))
 
     if min(np.min(np.abs(vals)) for vals, _ in decompose([0.0, 1.0])) <= 1e-10:
         raise EndpointKernelError("chern_winding requires invertible endpoints")
@@ -355,14 +379,16 @@ def chern_winding(path: SymmetricMatrixPath, half_height: Optional[float] = None
         half_height = max(np.max(np.abs(vals)) for vals, _ in decompose(
             [float(lam) for lam in np.linspace(0, 1, 9)])) + 1.0
 
+    # the contour parameter runs over [0, 4] with the corners at the integers
     corners = np.array([(-0.05, -half_height), (1.05, -half_height), (1.05, half_height),
                         (-0.05, half_height), (-0.05, -half_height)])
-    edges = np.abs(np.diff(corners, axis=0)).sum(axis=1)
-    ends = np.concatenate(([0.0], np.cumsum(edges) / edges.sum()))
+    steps = [max(1, samples // 4 + (edge < samples % 4)) for edge in range(4)]
+    nodes = np.concatenate([np.linspace(edge, edge + 1, k, endpoint=False)
+                            for edge, k in enumerate(steps)] + [[4.0]])
     polar = {}
 
     def phases(taus):
-        xs, ss = np.interp(taus, ends, corners[:, 0]), np.interp(taus, ends, corners[:, 1])
+        xs, ss = (np.interp(taus, np.arange(5.0), corners[:, i]) for i in (0, 1))
         vals, vecs = map(np.stack, zip(*decompose([float(x) for x in np.clip(xs, 0.0, 1.0)])))
         z = vals + 1j * ss[:, None]
         if np.any(z == 0):
@@ -372,13 +398,17 @@ def chern_winding(path: SymmetricMatrixPath, half_height: Optional[float] = None
         return list(np.angle(-z))
 
     def step_norm(pairs):
-        ends = [(polar[a], polar[b]) for a, b in pairs]
-        moved = [(Vb * ub) @ Vb.conj().T - (Va * ua) @ Va.conj().T
-                 for (xa, Va, ua), (xb, Vb, ub) in ends if xa != xb]
-        norms = iter(np.linalg.norm(np.stack(moved), 2, axis=(-2, -1)).tolist() if moved else ())
+        (xa, Va, ua), (xb, Vb, ub) = (map(np.stack, zip(*(polar[tau] for tau in taus)))
+                                      for taus in zip(*pairs))
         # one A at both ends, so both polar factors have its eigenvectors
-        return [float(np.max(np.abs(ub - ua))) if xa == xb else next(norms)
-                for (xa, _, ua), (xb, _, ub) in ends]
+        norms = np.max(np.abs(ub - ua), axis=-1)
+        cross = xa != xb
+        if cross.any():
+            Va, ua, Vb, ub = Va[cross], ua[cross], Vb[cross], ub[cross]
+            moved = ((Vb * ub[:, None, :]) @ Vb.conj().swapaxes(-1, -2)
+                     - (Va * ua[:, None, :]) @ Va.conj().swapaxes(-1, -2))
+            norms[cross] = np.linalg.norm(moved, 2, axis=(-2, -1))
+        return norms.tolist()
 
-    total, _ = unitary_count(phases, step_norm, np.linspace(0.0, 1.0, samples + 1))
+    total, _ = unitary_count(phases, step_norm, nodes)
     return total

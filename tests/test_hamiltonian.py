@@ -39,6 +39,7 @@ from hamflow.hamiltonian import (
 )
 from hamflow import hamiltonian as ha
 from hamflow import maslov
+from hamflow import spectral
 from hamflow.maslov import (
     LagrangianPath,
     find_crossings,
@@ -1559,6 +1560,60 @@ class TestTheoremA:
         reference = chern_winding(ha._compressed_diagonal_path(node_fn, dense, pad=1.1 * band),
                                   half_height=1.2 * band + 1.0)
         assert rep.chern == reference == rep.sfl
+
+    def test_third_opinion_contour_rounds(self, monkeypatch):
+        # bench sech: each contour round checks and diagonalizes its new lam in one
+        # stack and takes one batched norm, and the contour starts from its corners
+        calls = {"eigh": 0, "check": 0, "norm": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        rounds, certs = [], []
+
+        def recorded(values, drift, window, nodes, *args):
+            def per_round(fn, log):
+                def wrapper(arg):
+                    before = dict(calls)
+                    out = fn(arg)
+                    log.append({k: calls[k] - before[k] for k in calls} | {"size": len(arg)})
+                    return out
+                return wrapper
+
+            value_rounds, drift_rounds = [], []
+            rounds.append((value_rounds, drift_rounds))
+            total, cert = certified_count(per_round(values, value_rounds),
+                                          per_round(drift, drift_rounds), window, nodes, *args)
+            certs.append(cert)
+            return total, cert
+
+        def chern(*args, **kwargs):
+            with monkeypatch.context() as m:
+                m.setattr(spectral, "certified_count", recorded)
+                m.setattr(spectral.SymmetricMatrixPath, "evaluate_many",
+                          counted("check", spectral.SymmetricMatrixPath.evaluate_many))
+                m.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+                m.setattr(np.linalg, "norm", counted("norm", np.linalg.norm))
+                return chern_winding(*args, **kwargs)
+
+        certified_count = spectral.certified_count
+        monkeypatch.setattr(ha, "chern_winding", chern)
+        rep = theorem_A_report(sech_family(1, amplitude=2.0), lam_grid=np.linspace(0, 1, 9),
+                               T=1.0, N=32, third_opinion=True)
+        assert rep.chern == rep.sfl == 1
+        [(value_rounds, drift_rounds)], [cert] = rounds, certs
+        # the endpoint check is the one stack outside the rounds
+        assert calls["eigh"] == calls["check"] == 1 + sum(r["eigh"] for r in value_rounds)
+        for r in value_rounds:
+            assert r["eigh"] == r["check"] <= 1 and r["norm"] == 0
+        assert max(r["size"] for r in value_rounds if r["eigh"]) > 1
+        for r in drift_rounds:
+            assert r["norm"] <= 1 and r["eigh"] == r["check"] == 0
+        assert len(cert.eps) <= 30  # 66 from 64 arc-length steps
+        assert {0.0, 1.0, 2.0, 3.0, 4.0} <= set(cert.nodes.tolist())
 
     def test_oracle_triangle(self):
         # crossing location agrees between the kernel scan, the pencil zero

@@ -119,6 +119,29 @@ class TestSpectralFlow:
             flows.add(flow)
         assert len(flows) >= 3
 
+    def test_rejects_fewer_than_two_initial_nodes(self):
+        for nodes in (1, 0, -2, 2.5):
+            with pytest.raises(ValueError, match="initial_nodes"):
+                spectral_flow(linear_path(2.0, -1.0), initial_nodes=nodes)
+
+    def test_matches_a_per_lam_eigvalsh_reference(self):
+        # the batched node spectra and drifts give the certificate of a per-lam loop
+        rng = np.random.default_rng(8)
+        paths = [random_piecewise_linear(rng, int(rng.integers(1, 7))) for _ in range(12)]
+        base = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        paths.append(SymmetricMatrixPath(
+            lambda lam: (lam - 0.4) * (base + base.conj().T) + np.diag([0.3, -0.2, 0.1])))
+        for path in paths:
+            flow, cert = spectral_flow(path)
+            ref_flow, ref = flow_from_spectra(
+                lambda lams: [np.linalg.eigvalsh(path.evaluate(lam)) for lam in lams],
+                lambda pairs: [float(np.linalg.norm(path.evaluate(b) - path.evaluate(a), 2))
+                               for a, b in pairs])
+            assert flow == ref_flow == cert.total
+            for field in ("nodes", "eps", "counts", "drifts"):
+                assert getattr(cert, field).tobytes() == getattr(ref, field).tobytes(), field
+            assert cert.endpoint_gaps == ref.endpoint_gaps
+
     def test_refinement_stability(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
@@ -266,6 +289,46 @@ class TestChernWinding:
             assert chern_winding(path) == ref
         assert len(refined) == 200
         assert all(refined[::2])  # 16 initial steps are always refined
+
+    def test_matches_reference_contour_at_every_sample_count(self):
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            path = random_piecewise_linear(rng, int(rng.integers(2, 9)))
+            ref = _reference_chern_winding(path)
+            for samples in (1, 4, 16, 64):
+                assert chern_winding(path, samples=samples) == ref
+
+    def test_one_sample_counts_the_flow(self):
+        # a single step once joined the contour's start to itself, with norm 0
+        assert chern_winding(linear_path(2.0, -1.0), samples=1) == 1
+
+    @pytest.mark.parametrize("samples", [0, -3, 2.5, 16.0, "16"])
+    def test_rejects_a_bad_sample_count(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            chern_winding(linear_path(2.0, -1.0), samples=samples)
+
+    def test_an_asymmetric_contour_value_names_its_lam(self):
+        def ev(lam):
+            return np.array([[2 * lam - 1.0, 0.0], [1e-3 if 0.45 < lam < 0.55 else 0.0, 1.0]])
+
+        path = SymmetricMatrixPath(ev)
+        with pytest.raises(ValueError, match="is not symmetric") as raised:
+            chern_winding(path, half_height=3.0)
+        lam = float(str(raised.value).split("lam=")[1].split()[0])
+        assert 0.45 < lam < 0.55
+        with pytest.raises(ValueError) as single:
+            path.evaluate(lam)
+        assert str(raised.value) == str(single.value)
+        # a batch names its first bad lam, as a loop of evaluate would
+        with pytest.raises(ValueError) as batch:
+            path.evaluate_many([0.1, 0.5, 0.4, 0.9])
+        with pytest.raises(ValueError) as first:
+            path.evaluate(0.5)
+        assert str(batch.value) == str(first.value)
+        # a residual within 1e-9 of max(1, ||A||) passes and is symmetrized
+        tiny = SymmetricMatrixPath(lambda lam: np.array([[4.0, 1.0], [1.0 + 3e-9, -4.0]]))
+        assert np.array_equal(tiny.evaluate_many([0.2])[0], tiny.evaluate(0.2))
+        assert np.array_equal(tiny.evaluate(0.2), tiny.evaluate(0.2).T)
 
 
 def _rectangle_points(margin, half_height, samples):
