@@ -40,14 +40,14 @@ KNOWN_REPORTS = ("theorem-a", "theorem-b", "corollary-a", "self-tests")
 
 # A0 pencils are solved in band storage, O(m kd) memory, but theorem B's Q
 # pencils are solved dense: one windowed Q solve of order mesh * 2n peaks at
-# 3.0 dense matrices under tracemalloc, 403 MB at order 4096.  The limit
-# bounds (mesh + 1) * 2n, the unknowns before frame reduction, for every
-# report; 4098 is mesh 2048 at n = 1.
+# 3.0 dense matrices under tracemalloc, 403 MB at order 4096.  A run solves
+# one mesh, and the limit bounds its (mesh + 1) * 2n, the unknowns before
+# frame reduction, for every report; 4098 is mesh 2048 at n = 1.
 MAX_PENCIL_ORDER = 4098
 
 _INT_KEYS = ("grid", "mesh")
 _REAL_KEYS = ("trunc", "tol")
-_BOOL_KEYS = ("doubling", "third_opinion")
+_BOOL_KEYS = ("third_opinion",)
 _NUMERIC_KEYS = set(_INT_KEYS + _REAL_KEYS + _BOOL_KEYS)
 
 
@@ -63,7 +63,6 @@ class ScenarioConfig:
     trunc: float | None = None
     mesh: int = 160
     tol: float = 1e-6
-    doubling: bool = False
     third_opinion: bool = False
     reports: tuple = ("theorem-a",)
     out: str = "results"
@@ -173,10 +172,9 @@ def _validate_ranges(cfg: ScenarioConfig) -> None:
         raise ConfigError("grid must be between 3 and 4097")
     if cfg.mesh < 4:
         raise ConfigError("mesh must be at least 4")
-    largest_mesh = 2 * cfg.mesh if cfg.doubling else cfg.mesh
-    order = (largest_mesh + 1) * 2 * cfg.family_params.get("n", 1)
+    order = (cfg.mesh + 1) * 2 * cfg.family_params.get("n", 1)
     if order > MAX_PENCIL_ORDER:
-        raise ConfigError(f"mesh {largest_mesh} gives {order} = (mesh + 1) * 2n unknowns before "
+        raise ConfigError(f"mesh {cfg.mesh} gives {order} = (mesh + 1) * 2n unknowns before "
                           f"frame reduction (pencils of order mesh * 2n), above the dense "
                           f"limit {MAX_PENCIL_ORDER}")
     if cfg.trunc is not None and not (0.5 <= float(cfg.trunc) <= 200.0):
@@ -203,10 +201,6 @@ def _atomic_write(path: str, text: str) -> None:
             raise
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
-
-
-def _trunc(cfg, family) -> float:
-    return float(cfg.trunc) if cfg.trunc is not None else 10.0 * family.decay_scale
 
 
 def _run_reports(cfg: ScenarioConfig, family, T, grid):
@@ -309,8 +303,7 @@ def run_scenario(config_path: str, overrides: dict | None = None,
     _validate_ranges(cfg)
 
     family = fam.make_family(cfg.family_id, **cfg.family_params)
-    T = _trunc(cfg, family)
-    grid = np.linspace(0.0, 1.0, int(cfg.grid))
+    T, grid = ha._report_inputs(family, np.linspace(0.0, 1.0, int(cfg.grid)), cfg.trunc)
     out = cfg.out
 
     tracks_path = os.path.join(out, "tracks.csv")
@@ -332,22 +325,8 @@ def run_scenario(config_path: str, overrides: dict | None = None,
     _atomic_write(crossings_path, _csv(["lambda", "dim", "report"], cross_rows))
 
     convergence_path = os.path.join(out, "convergence.csv")
-    if cfg.doubling and "theorem-a" in results:
-        base = results["theorem-a"]
-        rep2 = ha.theorem_A_report(family, lam_grid=grid, T=1.5 * T, N=int(cfg.mesh),
-                                   locate_crossings=False)
-        rep3 = ha.theorem_A_report(family, lam_grid=grid, T=T, N=2 * int(cfg.mesh),
-                                   locate_crossings=False)
-        conv_rows = [
-            ["base", f"{T:g}", str(cfg.mesh), str(base.sfl), str(base.maslov)],
-            ["trunc-x1.5", f"{1.5 * T:g}", str(cfg.mesh), str(rep2.sfl), str(rep2.maslov)],
-            ["mesh-x2", f"{T:g}", str(2 * int(cfg.mesh)), str(rep3.sfl), str(rep3.maslov)],
-        ]
-        _atomic_write(convergence_path,
-                      _csv(["setting", "trunc", "mesh", "sfl", "maslov"], conv_rows))
-    else:
-        _atomic_write(convergence_path,
-                      _csv(["setting", "trunc", "mesh"], [["base", f"{T:g}", str(cfg.mesh)]]))
+    _atomic_write(convergence_path,
+                  _csv(["setting", "trunc", "mesh"], [["base", f"{T:g}", str(cfg.mesh)]]))
 
     report_path = os.path.join(out, "report.txt")
     lines = _report_lines(cfg, T, results)
@@ -432,9 +411,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except (ValueError, RuntimeError) as exc:
-        # every numeric failure type subclasses one of these (TruncationError,
-        # AssumptionError, FlowRefinementError, EndpointKernelError,
-        # SymplecticError, LinAlgError)
+        # every numeric failure type subclasses one of these (AssumptionError,
+        # FlowRefinementError, EndpointKernelError, SymplecticError, LinAlgError)
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     if args.command == "tracks":

@@ -23,7 +23,6 @@ from .symplectic import (
     SymplecticSpace,
     SymplecticError,
     check_frame_columns,
-    gap_distance,
     intersection_dimension_rank,
     souriau_map,
     standard_space,
@@ -51,10 +50,6 @@ QR_EVERY = 8         # transport steps between re-orthonormalizations
 _GAUSS = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0  # Gauss-Legendre nodes on [0, 1]
 SIGN_TOL = 1e-10     # relative 1-norm change that ends the sign iteration
 SIGN_MAX_STEPS = 100
-
-
-class TruncationError(RuntimeError):
-    """A finite-time truncation certificate exceeded its threshold."""
 
 
 class AssumptionError(ValueError):
@@ -346,22 +341,13 @@ def _decaying_frames(family, lams, sign, t0, T):
     return family._cached_batch(("decay", sign, t0, T), lams, transport)
 
 
-def unstable_space(family: HamiltonianFamily, lam: float, t0: float, T: float,
-                   certify: bool = False, cert_tol: float = 1e-6):
+def unstable_space(family: HamiltonianFamily, lam: float, t0: float, T: float):
     """E^u_lam(t0): initial values at t0 of solutions decaying as t -> -inf.
 
     Computed by transporting the unstable splitting of J S_lam(-inf) from -T
-    to t0.  With ``certify=True`` the result is recomputed from -1.5 T and
-    the pair (frame, gap) is returned; a gap above ``cert_tol`` raises.
+    to t0.
     """
-    F = _decaying_frames(family, [lam], -1, t0, T)[0]
-    if not certify:
-        return F
-    gap = gap_distance(F, _decaying_frames(family, [lam], -1, t0, 1.5 * T)[0])
-    if gap > cert_tol:
-        raise TruncationError(f"unstable space not converged: gap {gap:.3e} between "
-                              f"T={T} and T={1.5 * T}")
-    return F, gap
+    return _decaying_frames(family, [lam], -1, t0, T)[0]
 
 
 def stable_space(family: HamiltonianFamily, lam: float, t0: float, T: float):
@@ -385,6 +371,22 @@ def stable_unstable_pair_path(family: HamiltonianFamily, lam_grid, t0: float, T:
     return tuple(paths)
 
 
+def _report_inputs(family: HamiltonianFamily, lam_grid, T: Optional[float], nodes: int = 17):
+    """The truncation T (None: 10 decay scales) and the lam grid (None:
+    ``nodes`` equispaced points on [0, 1]) of a report, as a float and a float
+    array.  Raises ``ValueError`` unless T is finite and positive and the grid
+    has at least 2 points."""
+    T = float(T) if T is not None else 10.0 * family.decay_scale
+    if not (np.isfinite(T) and T > 0):
+        raise ValueError(f"T must be finite and positive, got {T}")
+    grid = np.asarray(lam_grid if lam_grid is not None else np.linspace(0.0, 1.0, nodes),
+                      dtype=float)
+    if grid.ndim != 1 or len(grid) < 2:
+        raise ValueError(f"lam_grid must be a 1-d grid of at least 2 points, got shape "
+                         f"{grid.shape}")
+    return T, grid
+
+
 def kernel_crossings(family: HamiltonianFamily, lam_grid=None, t0: float = 0.0,
                      T: Optional[float] = None) -> list:
     """Parameter values where E^u_lam(t0) and E^s_lam(t0) intersect.
@@ -395,9 +397,7 @@ def kernel_crossings(family: HamiltonianFamily, lam_grid=None, t0: float = 0.0,
     counted once; the scan, of at least 64 cells and one per grid cell,
     transports new lam only in the count's cells the drift rule leaves open.
     """
-    T = T if T is not None else 10.0 * family.decay_scale
-    grid = np.asarray(lam_grid if lam_grid is not None else np.linspace(0.0, 1.0, 65),
-                      dtype=float)
+    T, grid = _report_inputs(family, lam_grid, T, 65)
     path_u, path_s = stable_unstable_pair_path(family, grid, t0, T)
     product, diag = pair_to_product_path(path_u, path_s)
     winding_number(product.souriau_path(diag))
@@ -1120,8 +1120,7 @@ def theorem_A_report(family: HamiltonianFamily, lam_grid=None, T: Optional[float
     spectra, labelled so in ``extras["chern_source"]``: it reads the
     spectra at the certificate's own nodes, so it solves no pencil of its own.
     """
-    T = T if T is not None else 10.0 * family.decay_scale
-    grid = np.asarray(lam_grid if lam_grid is not None else np.linspace(0.0, 1.0, 17), dtype=float)
+    T, grid = _report_inputs(family, lam_grid, T)
     family.validate(lam_samples=(grid[0], grid[len(grid) // 2], grid[-1]))
 
     node_fn, report_band, pencil_flow = _a0_flow_setup(family, grid, T, N)
@@ -1257,8 +1256,7 @@ def corollary_A_report(family: HamiltonianFamily, lam_grid=None, T: Optional[flo
         raise AssumptionError(f"family is not lambda-periodic: |S_0 - S_1| = "
                               f"{np.max(drift):.3e} at t={ts[np.argmax(drift)]}")
 
-    T = T if T is not None else 10.0 * family.decay_scale
-    grid = np.asarray(lam_grid if lam_grid is not None else np.linspace(0.0, 1.0, 17), dtype=float)
+    T, grid = _report_inputs(family, lam_grid, T)
     space = family.space
 
     lams = [float(lam) for lam in grid]

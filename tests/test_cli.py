@@ -120,7 +120,9 @@ def test_schema_violations(tmp_path):
     {"family": {"id": "sech-perturbation", "n": "two"}},
     {"numeric": {"grid": 5.7}},
     {"reports": []},
-], ids=["grid-not-a-number", "n-not-a-number", "grid-not-an-integer", "no-reports"])
+    {"numeric": {"doubling": True}},
+], ids=["grid-not-a-number", "n-not-a-number", "grid-not-an-integer", "no-reports",
+        "doubling-unknown"])
 def test_schema_type_violations(tmp_path, overrides):
     cfgp = write_config(tmp_path, **overrides)
     assert cli.main(["run", cfgp]) == cli.EXIT_SCHEMA
@@ -147,10 +149,9 @@ def test_non_positive_time_scale_rejected(tmp_path, family):
 
 @pytest.mark.parametrize("overrides", [
     {"numeric": {"mesh": 2049}},
-    {"numeric": {"mesh": 1025, "doubling": True}},
     {"family": {"id": "autonomous", "n": 2}, "numeric": {"mesh": 1024}},
     {"numeric": {"mesh": 20000}},
-], ids=["n1", "doubling", "n2", "old-limit"])
+], ids=["n1", "n2", "old-limit"])
 def test_pencil_order_limit(tmp_path, overrides):
     cfgp = write_config(tmp_path, **overrides)
     with pytest.raises(cli.ConfigError, match="order"):
@@ -167,9 +168,8 @@ def test_pencil_order_limit_on_flag(tmp_path):
 
 @pytest.mark.parametrize("overrides", [
     {"numeric": {"mesh": 2048}},
-    {"numeric": {"mesh": 1024, "doubling": True}},
     {"family": {"id": "autonomous", "n": 2}, "numeric": {"mesh": 1023}},
-], ids=["n1", "doubling", "n2"])
+], ids=["n1", "n2"])
 def test_pencil_order_limit_accepts_edge(tmp_path, overrides):
     cli.load_config(write_config(tmp_path, **overrides))
 

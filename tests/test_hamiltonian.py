@@ -22,7 +22,6 @@ from hamflow.families import (
 from hamflow.hamiltonian import (
     AssumptionError,
     HamiltonianFamily,
-    TruncationError,
     assemble_A0_operator,
     assemble_Q_operator,
     corollary_A_report,
@@ -470,15 +469,15 @@ class TestStableUnstableSpaces:
         assert gap_distance(eu, es) > 0.05
         assert intersection_dimension_rank(eu, es) == 0
 
-    def test_certificate(self):
+    def test_truncation_converged(self):
         fam = sech_family(1, amplitude=2.0)
-        frame, gap = unstable_space(fam, 0.3, 0.0, 10.0, certify=True)
+        gap = gap_distance(unstable_space(fam, 0.3, 0.0, 10.0), unstable_space(fam, 0.3, 0.0, 15.0))
         assert gap <= 1e-6
 
-    def test_insufficient_truncation_raises(self):
+    def test_short_truncation_not_converged(self):
         fam = sech_family(1, amplitude=2.0)
-        with pytest.raises(TruncationError):
-            unstable_space(fam, 0.75, 0.0, 1.0, certify=True, cert_tol=1e-10)
+        gap = gap_distance(unstable_space(fam, 0.75, 0.0, 1.0), unstable_space(fam, 0.75, 0.0, 1.5))
+        assert gap > 1e-10
 
     def test_time_reversal_swaps_roles(self):
         fam = sech_family(1, amplitude=2.0)
@@ -1494,6 +1493,14 @@ class TestTheoremA:
                                lam_grid=np.linspace(0, 1, 17), T=6.0, N=96)
         assert rep.sfl == rep.maslov == 1
 
+    @pytest.mark.xfail(reason="the winding certificate accepts the cell [0.5, 1] with a unitary "
+                              "step of 0.124 while four crossings lie inside it, so maslov reads "
+                              "1; grid 9 gives 7", strict=True)
+    def test_coarse_grid_counts_every_eigenphase_turn(self):
+        rep = theorem_A_report(sech_family(1, amplitude=8.0), lam_grid=np.linspace(0, 1, 3),
+                               T=6.0, N=96)
+        assert rep.maslov == rep.sfl == 7
+
     def test_third_opinion(self):
         rep = theorem_A_report(sech_family(1, amplitude=2.0),
                                lam_grid=np.linspace(0, 1, 17), T=8.0, N=96,
@@ -1722,6 +1729,20 @@ class TestCorollaryA:
     def test_nonperiodic_rejected(self):
         with pytest.raises(AssumptionError):
             corollary_A_report(sech_family(1, amplitude=2.0), T=6.0, N=48)
+
+
+@pytest.mark.parametrize("report", [theorem_A_report, corollary_A_report, kernel_crossings])
+@pytest.mark.parametrize("key, value", [
+    ("T", 0.0), ("T", -3.0), ("T", np.inf), ("T", np.nan), ("lam_grid", [0.0]), ("lam_grid", []),
+], ids=["T-zero", "T-negative", "T-inf", "T-nan", "grid-one-point", "grid-empty"])
+def test_report_inputs_fail_fast(report, key, value):
+    fam = (rotating_asymptotics_family(1) if report is corollary_A_report
+           else sech_family(1, amplitude=2.0))
+    kwargs = {"lam_grid": np.linspace(0, 1, 5), "T": 6.0, key: value}
+    if report is not kernel_crossings:
+        kwargs["N"] = 32
+    with pytest.raises(ValueError, match=f"^{key} must"):
+        report(fam, **kwargs)
 
 
 def _certificate_bytes(cert):

@@ -27,7 +27,7 @@ SIGNATURES = {
     ha.corollary_A_report: ("family", "lam_grid", "T", "N"),
     ha.kernel_crossings: ("family", "lam_grid", "t0", "T"),
     ha.stable_unstable_pair_path: ("family", "lam_grid", "t0", "T"),
-    ha.unstable_space: ("family", "lam", "t0", "T", "certify", "cert_tol"),
+    ha.unstable_space: ("family", "lam", "t0", "T"),
     ha.stable_space: ("family", "lam", "t0", "T"),
     # the benchmark's tracer binds propagate_subspace's arguments by name
     ha.propagate_subspace: ("frame", "family", "lam", "t_from", "t_to", "steps_per_unit"),
