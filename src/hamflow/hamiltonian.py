@@ -401,7 +401,7 @@ def kernel_crossings(family: HamiltonianFamily, lam_grid=None, t0: float = 0.0,
     path_u, path_s = stable_unstable_pair_path(family, grid, t0, T)
     product, diag = pair_to_product_path(path_u, path_s)
     winding_number(product.souriau_path(diag))
-    return find_crossings(product, diag, coarse=max(64, len(grid) - 1))
+    return find_crossings(product, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +427,8 @@ class BoundaryValueOperator:
     interval and mesh holds two sequences of L (d, k) frame columns; its
     stiffness blocks have L entries when there is a potential, and every
     other form one entry, which all pencils share.  The solve works from the
-    blocks and never writes a pencil's dense forms.  ``size`` is one
+    blocks, never writes a pencil's dense forms and keeps nothing on the
+    operator, so threads may solve one operator at once.  ``size`` is one
     pencil's order m.
     """
 
@@ -436,9 +437,6 @@ class BoundaryValueOperator:
     interval: tuple
     mesh: int
     potential: bool = False
-
-    def __post_init__(self):
-        self._interior = None  # (L_II, C_II) of a stack without potential, from its first solve
 
     @property
     def _stacked(self) -> bool:
@@ -593,27 +591,23 @@ class BoundaryValueOperator:
         banded solves of the dense interior K_II, (N-1) d square.
 
         Every pencil of a stack without potential has the same K_II and M_II,
-        so the stack computes the pair on its first solve and keeps it.  The
-        factor and solves are banded because OpenBLAS hands dense ones of
-        these orders to its thread pool.  Threads that race on a first solve
-        factor twice and keep either result, which are equal; each reads the
-        pair once, so its L_II and C_II agree.
+        so one solve computes the pair once for all its pencils.  The factor
+        and solves are banded because OpenBLAS hands dense ones of these
+        orders to its thread pool.
         """
-        if self._interior is None:
-            lapack = scipy.linalg.lapack
-            L, info = lapack.dpbtrf(_interior_band(*self.blocks[1]), lower=1)
-            if info:
-                raise ValueError("mass matrix is not positive definite")
-            sym_diag, sym_upper = _interior_blocks(*(x[0] for x in self.blocks[0]))
-            nodes, d = sym_diag.shape[:2]
-            at = d * np.arange(nodes)[:, None, None]
-            rows, cols = at + np.arange(d)[:, None], at + np.arange(d)
-            K = np.zeros((nodes * d, nodes * d))
-            K[rows, cols] = sym_diag
-            K[rows[:-1], cols[1:]] = sym_upper
-            K[rows[1:], cols[:-1]] = sym_upper.swapaxes(-1, -2)
-            self._interior = (L, lapack.dtbtrs(L, lapack.dtbtrs(L, K, uplo="L")[0].T, uplo="L")[0])
-        return self._interior
+        lapack = scipy.linalg.lapack
+        L, info = lapack.dpbtrf(_interior_band(*self.blocks[1]), lower=1)
+        if info:
+            raise ValueError("mass matrix is not positive definite")
+        sym_diag, sym_upper = _interior_blocks(*(x[0] for x in self.blocks[0]))
+        nodes, d = sym_diag.shape[:2]
+        at = d * np.arange(nodes)[:, None, None]
+        rows, cols = at + np.arange(d)[:, None], at + np.arange(d)
+        K = np.zeros((nodes * d, nodes * d))
+        K[rows, cols] = sym_diag
+        K[rows[:-1], cols[1:]] = sym_upper
+        K[rows[1:], cols[:-1]] = sym_upper.swapaxes(-1, -2)
+        return L, lapack.dtbtrs(L, lapack.dtbtrs(L, K, uplo="L")[0].T, uplo="L")[0]
 
 
 def _ghost_filter(spectra, u, rough, cut):
@@ -1141,8 +1135,7 @@ def theorem_A_report(family: HamiltonianFamily, lam_grid=None, T: Optional[float
             for lam in (grid[0], grid[-1]))
     product, diag = pair_to_product_path(path_u, path_s)
     mas = winding_number(product.souriau_path(diag), kernel_dims)
-    crossings = (find_crossings(product, diag, coarse=max(64, len(grid) - 1))
-                 if locate_crossings else [])
+    crossings = find_crossings(product, diag) if locate_crossings else []
 
     report = IndexReport(sfl=flow, maslov=mas, sfl_certificate=cert, crossings=crossings)
 

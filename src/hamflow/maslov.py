@@ -52,8 +52,9 @@ class UnitaryPath:
     is used to insert midpoints during certification: it maps a sequence of
     lam to the sequence of their unitaries, and each refinement round of
     ``winding_number`` makes one call.  ``from_callable`` adapts a function
-    of one lam.  The unitaries it evaluates, and the certificate of its last
-    ``winding_number`` count (``_certificate``), are memoized on the path.
+    of one lam.  The path is the one memo of its unitaries, their
+    eigenphases and its last ``winding_number`` certificate (``_certificate``),
+    which the count and the crossing scan share.
     """
 
     samples: list
@@ -72,7 +73,7 @@ class UnitaryPath:
         if np.any(resid > 1e-8):
             i = int(np.argmax(resid > 1e-8))
             raise ValueError(f"sample at lam={lams[i]} is not unitary (residual {resid[i]:.2e})")
-        self._known, self._certificate = dict(self.samples), None
+        self._known, self._phases, self._certificate = dict(self.samples), {}, None
 
     @classmethod
     def from_callable(cls, fn: Callable[[float], np.ndarray], grid=17, lo: float = 0.0,
@@ -84,6 +85,12 @@ class UnitaryPath:
     def unitaries(self, lams) -> list:
         """Unitaries at lams: known ones looked up, the rest from one evaluator call."""
         return _lookup(self._known, self.evaluator, lams)
+
+    def phases(self, lams) -> list:
+        """Eigenphases (``_eigenphases``) of the unitaries at lams: known ones
+        looked up, the rest from one ``eigvals`` call on their stack."""
+        return _batched(self._phases, lams,
+                        lambda new: _eigenphases(np.stack(self.unitaries(new))))
 
     def evaluate(self, lam):
         return np.asarray(self.unitaries([lam])[0])
@@ -99,27 +106,25 @@ def winding_number(d: UnitaryPath, endpoint_kernel_dims=None) -> int:
     ``endpoint_kernel_dims`` optionally declares (k0, k1) eigenvalues at -1
     at the two path endpoints; their eigenphases are snapped with a looser
     tolerance (1e-5) so that restrictions cut exactly at a crossing count it.
+    The snap acts on copies: the path's memo keeps the phases as computed.
 
     The samples, and each refinement round's new unitaries, take one
-    evaluator call, one ``eigvals`` call and one norm call for their steps.
+    evaluator call, one ``eigvals`` call and one norm call for their steps,
+    through the path's memo.
     """
     lams = [lam for lam, _ in d.samples]
-    phases = {}
-
-    def phases_at(lams):
-        return _batched(phases, lams, lambda new: _eigenphases(
-            np.stack([np.asarray(U) for U in d.unitaries(new)])))
-
-    phases_at(lams)
+    snapped = {}
     if endpoint_kernel_dims is not None:
-        for lam, k in zip((lams[0], lams[-1]), endpoint_kernel_dims):
-            psi = phases[lam]
+        psis = d.phases(lams)  # every sample in one call, as the count asks for them
+        for lam, psi, k in zip((lams[0], lams[-1]), (psis[0], psis[-1]), endpoint_kernel_dims):
             order = np.argsort(np.abs(psi))
             if k and np.abs(psi[order[: int(k)]]).max() > 1e-5:
                 warnings.warn("declared endpoint kernel not visible in eigenphases", RuntimeWarning)
-            psi = psi.copy()
-            psi[order[: int(k)]] = 0.0
-            phases[lam] = psi
+            snapped[lam] = psi.copy()
+            snapped[lam][order[: int(k)]] = 0.0
+
+    def phases_at(lams):
+        return [snapped.get(lam, psi) for lam, psi in zip(lams, d.phases(lams))]
 
     def step_norm(pairs):
         steps = np.stack([np.asarray(d._known[b]) - np.asarray(d._known[a]) for a, b in pairs])
@@ -262,17 +267,15 @@ def pair_to_product_path(path1: LagrangianPath, path2: LagrangianPath):
     return product, _diagonal_frame(path1.space.dim)
 
 
-def maslov_index_pair(path1: LagrangianPath, path2: LagrangianPath,
-                      endpoint_kernel_dims=None) -> int:
+def maslov_index_pair(path1: LagrangianPath, path2: LagrangianPath) -> int:
     """Maslov index of a path of Lagrangian pairs.
 
     Computed as the index of Lam1(.) x Lam2(.) against the diagonal in the
     product space with form w x (-w); for constant path2 this agrees with
-    ``maslov_index(path1, W)``.  ``endpoint_kernel_dims`` declares the
-    intersection dimensions at the two endpoints, as in ``winding_number``.
+    ``maslov_index(path1, W)``.
     """
     product, diag = pair_to_product_path(path1, path2)
-    return winding_number(product.souriau_path(diag), endpoint_kernel_dims)
+    return winding_number(product.souriau_path(diag))
 
 
 def partial_maslov_index(path: LagrangianPath, W: LagrangianFrame, lam0: float,
@@ -343,11 +346,6 @@ def _nearest(psi) -> float:
     return float(psi[np.argmin(np.abs(psi))])
 
 
-def _nearest_phase(path: LagrangianPath, W: LagrangianFrame, lam: float) -> float:
-    """Signed Souriau eigenphase closest to -1 (zero exactly at a crossing)."""
-    return _nearest(_eigenphases(souriau_map(W, path.frame(lam), path.space)))
-
-
 def _shrink_bracket(f, a, b, fa, fb, tol):
     """Midpoint of a bracket [a, b] of a sign change of f, shrunk below tol.
 
@@ -382,31 +380,32 @@ def _shrink_bracket(f, a, b, fa, fb, tol):
     return 0.5 * (a + b)
 
 
-def find_crossings(path: LagrangianPath, W: LagrangianFrame, coarse: int = 64) -> list:
+def find_crossings(path: LagrangianPath, W: LagrangianFrame) -> list:
     """Locate parameter values where the path intersects W.
 
-    The drift rule of ``winding_number`` first clears the cells of the
-    certified partition of the last count of ``path.souriau_path(W)``, or
-    of the samples when there was none, whose unitary step is within budget
-    and whose end eigenphases all lie farther from zero than the step can
-    move them and than 1e-6.  The ``coarse`` cells that meet a cell left
-    open are scanned: the Souriau eigenphase nearest -1 is read at their
-    nodes, whose missing unitaries take one call, and the bracket of each
-    sign change is shrunk below 1e-10 in lam by bracketed secant steps;
-    nodes within 1e-6 of a crossing are reported directly, and a record's
-    dimension counts the eigenphases within 1e-6 at the end of its final
-    bracket nearest its midpoint.  A sign change where the nearest phase
-    only jumps between branches is skipped before refinement when the drift
-    rule clears its cell, and dropped after it when no eigenphase lies
-    within 1e-6 of zero.  Crossings at the path endpoints are flagged.
+    Every unitary and eigenphase the scan reads comes from the memo of
+    ``path.souriau_path(W)``.  The drift rule of ``winding_number`` first
+    clears the cells of the certified partition of that path's last count,
+    or of the samples when there was none, whose unitary step is within
+    budget and whose end eigenphases all lie farther from zero than the step
+    can move them and than 1e-6.  The cells of a grid of max(64, samples - 1)
+    equal cells that meet a cell left open are scanned: the eigenphase
+    nearest -1 is read at their nodes, and the bracket of each sign change
+    is shrunk below 1e-10 in lam by bracketed secant steps; nodes within
+    1e-6 of a crossing are reported directly, and a record's dimension
+    counts the eigenphases within 1e-6 at the end of its final bracket
+    nearest its midpoint.  A sign change where the nearest phase only jumps
+    between branches is skipped before refinement when the drift rule clears
+    its cell, and dropped after it when no eigenphase lies within 1e-6 of
+    zero.  Crossings at the path endpoints are flagged.
     """
     phase_tol = 1e-6
+    coarse = max(64, len(path.samples) - 1)
     upath = path.souriau_path(W)
     records = []
 
     def unitaries(lams):
-        Us = np.stack(upath.unitaries(lams))
-        return Us, _eigenphases(Us)
+        return np.stack(upath.unitaries(lams)), np.stack(upath.phases(lams))
 
     def cleared(step, psi_a, psi_b):  # no eigenphase comes within phase_tol of zero inside
         drift = _unitary_drift(float(step))
@@ -448,10 +447,10 @@ def find_crossings(path: LagrangianPath, W: LagrangianFrame, coarse: int = 64) -
         if cleared(step, psis[i], psis[i + 1]):
             continue
         seen = {lams[i]: vals[i], lams[i + 1]: vals[i + 1]}
-        lam = _shrink_bracket(lambda lam: seen.setdefault(lam, _nearest_phase(path, W, lam)),
+        lam = _shrink_bracket(lambda lam: seen.setdefault(lam, _nearest(upath.phases([lam])[0])),
                               lams[i], lams[i + 1], vals[i], vals[i + 1], 1e-10)
         end = min(seen, key=lambda x: abs(x - lam))  # an end of the final bracket
-        record_at(lam, _eigenphases(souriau_map(W, path.frame(end), path.space)))
+        record_at(lam, upath.phases([end])[0])
 
     records.sort(key=lambda r: r.lam)
     return records

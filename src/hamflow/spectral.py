@@ -247,13 +247,13 @@ def unitary_count(phases, step_norm, nodes):
 
 
 def flow_from_spectra(node_fn, drift_fn, lo=0.0, hi=1.0, initial_nodes=17, window=None,
-                      zero_snap=1e-9, max_depth=MAX_FLOW_DEPTH, check_endpoints=True,
-                      report_window=None):
+                      zero_snap=1e-9, check_endpoints=True, report_window=None):
     """Certified spectral flow from node eigenvalue data.
 
     The partition starts from ``initial_nodes``, a count (an integer >= 2)
-    of equally spaced nodes on [lo, hi] or a sequence of nodes, to which lo
-    and hi are added.
+    of equally spaced nodes on [lo, hi] or a sequence of finite nodes in
+    [lo, hi], to which lo and hi are added; refinement stops at
+    ``MAX_FLOW_DEPTH`` halvings.
 
     ``node_fn(lams)`` maps a list of nodes to the list of their (real)
     eigenvalues relevant for counting; it is asked once for both endpoints and
@@ -282,6 +282,8 @@ def flow_from_spectra(node_fn, drift_fn, lo=0.0, hi=1.0, initial_nodes=17, windo
         nodes = list(np.linspace(lo, hi, initial_nodes))
     else:
         nodes = sorted(set(float(x) for x in initial_nodes) | {lo, hi})
+        if not (np.isfinite(nodes).all() and nodes[0] == lo and nodes[-1] == hi):
+            raise ValueError(f"initial_nodes must be finite and lie in [{lo}, {hi}]")
 
     gap = min(map(_min_abs, spec([lo, hi])))
     if check_endpoints and gap <= 1e-8:
@@ -295,7 +297,7 @@ def flow_from_spectra(node_fn, drift_fn, lo=0.0, hi=1.0, initial_nodes=17, windo
         return _choose_eps(np.abs(np.concatenate((sa, sb))), m, cap, 0.0, max(1e-14, 1e-9 * m))
 
     return certified_count(spec, lambda pairs: [m + 1e-12 for m in drift_fn(pairs)], eps_for,
-                           nodes, zero_snap, max_depth)
+                           nodes, zero_snap, MAX_FLOW_DEPTH)
 
 
 def spectral_flow(path: SymmetricMatrixPath, initial_nodes=17, check_endpoints=True):
@@ -348,7 +350,8 @@ def chern_winding(path: SymmetricMatrixPath, half_height: Optional[float] = None
                   samples: int = 16) -> int:
     """Winding number of det(A(lam) + i s I) along a rectangle around [0,1] x {0}.
 
-    The rectangle spans lam in [-0.05, 1.05] and s in [-half_height, half_height].
+    The rectangle spans lam in [-0.05, 1.05] and s in [-half_height, half_height],
+    ``half_height`` finite and positive.
     The path is extended by constants beyond [0, 1]; since the endpoints are
     invertible and A + i s I is invertible for s != 0, the determinant is
     nonvanishing on the contour and the winding equals the spectral flow.
@@ -368,6 +371,8 @@ def chern_winding(path: SymmetricMatrixPath, half_height: Optional[float] = None
     """
     if not isinstance(samples, (int, np.integer)) or samples < 1:
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    if half_height is not None and not (np.isfinite(half_height) and half_height > 0):
+        raise ValueError(f"half_height must be finite and positive, got {half_height!r}")
     eig = {}
 
     def decompose(lams):

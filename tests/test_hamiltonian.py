@@ -45,6 +45,7 @@ from hamflow.maslov import (
     maslov_index_pair,
     pair_to_product_path,
     partial_maslov_index,
+    winding_number,
 )
 from hamflow.spectral import _unitary_drift, chern_winding
 from hamflow.symplectic import (
@@ -275,6 +276,13 @@ def _loop_transport(frame, family, lam, t_from, t_to, steps_per_unit=64):
     return F
 
 
+def _nearest_phase(path, W, lam):
+    """Reference: the Souriau eigenphase nearest -1 of one frame, from its own
+    Souriau call and ``eigvals``, outside the path's memo."""
+    psi = maslov._eigenphases(souriau_map(W, path.frame(lam), path.space))
+    return psi[np.argmin(np.abs(psi))]
+
+
 def _full_grid_crossings(family, lam_grid, T):
     """Reference: the scan on every node of the coarse grid, a sign-change
     cell refined unless the drift rule clears it, and each record's
@@ -293,7 +301,7 @@ def _full_grid_crossings(family, lam_grid, T):
         drift = _unitary_drift(float(np.linalg.norm(Us[i + 1] - Us[i], 2)))
         if drift is not None and min(abs(fa), abs(fb)) > drift:
             continue
-        lam = maslov._shrink_bracket(lambda x: maslov._nearest_phase(path, W, x),
+        lam = maslov._shrink_bracket(lambda x: _nearest_phase(path, W, x),
                                      nodes[i], nodes[i + 1], fa, fb, 1e-10)
         found.append((lam, maslov._eigenphases(souriau_map(W, path.frame(lam), path.space))))
     records = [(float(lam), int(np.count_nonzero(np.abs(psi) <= 1e-6))) for lam, psi in found]
@@ -521,14 +529,21 @@ class TestKernelCrossings:
     def test_branch_jump_cells_are_not_refined(self, monkeypatch):
         # the four jump cells keep every eigenphase away from zero, so the
         # drift rule rejects them before any refinement evaluation
-        nearest = maslov._nearest_phase
-        calls = []
+        scan, calls = ha.find_crossings, []
 
-        def counting(path, W, lam):
-            calls.append(lam)
-            return nearest(path, W, lam)
+        def scanning(path, W):
+            # the scan's new unitaries off its 65-node grid are refinement points
+            upath, grid = path.souriau_path(W), np.linspace(path.lo, path.hi, 65)
+            evaluator = upath.evaluator
 
-        monkeypatch.setattr(maslov, "_nearest_phase", counting)
+            def counting(lams):
+                calls.extend(lam for lam in lams if lam not in grid)
+                return evaluator(lams)
+
+            upath.evaluator = counting
+            return scan(path, W)
+
+        monkeypatch.setattr(ha, "find_crossings", scanning)
         recs = kernel_crossings(sech_family(1, amplitude=5.0), np.linspace(0, 1, 9), T=4.0)
         assert [r.lam for r in recs] == pytest.approx([0.3, 0.5, 0.7, 0.9], abs=1e-3)
         assert len(calls) <= 30  # refinement evaluations only; the scan keeps its unitaries
@@ -611,21 +626,21 @@ class TestKernelCrossings:
 class TestCrossingRefinement:
     @pytest.mark.parametrize("fam,T", [(sech_family(1, amplitude=2.0), 1.0),
                                        (gamma_nor_embedding_family(1), 5.0)])
-    def test_secant_is_cheap_and_matches_bisection(self, fam, T, monkeypatch):
+    def test_secant_is_cheap_and_matches_bisection(self, fam, T):
         coarse, tol = 64, 1e-10
         path_u, path_s = stable_unstable_pair_path(fam, np.linspace(0.0, 1.0, coarse + 1), 0.0, T)
         product, diag = pair_to_product_path(path_u, path_s)
-        nearest = maslov._nearest_phase
-        phase = lambda lam: nearest(product, diag, lam)
-        calls = []
+        phase = lambda lam: _nearest_phase(product, diag, lam)
+        # every grid node is a sample, so each evaluation is a refinement point
+        upath, calls = product.souriau_path(diag), []
+        evaluator = upath.evaluator
 
-        def counting(path, W, lam):
-            calls.append(lam)
-            return nearest(path, W, lam)
+        def counting(lams):
+            calls.extend(lams)
+            return evaluator(lams)
 
-        monkeypatch.setattr(maslov, "_nearest_phase", counting)
-        recs = find_crossings(product, diag, coarse=coarse)
-        monkeypatch.undo()
+        upath.evaluator = counting
+        recs = find_crossings(product, diag)
         assert len(recs) == 1
         assert 0 < len(calls) <= 10
         # the bisection this refinement replaced, on the same coarse cell
@@ -639,6 +654,26 @@ class TestCrossingRefinement:
             else:
                 b = m
         assert abs(recs[0].lam - 0.5 * (a + b)) <= tol
+
+    def test_a_count_and_its_scan_diagonalize_each_node_once(self, monkeypatch):
+        # the bench-sech pair path: the scan reads the count's eigenphases
+        # from the path's memo instead of taking them again
+        eigenphases, diagonalized = maslov._eigenphases, []
+
+        def recording(U):
+            diagonalized.extend(u.tobytes() for u in np.reshape(U, (-1,) + U.shape[-2:]))
+            return eigenphases(U)
+
+        monkeypatch.setattr(maslov, "_eigenphases", recording)
+        fam = sech_family(1, amplitude=2.0)
+        product, diag = pair_to_product_path(
+            *stable_unstable_pair_path(fam, np.linspace(0.0, 1.0, 9), 0.0, 1.0))
+        upath = product.souriau_path(diag)
+        assert winding_number(upath) == 1
+        assert [r.intersection_dim for r in find_crossings(product, diag)] == [1]
+        nodes = upath._certificate.nodes.tolist()
+        times = [diagonalized.count(U.tobytes()) for U in upath.unitaries(nodes)]
+        assert times == [1] * len(nodes)
 
 
 class TestQOperator:
@@ -1215,12 +1250,13 @@ class TestInteriorBasisSolve:
         ones = [assemble_Q_operator(L0, L1, 0.0, 1.0, 20, sp) for L0, L1 in zip(*frames)]
         cholesky = _counting(monkeypatch, "dpbtrf")
         window = 1.5 * pencil_window(0.0, 1.0)
-        for _ in range(2):
-            stack.eigenvalues(window)
-        assert cholesky == [23 * 4]
+        stack.eigenvalues(window)
+        assert cholesky == [23 * 4]  # one factor for its five pencils
+        stack.eigenvalues(window)  # the stack keeps no factor between solves
+        assert cholesky == [23 * 4] * 2
         for op in ones:  # a pencil assembled alone is a stack of its own
             op.eigenvalues(window)
-        assert cholesky == [23 * 4] + [19 * 4] * 5
+        assert cholesky == [23 * 4] * 2 + [19 * 4] * 5
 
     def test_an_a0_stack_factors_no_interior(self, monkeypatch):
         # each pencil's split Cholesky of its whole band mass replaces the
@@ -1345,7 +1381,7 @@ class TestRoundWork:
         assert dsyevx == [stack.size] * count
         solves.clear()
         stack.eigenvalues(1.5 * pencil_window(0.0, 1.0), drop_rough=False)
-        assert solves == [23 * 4]  # C_II is the stack's now, and no vectors
+        assert solves == [23 * 4] * 3  # each solve forms C_II; no vectors, no back-transform
 
     def test_an_a0_stack_takes_one_band_reduction_per_pencil(self, monkeypatch):
         # with a potential each pencil is reduced in band storage, with and

@@ -37,12 +37,12 @@ SIGNATURES = {
     ha.stable_unstable_splitting: ("M",),
     ma.winding_number: ("d", "endpoint_kernel_dims"),
     ma.maslov_index: ("path", "W"),
-    ma.maslov_index_pair: ("path1", "path2", "endpoint_kernel_dims"),
+    ma.maslov_index_pair: ("path1", "path2"),
     ma.partial_maslov_index: ("path", "W", "lam0", "side"),
-    ma.find_crossings: ("path", "W", "coarse"),
+    ma.find_crossings: ("path", "W"),
     sf.spectral_flow: ("path", "initial_nodes", "check_endpoints"),
     sf.flow_from_spectra: ("node_fn", "drift_fn", "lo", "hi", "initial_nodes", "window",
-                           "zero_snap", "max_depth", "check_endpoints", "report_window"),
+                           "zero_snap", "check_endpoints", "report_window"),
     sf.chern_winding: ("path", "half_height", "samples"),
 }
 

@@ -124,6 +124,19 @@ class TestSpectralFlow:
             with pytest.raises(ValueError, match="initial_nodes"):
                 spectral_flow(linear_path(2.0, -1.0), initial_nodes=nodes)
 
+    @pytest.mark.parametrize("nodes", [[0.0, 0.5, 1.5], [-0.1, 0.5, 1.0], [0.0, np.nan, 1.0],
+                                       [0.0, np.inf]])
+    def test_rejects_initial_nodes_outside_the_interval(self, nodes):
+        # a node beyond [0, 1] once widened the counted interval: the branch
+        # (lam - 0.5)(lam - 1.2) gave 0 with a node at 1.5, not its flow -1
+        path = SymmetricMatrixPath(lambda lam: np.array([[(lam - 0.5) * (lam - 1.2)]]))
+        assert spectral_flow(path, initial_nodes=[0.0, 0.5, 1.0])[0] == -1
+        with pytest.raises(ValueError, match="initial_nodes"):
+            spectral_flow(path, initial_nodes=nodes)
+        with pytest.raises(ValueError, match="initial_nodes"):
+            flow_from_spectra(lambda lams: [np.array([1.0]) for _ in lams],
+                              lambda pairs: [0.0] * len(pairs), initial_nodes=nodes)
+
     def test_matches_a_per_lam_eigvalsh_reference(self):
         # the batched node spectra and drifts give the certificate of a per-lam loop
         rng = np.random.default_rng(8)
@@ -307,6 +320,12 @@ class TestChernWinding:
         with pytest.raises(ValueError, match="samples"):
             chern_winding(linear_path(2.0, -1.0), samples=samples)
 
+    @pytest.mark.parametrize("half_height", [-1.0, 0.0, np.nan, np.inf])
+    def test_rejects_a_bad_half_height(self, half_height):
+        # a negative height once ran the contour clockwise and counted -1
+        with pytest.raises(ValueError, match="half_height"):
+            chern_winding(linear_path(2.0, -1.0), half_height=half_height)
+
     def test_an_asymmetric_contour_value_names_its_lam(self):
         def ev(lam):
             return np.array([[2 * lam - 1.0, 0.0], [1e-3 if 0.45 < lam < 0.55 else 0.0, 1.0]])
@@ -416,7 +435,10 @@ class TestFlowFromSpectra:
                               drift_fn=lambda pairs: [0.0] * len(pairs),
                               window=1.0, initial_nodes=5)
 
-    def test_refinement_exhaustion(self):
+    def test_refinement_exhaustion(self, monkeypatch):
+        # the depth limit is module policy; at 40 halvings the drift bound
+        # 1e3 (b - a) gets small enough to pass this garbage, at 6 it does not
+        monkeypatch.setattr(spectral, "MAX_FLOW_DEPTH", 6)
         rng = np.random.default_rng(7)
 
         def node_fn(lams):
@@ -424,7 +446,7 @@ class TestFlowFromSpectra:
 
         with pytest.raises((FlowRefinementError, EndpointKernelError)):
             flow_from_spectra(node_fn, drift_fn=lambda pairs: [1e3 * (b - a) for a, b in pairs],
-                              window=1.0, initial_nodes=5, max_depth=6)
+                              window=1.0, initial_nodes=5)
 
     def test_failing_count_stops_at_the_width_cap(self):
         # every subinterval fails, so rounds must not widen with the tree
