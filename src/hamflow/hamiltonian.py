@@ -11,12 +11,13 @@ index of the stable/unstable pair path.
 from __future__ import annotations
 
 import ctypes
+import operator
+import struct
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .symplectic import (
     LagrangianFrame,
@@ -499,10 +500,14 @@ class BoundaryValueOperator:
         for i in range(len(F0)):
             Ki, Mi = K[i, :, :ka[i] + 1], M[i, :, :kb[i] + 1]
             diag, off = _band_tridiagonal(Ki, Mi)
-            count, vals, _, _, info = scipy.linalg.lapack.dstebz(diag, off, 1, -window, window,
-                                                                 0, 0, 0.0, "E")
+            n = len(diag)
+            vals, work, iwork = np.empty(n), np.empty(4 * n), np.empty(5 * n, dtype=np.int64)
+            # the integers end M, NSPLIT, INFO; IBLOCK and ISPLIT lead iwork
+            *_, count, _, info = _lapack("dstebz", b"V", b"E", n, -window, window, 0, 0, 0.0,
+                                         diag, off, 0, 0, vals, iwork, iwork[n:], work,
+                                         iwork[2 * n:], 0)()
             if info:
-                raise scipy.linalg.LinAlgError(f"dstebz failed with info {info}")
+                raise np.linalg.LinAlgError(f"dstebz failed with info {info}")
             spectra.append(vals[:count])
             if vectors and count:
                 scale = np.abs(diag)  # dstein's cluster scale, the tridiagonal's 1-norm
@@ -517,8 +522,8 @@ class BoundaryValueOperator:
         return spectra, np.concatenate(u, axis=-1) if u else np.zeros((self.mesh + 1, d, 0))
 
     def _shared_solve(self, F0, F1, window, vectors):
-        """Every pencil's eigenvalues in (-window, window], ascending, as
-        scipy's windowed ``eigh`` gives them, and with ``vectors`` their
+        """Every pencil's eigenvalues in (-window, window], ascending, as a
+        windowed dense ``eigh`` gives them, and with ``vectors`` their
         eigenvectors' nodal values.  One LAPACK ``dsyevx`` per pencil solves
         C = L^-1 K L^-T, M = L L^T (Golub and Van Loan, Matrix Computations,
         8.7).
@@ -537,7 +542,6 @@ class BoundaryValueOperator:
         work is one ``dsymm`` for G and its ``dsyevx``.  No BLAS or LAPACK
         call gets an empty operand, which some mishandle.
         """
-        lapack = scipy.linalg.lapack
         K, M, _ = self.blocks
         count, k0 = len(F0), F0.shape[-1]
         k, d = k0 + F1.shape[-1], K[0].shape[-1]
@@ -551,7 +555,7 @@ class BoundaryValueOperator:
             c0, e0, e1, c1 = _frame_border(*form, F0, F1)
             bb[f, :, :k0, :k0], bb[f, :, k0:, k0:] = c0, c1
             rhs[f, :, :k0, :d], rhs[f, :, k0:, -d:] = e0, e1.swapaxes(-1, -2)
-        Xt, Wt = lapack.dtbtrs(L_II, rhs.reshape(-1, n_in).T, uplo="L")[0].T.reshape(rhs.shape)
+        Xt, Wt = _triangular_solve(L_II, rhs.reshape(-1, n_in).T).T.reshape(rhs.shape)
         try:
             Z = np.linalg.inv(np.linalg.cholesky(bb[0] - Xt @ Xt.swapaxes(-1, -2)))
         except np.linalg.LinAlgError:
@@ -559,16 +563,23 @@ class BoundaryValueOperator:
         Yt, Vt = Z @ Xt, Z @ Wt
         Q = Z @ bb[1] @ Z.swapaxes(-1, -2) - Vt @ Yt.swapaxes(-1, -2)
         spectra, found = [], []
+        n = n_in + k
         for i in range(count):
-            G = scipy.linalg.blas.dsymm(-1.0, C_II, Yt[i].T, beta=1.0, c=Vt[i].T, lower=1)
-            C = np.empty((n_in + k, n_in + k), order="F")  # dsyevx reads its lower triangle only
+            G = np.array(Vt[i].T, order="F")  # G = V - C_II Y, written over V
+            _lapack("dsymm", b"L", b"L", n_in, k, -1.0, C_II, n_in, Yt[i].T, n_in, 1.0, G, n_in)()
+            C = np.empty((n, n), order="F")  # dsyevx reads its lower triangle only
             C[:n_in, :n_in] = C_II
             C[n_in:, :n_in] = G.T
             C[n_in:, n_in:] = Q[i] - Yt[i] @ G
-            vals, z, m, _, info = lapack.dsyevx(C, compute_v=int(vectors), range="V", lower=1,
-                                                vl=-window, vu=window, overwrite_a=1)
+            vals, iwork = np.empty(n), np.empty(6 * n, dtype=np.int64)  # IWORK, then IFAIL
+            z = np.empty((n, n) if vectors else 1, order="F")
+            # the integers end M, LDZ, LWORK, INFO; LWORK, LAPACK's minimum
+            # 8 n, also bounds dsytrd's block size and so the rounding
+            *_, m, _, _, info = _lapack("dsyevx", b"V" if vectors else b"N", b"V", b"L", n, C, n,
+                                        -window, window, 1, n, 0.0, 0, vals, z, len(z),
+                                        np.empty(8 * n), 8 * n, iwork, iwork[5 * n:], 0)()
             if info:
-                raise scipy.linalg.LinAlgError(f"dsyevx failed with info {info}")
+                raise np.linalg.LinAlgError(f"dsyevx failed with info {info}")
             spectra.append(vals[:m])
             if vectors and m:
                 found.append((i, z[:, :m].copy()))  # not a view that keeps all of z
@@ -580,7 +591,8 @@ class BoundaryValueOperator:
             z = np.concatenate([z for _, z in found], axis=1)
             xb = np.einsum("cjk,jc->kc", Z[owner], z[n_in:])
             x_in = z[:n_in] - np.einsum("ckn,kc->nc", Yt[owner], z[n_in:])
-            u[1:-1] = lapack.dtbtrs(L_II, x_in, uplo="L", trans="T")[0].reshape(-1, d, len(owner))
+            x_in = _triangular_solve(L_II, np.asfortranarray(x_in), b"T")
+            u[1:-1] = x_in.reshape(-1, d, len(owner))
             u[0] = np.einsum("cdk,kc->dc", F0[owner], xb[:k0])
             u[-1] = np.einsum("cdk,kc->dc", F1[owner], xb[k0:])
         return spectra, u
@@ -595,19 +607,18 @@ class BoundaryValueOperator:
         and solves are banded because OpenBLAS hands dense ones of these
         orders to its thread pool.
         """
-        lapack = scipy.linalg.lapack
-        L, info = lapack.dpbtrf(_interior_band(*self.blocks[1]), lower=1)
-        if info:
+        L = np.asfortranarray(_interior_band(*self.blocks[1]))
+        if _lapack("dpbtrf", b"L", L.shape[1], len(L) - 1, L, len(L), 0)()[-1]:
             raise ValueError("mass matrix is not positive definite")
         sym_diag, sym_upper = _interior_blocks(*(x[0] for x in self.blocks[0]))
         nodes, d = sym_diag.shape[:2]
         at = d * np.arange(nodes)[:, None, None]
         rows, cols = at + np.arange(d)[:, None], at + np.arange(d)
-        K = np.zeros((nodes * d, nodes * d))
+        K = np.zeros((nodes * d, nodes * d), order="F")
         K[rows, cols] = sym_diag
         K[rows[:-1], cols[1:]] = sym_upper
         K[rows[1:], cols[:-1]] = sym_upper.swapaxes(-1, -2)
-        return L, lapack.dtbtrs(L, lapack.dtbtrs(L, K, uplo="L")[0].T, uplo="L")[0]
+        return L, _triangular_solve(L, np.asfortranarray(_triangular_solve(L, K).T))
 
 
 def _ghost_filter(spectra, u, rough, cut):
@@ -687,29 +698,84 @@ def _reduced_band(diag, upper, lower, F0, F1):
                            _band_columns(c1, width)], axis=1)
 
 
-_BAND_ARGS = {  # c: a character, passed as char *; p: the address of an int or a double
-    "dpbstf": "cppppp",
-    "dsbgst": "ccppppppppppp",
-    "dsbtrd": "ccpppppppppp",
+_LAPACK_ARGS = {  # Fortran's arguments in order: c a character, i an integer,
+    # d a double, I an integer array, D a double array
+    "dgbtrf": "iiiiDiIi",
+    "dgbtrs": "ciiiiDiIDii",
+    "dpbstf": "ciiDii",
+    "dpbtrf": "ciiDii",
+    "dsbgst": "cciiiDiDiDiDi",
+    "dsbmv": "ciidDiDidDi",
+    "dsbtrd": "cciiDiDDDiDi",
+    "dstebz": "cciddiidDDiiDIIDIi",
+    "dsymm": "cciidDiDidDi",
+    "dsyevx": "ccciDiddiidiDDiDiIIi",
+    "dtbtrs": "ccciiiDiDii",
 }
-_BAND_LAPACK = {}
+_ARRAYS = {"I": np.dtype(np.int64), "D": np.dtype(np.float64)}
+_NO_BYTES = ctypes.c_char * 0
+_LAPACK = {}
 
 
-def _band_lapack(name):
-    """LAPACK ``name`` as a ctypes function of the pointer in scipy's
-    cython_lapack capsule, which scipy.linalg.lapack does not wrap; resolved
-    on first use.  The call releases the GIL."""
-    if name not in _BAND_LAPACK:
-        import scipy.linalg.cython_lapack
-        capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
-        api = ctypes.pythonapi
-        get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
-        get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-            ("PyCapsule_GetPointer", api))
-        argtypes = [ctypes.c_char_p if a == "c" else ctypes.c_void_p for a in _BAND_ARGS[name]]
-        _BAND_LAPACK[name] = ctypes.CFUNCTYPE(None, *argtypes)(
-            get_pointer(capsule, get_name(capsule)))
-    return _BAND_LAPACK[name]
+def _lapack_function(name, library):
+    """LAPACK or BLAS ``name`` of ``library``, whose ILP64 OpenBLAS exports it
+    as ``scipy_<name>_64_``, with how ``_lapack`` binds its arguments."""
+    symbol = f"scipy_{name}_64_"
+    try:
+        function = getattr(library, symbol)
+    except AttributeError:
+        raise ImportError(f"numpy's OpenBLAS lacks {symbol}; hamflow needs a numpy build "
+                          "that bundles the ILP64 scipy-openblas, as the Linux wheels of "
+                          "numpy >= 2.0 on PyPI do") from None
+    kinds = _LAPACK_ARGS[name]
+    lengths = (1,) * kinds.count("c")  # gfortran passes them after the last argument
+    function.argtypes = ([ctypes.c_char_p if k == "c" else ctypes.c_void_p for k in kinds]
+                         + [ctypes.c_size_t] * len(lengths))
+    function.restype = None
+    at = [i for i, k in enumerate(kinds) if k in "id"]
+    layout = tuple(8 * at.index(i) if i in at else k for i, k in enumerate(kinds))
+    return (function, struct.Struct("=" + "".join(kinds[i] for i in at).replace("i", "q")),
+            operator.itemgetter(*at), layout, lengths)
+
+
+def _lapack(name, *args):
+    """LAPACK or BLAS ``name`` of the OpenBLAS numpy has loaded, resolved on
+    first use and bound to its Fortran arguments in ``_LAPACK_ARGS`` order:
+    bytes for a character, numbers for integers and doubles, which are packed
+    in one buffer and passed by offset, and writable Fortran-ordered int64 or
+    float64 arrays, which the routine reads and writes in place.  Each call
+    of the bound routine runs it, releasing the GIL, and returns the integers
+    and doubles as it left them, INFO last where it has one."""
+    if name not in _LAPACK:
+        _LAPACK[name] = _lapack_function(name, ctypes.CDLL(np.linalg._umath_linalg.__file__))
+    function, scalars, get_scalars, layout, lengths = _LAPACK[name]
+    packed = ctypes.create_string_buffer(scalars.pack(*get_scalars(args)))
+    base, pointers = ctypes.addressof(packed), []
+    for a, at in zip(args, layout, strict=True):
+        if type(at) is int:
+            pointers.append(base + at)
+        elif at == "c":
+            pointers.append(a)
+        elif a.dtype != _ARRAYS[at]:
+            raise TypeError(f"{name} takes {_ARRAYS[at]} arrays, not {a.dtype}")
+        else:  # the transpose's buffer raises unless a is Fortran-ordered and writable
+            pointers.append(ctypes.addressof(_NO_BYTES.from_buffer(a.T)))
+
+    def run():
+        function(*pointers, *lengths)
+        return scalars.unpack_from(packed)
+
+    run.arrays = args  # the addresses stay valid while the bound routine lives
+    return run
+
+
+def _triangular_solve(L, B, trans=b"N"):
+    """B overwritten by L^-1 B, or L^-T B with ``trans`` b"T": L is a lower
+    band Cholesky factor in LAPACK band storage (kd + 1, n) and B a
+    Fortran-ordered (n, nrhs) array."""
+    kd, n = len(L) - 1, L.shape[1]
+    _lapack("dtbtrs", b"L", trans, b"N", n, kd, B.shape[1], L, kd + 1, B, n, 0)()
+    return B
 
 
 def _band_tridiagonal(K, M):
@@ -725,25 +791,18 @@ def _band_tridiagonal(K, M):
     Every buffer is this call's, so threads may solve at once.
     """
     (m, wa), wb = K.shape, M.shape[1]
-    # one buffer: K, M, the work array, the diagonal, the off-diagonal and the
-    # double that stands for the vectors VECT = 'N' leaves unreferenced
-    ends = np.cumsum([m * wa, m * wb, 2 * m, m, m, 1]).tolist()
-    buf = np.empty(ends[-1])
-    buf[:ends[0]].reshape(m, wa)[:] = K
-    buf[ends[0]:ends[1]].reshape(m, wb)[:] = M
-    at = buf.ctypes.data
-    pK, pM, work, diag, off, unused = [at + 8 * end for end in [0] + ends[:-1]]
-    ints = np.array([m, wa - 1, wb - 1, wa, wb, 1, 0], dtype=np.intc)
-    at, size = ints.ctypes.data, ints.itemsize
-    n, ka, kb, lda, ldb, one, info = range(at, at + 7 * size, size)
-    _band_lapack("dpbstf")(b"L", n, kb, pM, ldb, info)
-    if ints[-1]:
+    K, M = np.array(K.T, order="F"), np.array(M.T, order="F")  # LAPACK's (w, m) bands
+    # the work array, then the diagonal and the off-diagonal; VECT = 'N'
+    # leaves the vectors' argument unreferenced, and work stands for it
+    buf = np.empty(4 * m)
+    work, diag, off = buf[:2 * m], buf[2 * m:3 * m], buf[3 * m:]
+    if _lapack("dpbstf", b"L", m, wb - 1, M, wb, 0)()[-1]:
         raise ValueError("mass matrix is not positive definite")
-    _band_lapack("dsbgst")(b"N", b"L", n, ka, kb, pK, lda, pM, ldb, unused, one, work, info)
-    _band_lapack("dsbtrd")(b"N", b"L", n, ka, pK, lda, diag, off, unused, one, work, info)
-    if ints[-1]:
-        raise scipy.linalg.LinAlgError(f"band reduction failed with info {ints[-1]}")
-    return buf[ends[2]:ends[3]], buf[ends[3]:ends[4] - 1]
+    info = (_lapack("dsbgst", b"N", b"L", m, wa - 1, wb - 1, K, wa, M, wb, work, 1, work, 0)()[-1]
+            or _lapack("dsbtrd", b"N", b"L", m, wa - 1, K, wa, diag, off, work, 1, work, 0)()[-1])
+    if info:
+        raise np.linalg.LinAlgError(f"band reduction failed with info {info}")
+    return diag, off[:-1]
 
 
 def _general_band(X, ka):
@@ -768,14 +827,14 @@ def _inverse_iteration(K, M, vals, scale):
     M-orthogonalized against the earlier vectors of its cluster: the values
     that follow each other within 1e-3 ``scale``, LAPACK dstein's rule.
     """
-    lapack = scipy.linalg.lapack
-    m, ka = len(K), K.shape[1] - 1
+    (m, wb), ka = M.shape, K.shape[1] - 1
     GK, GM = _general_band(K, ka), _general_band(M, ka)
-    Mt = np.ascontiguousarray(M).T  # LAPACK's (kb + 1, m) band, Fortran order
-
-    def mass(x):
-        return scipy.linalg.blas.dsbmv(M.shape[1] - 1, 1.0, Mt, x, lower=1)
-
+    # one LU, step and product buffer for every value, bound once
+    lu, piv = np.empty((3 * ka + 1, m), order="F"), np.empty(m, dtype=np.int64)
+    x, Mx = np.empty(m), np.zeros(m)
+    factor = _lapack("dgbtrf", m, m, ka, ka, lu, 3 * ka + 1, piv, 0)
+    solve = _lapack("dgbtrs", b"N", m, ka, ka, 1, lu, 3 * ka + 1, piv, x, m, 0)
+    mass = _lapack("dsbmv", b"L", m, wb - 1, 1.0, np.array(M.T, order="F"), wb, x, 1, 0.0, Mx, 1)
     # the fixed starts, taken as M x: sin((j + 1) i) for value j and row i
     starts = np.sin(np.arange(1.0, len(vals) + 1.0)[:, None] * np.arange(1.0, m + 1.0))
     X, MX = np.empty((m, len(vals))), np.empty((m, len(vals)))
@@ -783,18 +842,20 @@ def _inverse_iteration(K, M, vals, scale):
     for j, mu in enumerate(vals):
         if j and vals[j] - vals[j - 1] > 1e-3 * scale:
             first = j
-        lu, piv, info = lapack.dgbtrf((GK - mu * GM).T, ka, ka, overwrite_ab=1)
-        if info > 0:  # mu is an eigenvalue to working precision: step off it
-            mu += np.finfo(float).eps * scale
-            lu, piv, info = lapack.dgbtrf((GK - mu * GM).T, ka, ka, overwrite_ab=1)
+        np.subtract(GK, mu * GM, out=lu.T)
+        if factor()[-1] > 0:  # mu is an eigenvalue to working precision: step off it
+            np.subtract(GK, (mu + np.finfo(float).eps * scale) * GM, out=lu.T)
+            factor()
         rhs = starts[j]
         for _ in range(2):  # the steps are scale-free, so only the last is normalized
-            x = lapack.dgbtrs(lu, ka, ka, rhs, piv)[0]
+            x[:] = rhs
+            solve()
             if first < j:
                 x -= X[:, first:j] @ (MX[:, first:j].T @ x)
-            rhs = mass(x)
-        norm = np.sqrt(x @ rhs)
-        X[:, j], MX[:, j] = x / norm, rhs / norm
+            mass()
+            rhs = Mx
+        norm = np.sqrt(x @ Mx)
+        X[:, j], MX[:, j] = x / norm, Mx / norm
     return X
 
 

@@ -1,6 +1,8 @@
 import glob
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -317,3 +319,21 @@ def test_tracks_command_matches_run(tmp_path):
     assert cli.main(["run", cfgp, "--out", str(tmp_path / "r")]) == cli.EXIT_OK
     tracks = [(tmp_path / d / "tracks.csv").read_bytes() for d in ("t", "r")]
     assert tracks[0] == tracks[1]
+
+
+def test_a_run_loads_no_scipy(tmp_path):
+    # hamflow calls LAPACK through numpy's own OpenBLAS; scipy is a test oracle only
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = ("import sys\n"
+            "from hamflow import cli\n"
+            "art = cli.run_scenario(sys.argv[1], {'out': sys.argv[2]})\n"
+            "assert art.all_agree\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-c", code,
+                           os.path.join(root, "scenarios", "autonomous.json"),
+                           str(tmp_path / "results")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "results" / "report.txt").is_file()

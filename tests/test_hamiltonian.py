@@ -1140,15 +1140,17 @@ def _assert_matches_eigh(op, reduced, window):
 
 
 def _counting(monkeypatch, name):
-    """Record the order of every call to LAPACK ``name`` (band storage: columns)."""
+    """Record the order of every call to LAPACK ``name`` through hamflow's
+    LAPACK layer: its first integer argument, N for every routine counted."""
     calls = []
-    routine = getattr(scipy.linalg.lapack, name)
+    routine = ha._lapack
 
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a)[1])
-        return routine(a, *args, **kwargs)
+    def counting(called, *args):
+        if called == name:
+            calls.append(next(a for a in args if isinstance(a, int)))
+        return routine(called, *args)
 
-    monkeypatch.setattr(scipy.linalg.lapack, name, counting)
+    monkeypatch.setattr(ha, "_lapack", counting)
     return calls
 
 
@@ -1163,6 +1165,109 @@ def _band_reductions(monkeypatch):
 
     monkeypatch.setattr(ha, "_band_tridiagonal", counting)
     return calls
+
+
+def _assert_close(got, want):
+    """Equal to 1e-12 relative to the largest entry of ``want``."""
+    assert np.shape(got) == np.shape(want)
+    assert np.abs(np.asarray(got) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _spd_band(rng, n, kd):
+    """A diagonally dominant symmetric band matrix's lower band (kd + 1, n), Fortran order."""
+    ab = np.asfortranarray(rng.uniform(-1.0, 1.0, (kd + 1, n)))
+    ab[0] += 2 * kd + 1
+    return ab
+
+
+class TestLapackLayer:
+    """hamflow's LAPACK layer against scipy's wrappers of the same routines,
+    on random inputs.  dpbstf, dsbgst and dsbtrd, which scipy.linalg does not
+    wrap, are checked through ``_band_tridiagonal`` in ``TestBandSolve``."""
+
+    def test_band_cholesky_and_triangular_solves(self):
+        rng = np.random.default_rng(31)
+        n, kd = 11, 3
+        L = _spd_band(rng, n, kd)
+        want, info = scipy.linalg.lapack.dpbtrf(L, lower=1)
+        assert info == 0 and ha._lapack("dpbtrf", b"L", n, kd, L, kd + 1, 0)()[-1] == 0
+        _assert_close(L, want)
+        B = rng.standard_normal((n, 4))
+        for trans in ("N", "T"):
+            got = ha._triangular_solve(L, np.asfortranarray(B), trans.encode())
+            _assert_close(got, scipy.linalg.lapack.dtbtrs(want, B, uplo="L", trans=trans)[0])
+
+    def test_band_lu_solve(self):
+        rng = np.random.default_rng(32)
+        n, k = 10, 2
+        ab = np.asfortranarray(rng.standard_normal((3 * k + 1, n)))
+        ab[:k] = 0.0  # the rows dgbtrf fills
+        want, piv, info = scipy.linalg.lapack.dgbtrf(ab, k, k)
+        lu, ipiv = ab.copy(order="F"), np.empty(n, dtype=np.int64)
+        assert info == 0 and ha._lapack("dgbtrf", n, n, k, k, lu, 3 * k + 1, ipiv, 0)()[-1] == 0
+        _assert_close(lu, want)
+        assert np.array_equal(ipiv, piv + 1)  # scipy's pivots count from 0
+        x = rng.standard_normal(n)
+        want = scipy.linalg.lapack.dgbtrs(want, k, k, x, piv)[0]
+        assert ha._lapack("dgbtrs", b"N", n, k, k, 1, lu, 3 * k + 1, ipiv, x, n, 0)()[-1] == 0
+        _assert_close(x, want)
+
+    def test_band_and_symmetric_products(self):
+        rng = np.random.default_rng(33)
+        n, kd = 9, 2
+        A = _spd_band(rng, n, kd)
+        x, y = rng.standard_normal(n), np.zeros(n)
+        # bound to a copy of A that nothing else holds, and run twice
+        product = ha._lapack("dsbmv", b"L", n, kd, 1.0, A.copy(order="F"), kd + 1, x, 1, 0.0, y, 1)
+        for _ in range(2):
+            y[:] = 7.0  # BETA = 0: the product overwrites y
+            product()
+            _assert_close(y, scipy.linalg.blas.dsbmv(kd, 1.0, A, x, lower=1))
+        S, B, C = (np.asfortranarray(rng.standard_normal((n, cols))) for cols in (n, 3, 3))
+        want = scipy.linalg.blas.dsymm(-1.0, S, B, beta=1.0, c=C, lower=1)  # on a copy of C
+        ha._lapack("dsymm", b"L", b"L", n, 3, -1.0, S, n, B, n, 1.0, C, n)()
+        _assert_close(C, want)
+
+    def test_tridiagonal_values(self):
+        rng = np.random.default_rng(34)
+        n = 30
+        d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+        count, want, _, _, info = scipy.linalg.lapack.dstebz(d, e, 1, -0.5, 1.0, 0, 0, 0.0, "E")
+        vals, work, iwork = np.empty(n), np.empty(4 * n), np.empty(5 * n, dtype=np.int64)
+        *_, m, _, got_info = ha._lapack("dstebz", b"V", b"E", n, -0.5, 1.0, 0, 0, 0.0, d, e, 0,
+                                        0, vals, iwork, iwork[n:], work, iwork[2 * n:], 0)()
+        assert info == got_info == 0 and 0 < count == m < n
+        _assert_close(vals[:count], want[:count])
+
+    @pytest.mark.parametrize("vectors", [0, 1])
+    def test_windowed_eigensolve(self, vectors):
+        rng = np.random.default_rng(35)
+        n = 14
+        A = rng.standard_normal((n, n))
+        A = np.asfortranarray(A + A.T)
+        want, zw, count, _, info = scipy.linalg.lapack.dsyevx(A, compute_v=vectors, range="V",
+                                                              lower=1, vl=-1.5, vu=2.0)
+        vals, z, iwork = np.empty(n), np.empty((n, n), order="F"), np.empty(6 * n, dtype=np.int64)
+        *_, m, _, _, got_info = ha._lapack("dsyevx", b"V" if vectors else b"N", b"V", b"L", n,
+                                           A.copy(order="F"), n, -1.5, 2.0, 1, n, 0.0, 0, vals, z,
+                                           n, np.empty(8 * n), 8 * n, iwork, iwork[5 * n:], 0)()
+        assert info == got_info == 0 and 0 < count == m < n
+        _assert_close(vals[:count], want[:count])
+        if vectors:  # each vector up to its sign
+            z, zw = z[:, :count], zw[:, :count]
+            _assert_close(z * np.sign(np.sum(z * zw, axis=0)), zw)
+
+    def test_binding_takes_only_writable_fortran_float64_or_int64_arrays(self):
+        x, y = np.ones(3), np.zeros(3)
+        for A in (np.ones((3, 2)), np.ones((2, 3), dtype=np.float32).T):
+            with pytest.raises(TypeError):
+                ha._lapack("dsbmv", b"L", 3, 1, 1.0, A, 2, x, 1, 0.0, y, 1)
+        with pytest.raises(TypeError):
+            ha._lapack("dsbmv", b"L", 3, 0, 1.0, np.broadcast_to(1.0, (1, 3)), 1, x, 1, 0.0, y, 1)
+
+    def test_a_missing_symbol_names_the_numpy_build(self):
+        with pytest.raises(ImportError, match=r"scipy_dsbgst_64_.*numpy >= 2\.0"):
+            ha._lapack_function("dsbgst", SimpleNamespace())
 
 
 class TestBandSolve:
