@@ -485,11 +485,9 @@ class BoundaryValueOperator:
 
         Each pencil's frame-reduced forms are written in band storage
         (``_reduced_band``), each to its own half-bandwidth, so a pencil
-        solves alike in any stack.  ``_band_tridiagonal`` reduces the pencil
-        to a similar tridiagonal matrix, whose Sturm count (LAPACK dstebz)
-        finds the values with the guarantee ``dsyevx`` gives, and
-        ``_inverse_iteration`` finds the vectors.  Memory is O(m kd) per
-        pencil.
+        solves alike in any stack.  ``_band_values`` finds the values, with
+        the guarantee ``dsyevx`` gives, and ``_inverse_iteration`` the
+        vectors.  Memory is O(m kd) per pencil.
         """
         K, M = (_reduced_band(*form, F0, F1) for form in self.blocks[:2])
         k0, k1, d = F0.shape[-1], F1.shape[-1], F0.shape[-2]
@@ -499,23 +497,11 @@ class BoundaryValueOperator:
         spectra, u = [], []
         for i in range(len(F0)):
             Ki, Mi = K[i, :, :ka[i] + 1], M[i, :, :kb[i] + 1]
-            diag, off = _band_tridiagonal(Ki, Mi)
-            n = len(diag)
-            vals, work, iwork = np.empty(n), np.empty(4 * n), np.empty(5 * n, dtype=np.int64)
-            # the integers end M, NSPLIT, INFO; IBLOCK and ISPLIT lead iwork
-            *_, count, _, info = _lapack("dstebz", b"V", b"E", n, -window, window, 0, 0, 0.0,
-                                         diag, off, 0, 0, vals, iwork, iwork[n:], work,
-                                         iwork[2 * n:], 0)()
-            if info:
-                raise np.linalg.LinAlgError(f"dstebz failed with info {info}")
-            spectra.append(vals[:count])
-            if vectors and count:
-                scale = np.abs(diag)  # dstein's cluster scale, the tridiagonal's 1-norm
-                scale[1:] += np.abs(off)
-                scale[:-1] += np.abs(off)
-                x = _inverse_iteration(Ki, Mi, spectra[-1], scale.max())
+            spectra.append(_band_values(Ki, Mi, window))
+            if vectors and len(spectra[-1]):
+                x = _inverse_iteration(Ki, Mi, spectra[-1])
                 u.append(np.concatenate([(F0[i] @ x[:k0])[None],
-                                         x[k0:len(x) - k1].reshape(-1, d, count),
+                                         x[k0:len(x) - k1].reshape(-1, d, x.shape[1]),
                                          (F1[i] @ x[len(x) - k1:])[None]]))
         if not vectors:
             return spectra, None
@@ -702,12 +688,9 @@ _LAPACK_ARGS = {  # Fortran's arguments in order: c a character, i an integer,
     # d a double, I an integer array, D a double array
     "dgbtrf": "iiiiDiIi",
     "dgbtrs": "ciiiiDiIDii",
-    "dpbstf": "ciiDii",
     "dpbtrf": "ciiDii",
-    "dsbgst": "cciiiDiDiDiDi",
+    "dsbgvx": "ccciiiDiDiDiddiidiDDiDIIi",
     "dsbmv": "ciidDiDidDi",
-    "dsbtrd": "cciiDiDDDiDi",
-    "dstebz": "cciddiidDDiiDIIDIi",
     "dsymm": "cciidDiDidDi",
     "dsyevx": "ccciDiddiidiDDiDiIIi",
     "dtbtrs": "ccciiiDiDii",
@@ -778,31 +761,31 @@ def _triangular_solve(L, B, trans=b"N"):
     return B
 
 
-def _band_tridiagonal(K, M):
-    """Diagonal and off-diagonal of a symmetric tridiagonal matrix with the
-    eigenvalues of the pencil (K, M).
+def _band_values(K, M, window):
+    """The eigenvalues of the pencil (K, M) in (-window, window], ascending.
 
     K and M are in lower band storage as (m, ka + 1) and (m, kb + 1) arrays,
     ka >= kb, row j holding column j from the diagonal down; they are only
-    read.  Their copies go through the split Cholesky factorization
-    M = S^T S (LAPACK dpbstf), Crawford's band-preserving reduction of K to
-    the standard form X^T K X (dsbgst) and its tridiagonalization (dsbtrd);
-    no vector is formed.  Raises ValueError when M is not positive definite.
-    Every buffer is this call's, so threads may solve at once.
+    read.  LAPACK's dsbgvx takes their copies through the split Cholesky
+    factorization M = S^T S, Crawford's band-preserving reduction of K to
+    the standard form X^T K X, its tridiagonalization and the Sturm count
+    bisection; no vector is formed.  Raises ValueError when M is not
+    positive definite.  Every buffer is this call's, so threads may solve at
+    once.
     """
     (m, wa), wb = K.shape, M.shape[1]
     K, M = np.array(K.T, order="F"), np.array(M.T, order="F")  # LAPACK's (w, m) bands
-    # the work array, then the diagonal and the off-diagonal; VECT = 'N'
-    # leaves the vectors' argument unreferenced, and work stands for it
-    buf = np.empty(4 * m)
-    work, diag, off = buf[:2 * m], buf[2 * m:3 * m], buf[3 * m:]
-    if _lapack("dpbstf", b"L", m, wb - 1, M, wb, 0)()[-1]:
+    vals, unused = np.empty(m), np.empty(1)  # JOBZ = 'N' leaves Q and Z unreferenced
+    iwork = np.empty(6 * m, dtype=np.int64)  # IWORK, then IFAIL
+    # the integers end M, LDZ, INFO
+    *_, count, _, info = _lapack("dsbgvx", b"N", b"V", b"L", m, wa - 1, wb - 1, K, wa, M, wb,
+                                 unused, 1, -window, window, 0, 0, 0.0, 0, vals, unused, 1,
+                                 np.empty(7 * m), iwork, iwork[5 * m:], 0)()
+    if info > m:  # dsbgvx's split Cholesky failed
         raise ValueError("mass matrix is not positive definite")
-    info = (_lapack("dsbgst", b"N", b"L", m, wa - 1, wb - 1, K, wa, M, wb, work, 1, work, 0)()[-1]
-            or _lapack("dsbtrd", b"N", b"L", m, wa - 1, K, wa, diag, off, work, 1, work, 0)()[-1])
     if info:
-        raise np.linalg.LinAlgError(f"band reduction failed with info {info}")
-    return diag, off[:-1]
+        raise np.linalg.LinAlgError(f"dsbgvx failed with info {info}")
+    return vals[:count]
 
 
 def _general_band(X, ka):
@@ -818,14 +801,16 @@ def _general_band(X, ka):
     return G
 
 
-def _inverse_iteration(K, M, vals, scale):
+def _inverse_iteration(K, M, vals):
     """M-orthonormal eigenvectors, (m, len(vals)), of the band pencil (K, M)
-    at its ascending eigenvalues ``vals``.
+    at its eigenvalues ``vals``.
 
     Each takes two steps of inverse iteration with K - mu M in general band
     storage (LAPACK dgbtrf and dgbtrs) from a fixed start, and each step is
-    M-orthogonalized against the earlier vectors of its cluster: the values
-    that follow each other within 1e-3 ``scale``, LAPACK dstein's rule.
+    M-orthogonalized against every earlier vector: a window holds few values,
+    so no cluster rule picks which.  Where K - mu M is singular to working
+    precision, mu steps off by eps max|K| / max|M|; a factor still singular
+    raises LinAlgError.
     """
     (m, wb), ka = M.shape, K.shape[1] - 1
     GK, GM = _general_band(K, ka), _general_band(M, ka)
@@ -838,20 +823,19 @@ def _inverse_iteration(K, M, vals, scale):
     # the fixed starts, taken as M x: sin((j + 1) i) for value j and row i
     starts = np.sin(np.arange(1.0, len(vals) + 1.0)[:, None] * np.arange(1.0, m + 1.0))
     X, MX = np.empty((m, len(vals))), np.empty((m, len(vals)))
-    first = 0
     for j, mu in enumerate(vals):
-        if j and vals[j] - vals[j - 1] > 1e-3 * scale:
-            first = j
         np.subtract(GK, mu * GM, out=lu.T)
         if factor()[-1] > 0:  # mu is an eigenvalue to working precision: step off it
-            np.subtract(GK, (mu + np.finfo(float).eps * scale) * GM, out=lu.T)
-            factor()
+            mu += np.finfo(float).eps * np.abs(GK).max() / np.abs(GM).max()
+            np.subtract(GK, mu * GM, out=lu.T)
+            if factor()[-1]:
+                raise np.linalg.LinAlgError(f"K - mu M is singular at the stepped-off mu = {mu}")
         rhs = starts[j]
         for _ in range(2):  # the steps are scale-free, so only the last is normalized
             x[:] = rhs
             solve()
-            if first < j:
-                x -= X[:, first:j] @ (MX[:, first:j].T @ x)
+            if j:
+                x -= X[:, :j] @ (MX[:, :j].T @ x)
             mass()
             rhs = Mx
         norm = np.sqrt(x @ Mx)

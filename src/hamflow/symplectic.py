@@ -134,11 +134,12 @@ class LagrangianFrame:
 def check_frame_columns(F, space: SymplecticSpace, tol: float = TOL_FRAME) -> None:
     """Raise SymplecticError unless the (d, k) frame F, or every frame of an
     (L, d, k) stack, is orthonormal and isotropic within tol."""
-    # Frobenius norms bound the spectral norms from above, without an SVD
+    # Frobenius norms bound the spectral norms from above, without an SVD;
+    # a NaN fails the comparisons, so it fails the checks
     Ft = F.swapaxes(-1, -2)
-    if np.any(np.linalg.norm(Ft @ F - np.eye(F.shape[-1]), axis=(-2, -1)) > tol):
+    if not np.all(np.linalg.norm(Ft @ F - np.eye(F.shape[-1]), axis=(-2, -1)) <= tol):
         raise SymplecticError("frame columns are not orthonormal within tolerance")
-    if np.any(np.linalg.norm(Ft @ space.J @ F, axis=(-2, -1)) > tol):
+    if not np.all(np.linalg.norm(Ft @ space.J @ F, axis=(-2, -1)) <= tol):
         raise SymplecticError("frame is not isotropic within tolerance")
 
 
@@ -206,7 +207,7 @@ def souriau_map(W, L, space: SymplecticSpace) -> np.ndarray:
     U = -_reflection(L, space) @ _reflection(W, space).conj()
     # the Frobenius norm bounds the spectral norm from above
     resid = np.linalg.norm(U @ U.conj().swapaxes(-1, -2) - np.eye(space.n), axis=(-2, -1))
-    if np.any(resid > 1e-8):
+    if not np.all(resid <= 1e-8):  # NaN-safe
         raise SymplecticError(f"Souriau image is not unitary: residual {np.max(resid):.3e}; "
                               f"inputs likely not Lagrangian")
     return U

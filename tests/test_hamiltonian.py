@@ -1,3 +1,4 @@
+import ctypes
 import inspect
 import math
 import os
@@ -1009,6 +1010,13 @@ class TestPencilStacks:
             assemble_Q_operator(np.stack([good, 2.0 * good]), np.stack([good, good]),
                                 0.0, 1.0, 8, sp)
 
+    def test_a_nan_frame_is_rejected(self):
+        # a NaN fails every tolerance comparison, so the frame check refuses it
+        sp = standard_space(1)
+        W = lagrangian_from_matrix(np.array([[0.0], [1.0]]), sp)
+        with pytest.raises(ha.SymplecticError, match="not orthonormal"):
+            assemble_Q_operator(LagrangianFrame([[np.nan], [0.0]]), W, 0.0, 1.0, 16, sp)
+
     @pytest.mark.parametrize("count", [1, 5, 65])
     def test_a_round_is_one_stack_bitwise_per_pencil(self, count, monkeypatch):
         N, T, window = 32, 2.0, 0.5
@@ -1155,16 +1163,40 @@ def _counting(monkeypatch, name):
 
 
 def _band_reductions(monkeypatch):
-    """Record (order, stiffness band rows, mass band rows) of every band reduction."""
+    """Record (order, stiffness band rows, mass band rows) of every band
+    pencil's values, each found by one band reduction (``_band_values``)."""
     calls = []
-    reduce = ha._band_tridiagonal
+    values = ha._band_values
 
-    def counting(K, M):
+    def counting(K, M, window):
         calls.append((len(K), K.shape[1], M.shape[1]))
-        return reduce(K, M)
+        return values(K, M, window)
 
-    monkeypatch.setattr(ha, "_band_tridiagonal", counting)
+    monkeypatch.setattr(ha, "_band_values", counting)
     return calls
+
+
+def _singular_factors(monkeypatch, count):
+    """Make the first ``count`` runs of LAPACK dgbtrf report an exactly
+    singular factor, INFO = 1; returns the runs still to report."""
+    left, routine = [count], ha._lapack
+
+    def patched(name, *args):
+        bound = routine(name, *args)
+        if name != "dgbtrf":
+            return bound
+
+        def run():
+            result = bound()
+            if not left[0]:
+                return result
+            left[0] -= 1
+            return result[:-1] + (1,)
+
+        return run
+
+    monkeypatch.setattr(ha, "_lapack", patched)
+    return left
 
 
 def _assert_close(got, want):
@@ -1182,8 +1214,13 @@ def _spd_band(rng, n, kd):
 
 class TestLapackLayer:
     """hamflow's LAPACK layer against scipy's wrappers of the same routines,
-    on random inputs.  dpbstf, dsbgst and dsbtrd, which scipy.linalg does not
-    wrap, are checked through ``_band_tridiagonal`` in ``TestBandSolve``."""
+    on random inputs; dsbgvx, which scipy.linalg does not wrap, against
+    scipy's dense generalized ``eigh``."""
+
+    def test_every_routine_resolves_in_numpys_openblas(self):
+        library = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        for name in ha._LAPACK_ARGS:
+            ha._lapack_function(name, library)
 
     def test_band_cholesky_and_triangular_solves(self):
         rng = np.random.default_rng(31)
@@ -1228,16 +1265,19 @@ class TestLapackLayer:
         ha._lapack("dsymm", b"L", b"L", n, 3, -1.0, S, n, B, n, 1.0, C, n)()
         _assert_close(C, want)
 
-    def test_tridiagonal_values(self):
+    def test_band_pencil_values(self):
         rng = np.random.default_rng(34)
-        n = 30
-        d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
-        count, want, _, _, info = scipy.linalg.lapack.dstebz(d, e, 1, -0.5, 1.0, 0, 0, 0.0, "E")
-        vals, work, iwork = np.empty(n), np.empty(4 * n), np.empty(5 * n, dtype=np.int64)
-        *_, m, _, got_info = ha._lapack("dstebz", b"V", b"E", n, -0.5, 1.0, 0, 0, 0.0, d, e, 0,
-                                        0, vals, iwork, iwork[n:], work, iwork[2 * n:], 0)()
-        assert info == got_info == 0 and 0 < count == m < n
-        _assert_close(vals[:count], want[:count])
+        n, ka, kb = 30, 3, 2
+        K, M = np.asfortranarray(rng.uniform(-1.0, 1.0, (ka + 1, n))), _spd_band(rng, n, kb)
+        dense = np.zeros((2, n, n))
+        for X, A in zip((K, M), dense):
+            for k in range(len(X)):  # band[k, j] = A[j + k, j]
+                A[np.arange(k, n), np.arange(n - k)] = X[k, :n - k]
+            A += np.tril(A, -1).T
+        want = scipy.linalg.eigh(*dense, eigvals_only=True, subset_by_value=(-0.2, 0.2))
+        got = ha._band_values(K.T, M.T, 0.2)  # read, not written
+        assert 0 < len(want) < n
+        _assert_close(got, want)
 
     @pytest.mark.parametrize("vectors", [0, 1])
     def test_windowed_eigensolve(self, vectors):
@@ -1266,8 +1306,8 @@ class TestLapackLayer:
             ha._lapack("dsbmv", b"L", 3, 0, 1.0, np.broadcast_to(1.0, (1, 3)), 1, x, 1, 0.0, y, 1)
 
     def test_a_missing_symbol_names_the_numpy_build(self):
-        with pytest.raises(ImportError, match=r"scipy_dsbgst_64_.*numpy >= 2\.0"):
-            ha._lapack_function("dsbgst", SimpleNamespace())
+        with pytest.raises(ImportError, match=r"scipy_dsbgvx_64_.*numpy >= 2\.0"):
+            ha._lapack_function("dsbgvx", SimpleNamespace())
 
 
 class TestBandSolve:
@@ -1275,8 +1315,8 @@ class TestBandSolve:
                                         (lambda: sech_family(2, amplitude=2.0), 6)],
                              ids=["sech-n1", "sech-n2"])
     def test_band_values_match_eigh(self, fam, kd):
-        # the band holds the frame-reduced forms, and the reduction's
-        # tridiagonal has their generalized eigenvalues
+        # the band holds the frame-reduced forms, and its band solve finds
+        # their generalized eigenvalues
         fam = fam()
         for lam in (0.3, 0.75):
             op = assemble_A0_operator(fam, lam, 3.0, 24)
@@ -1292,9 +1332,8 @@ class TestBandSolve:
                 assert np.all(dense[rows[~inside], cols[~inside]] == 0.0)
             widths = [np.flatnonzero(X.any(axis=0))[-1] for X in (K, M)]
             assert widths[0] == kd and widths[1] < kd
-            diag, off = ha._band_tridiagonal(K[:, :kd + 1].copy(), M[:, :widths[1] + 1].copy())
-            got = scipy.linalg.eigvalsh_tridiagonal(diag, off)
             want = scipy.linalg.eigh(*ref.reduced[:2], eigvals_only=True)
+            got = ha._band_values(K[:, :kd + 1], M[:, :widths[1] + 1], 2 * np.abs(want).max())
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
     def test_an_indefinite_mass_is_rejected(self):
@@ -1305,6 +1344,24 @@ class TestBandSolve:
             assert op.interval == (2.0, -2.0)
             with pytest.raises(ValueError, match="not positive definite"):
                 op.eigenvalues(window=1.0)
+
+    def test_a_singular_factor_steps_off_its_value(self, monkeypatch):
+        op = assemble_A0_operator(sech_family(1, amplitude=2.0), 0.75, 3.0, 24)
+        F0, F1 = (F.columns[None] for F in op.frames)
+        want, want_u = op._band_solve(F0, F1, 0.5, True)
+        assert len(want[0]) > 0
+        left = _singular_factors(monkeypatch, 1)
+        got, u = op._band_solve(F0, F1, 0.5, True)
+        assert left == [0]
+        assert np.array_equal(got[0], want[0])
+        _assert_close(u, want_u)
+
+    def test_a_factor_singular_after_the_step_raises(self, monkeypatch):
+        # a NaN vector would fail the roughness cut and drop its value silently
+        op = assemble_A0_operator(sech_family(1, amplitude=2.0), 0.75, 3.0, 24)
+        _singular_factors(monkeypatch, 2)
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            op.eigenvalues(0.5)
 
     def test_an_order_2048_solve_holds_no_dense_matrix(self):
         # one dense 2048 x 2048 matrix is 32 MiB; the band solve and its

@@ -213,6 +213,14 @@ def test_souriau_rejects_non_lagrangian_frames():
                 souriau_map(*args, sp)
 
 
+def test_souriau_rejects_a_nan_frame():
+    # a NaN residual fails the unitarity check instead of passing it
+    sp = standard_space(1)
+    W = lagrangian_from_matrix(np.array([[0.0], [1.0]]), sp)
+    with pytest.raises(SymplecticError, match="not unitary"):
+        souriau_map(W, np.array([[np.nan], [0.0]]), sp)
+
+
 def test_intersection_dimension_special():
     for n in (1, 2, 3):
         sp = standard_space(n)
