@@ -188,7 +188,9 @@ class HamiltonianFamily:
         ts = np.asarray(t_samples if t_samples is not None else np.linspace(-3.0, 3.0, 7),
                         dtype=float)
         h = 1e-4
-        lo, hi = np.maximum(0.0, lams - h), np.minimum(1.0, lams + h)
+        # each difference stays inside [0, 1] joined with the samples' range
+        lo = np.maximum(min(0.0, lams.min()), lams - h)
+        hi = np.minimum(max(1.0, lams.max()), lams + h)
         rates = np.linalg.norm(self.S(hi, ts) - self.S(lo, ts), 2, axis=(-2, -1)) / (hi - lo)
         return 1.5 * float(np.max(rates)) + 1e-9
 
@@ -376,7 +378,7 @@ def _report_inputs(family: HamiltonianFamily, lam_grid, T: Optional[float], node
     """The truncation T (None: 10 decay scales) and the lam grid (None:
     ``nodes`` equispaced points on [0, 1]) of a report, as a float and a float
     array.  Raises ``ValueError`` unless T is finite and positive and the grid
-    has at least 2 points."""
+    has at least 2 points, finite and strictly increasing."""
     T = float(T) if T is not None else 10.0 * family.decay_scale
     if not (np.isfinite(T) and T > 0):
         raise ValueError(f"T must be finite and positive, got {T}")
@@ -385,6 +387,8 @@ def _report_inputs(family: HamiltonianFamily, lam_grid, T: Optional[float], node
     if grid.ndim != 1 or len(grid) < 2:
         raise ValueError(f"lam_grid must be a 1-d grid of at least 2 points, got shape "
                          f"{grid.shape}")
+    if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
+        raise ValueError(f"lam_grid must be finite and strictly increasing, got {grid}")
     return T, grid
 
 
@@ -459,58 +463,53 @@ class BoundaryValueOperator:
         # 12/h^2 (consistent mass) or 4/h^2 (lumped); 2/h^2 separates both
         return 2.0 / self.step ** 2
 
-    def eigenvalues(self, window: float, drop_rough: bool = True):
-        """Generalized symmetric eigenvalues in the window |mu| <= window.
-
-        With ``drop_rough``, parity-ghost modes are removed by the roughness
-        filter (``_ghost_filter``).  A stack gives the list of its pencils'
-        arrays, solved together from the blocks: in band storage when there
-        is a potential (``_band_solve``), else over the interior the pencils
-        share (``_shared_solve``).
+    def eigenvalues(self, window: float):
+        """Generalized symmetric eigenvalues in the window |mu| <= window,
+        parity ghosts removed by the roughness filter (``_ghost_filter``).  A
+        stack gives the list of its pencils' arrays, solved together from the
+        blocks: in band storage when there is a potential (``_band_solve``),
+        else over the interior the pencils share (``_shared_solve``).  Each
+        pencil's reduced eigenvectors x give the filter, called once per
+        stack, the nodal values F0 x[:k0], x's interior and F1 x[m - k1:].
         """
         K, M, R = self.blocks
         if not all(np.isfinite(x).all() for x in K + M):
             raise ValueError("array must not contain infs or NaNs")
         F0, F1 = (np.stack(F if self._stacked else [F.columns]) for F in self.frames)
+        k0, k1, d = F0.shape[-1], F1.shape[-1], F0.shape[-2]
         solve = self._band_solve if self.potential else self._shared_solve
-        spectra, u = solve(F0, F1, window, drop_rough)
-        if drop_rough:
-            spectra = _ghost_filter(spectra, u, R, self.rough_cut)
+        spectra, u = [], []
+        for f0, f1, (vals, x) in zip(F0, F1, solve(F0, F1, window)):
+            spectra.append(vals)
+            u.append(np.concatenate([(f0 @ x[:k0])[None],
+                                     x[k0:len(x) - k1].reshape(self.mesh - 1, d, len(vals)),
+                                     (f1 @ x[len(x) - k1:])[None]]))
+        spectra = _ghost_filter(spectra, np.concatenate(u, axis=-1), R, self.rough_cut)
         return spectra if self._stacked else spectra[0]
 
-    def _band_solve(self, F0, F1, window, vectors):
-        """Every pencil's eigenvalues in (-window, window], ascending, and with
-        ``vectors`` their eigenvectors' (N+1, d) nodal values, M-normalized,
-        pencil after pencil.
+    def _band_solve(self, F0, F1, window):
+        """Yields, pencil after pencil, its eigenvalues in (-window, window],
+        ascending, and their M-orthonormal eigenvectors in the frame-reduced
+        coordinates [c0, nodes 1 .. N-1, c1], an (m, len(vals)) array.
 
         Each pencil's frame-reduced forms are written in band storage
         (``_reduced_band``), each to its own half-bandwidth, so a pencil
         solves alike in any stack.  ``_band_values`` finds the values, with
         the guarantee ``dsyevx`` gives, and ``_inverse_iteration`` the
-        vectors.  Memory is O(m kd) per pencil.
+        eigenvectors.  Memory is O(m kd) per pencil.
         """
         K, M = (_reduced_band(*form, F0, F1) for form in self.blocks[:2])
-        k0, k1, d = F0.shape[-1], F1.shape[-1], F0.shape[-2]
         # each pencil's half-bandwidths: its last nonzero diagonals
         kb = M.shape[-1] - 1 - np.argmax(M.any(axis=1)[:, ::-1], axis=1)
         ka = np.maximum(kb, K.shape[-1] - 1 - np.argmax(K.any(axis=1)[:, ::-1], axis=1))
-        spectra, u = [], []
         for i in range(len(F0)):
             Ki, Mi = K[i, :, :ka[i] + 1], M[i, :, :kb[i] + 1]
-            spectra.append(_band_values(Ki, Mi, window))
-            if vectors and len(spectra[-1]):
-                x = _inverse_iteration(Ki, Mi, spectra[-1])
-                u.append(np.concatenate([(F0[i] @ x[:k0])[None],
-                                         x[k0:len(x) - k1].reshape(-1, d, x.shape[1]),
-                                         (F1[i] @ x[len(x) - k1:])[None]]))
-        if not vectors:
-            return spectra, None
-        return spectra, np.concatenate(u, axis=-1) if u else np.zeros((self.mesh + 1, d, 0))
+            vals = _band_values(Ki, Mi, window)
+            yield vals, _inverse_iteration(Ki, Mi, vals) if len(vals) else np.zeros((len(Ki), 0))
 
-    def _shared_solve(self, F0, F1, window, vectors):
-        """Every pencil's eigenvalues in (-window, window], ascending, as a
-        windowed dense ``eigh`` gives them, and with ``vectors`` their
-        eigenvectors' nodal values.  One LAPACK ``dsyevx`` per pencil solves
+    def _shared_solve(self, F0, F1, window):
+        """Yields what ``_band_solve`` yields, the values as a windowed dense
+        ``eigh`` gives them.  One LAPACK ``dsyevx`` per pencil solves
         C = L^-1 K L^-T, M = L L^T (Golub and Van Loan, Matrix Computations,
         8.7).
 
@@ -522,11 +521,11 @@ class BoundaryValueOperator:
         G = V - C_II Y and its border block is Z K_bb Z^T - V^T Y - Y^T G.
         The stack shares K_II and M_II, so C_II is the stack's
         (``_interior_factor``), X and W of every pencil come from one banded
-        solve over all border columns, the k x k Schur complements are
-        factored as one stack, and the back-transform x = L^-T z of every
-        found eigenvector is one transposed banded solve.  A pencil's own
-        work is one ``dsymm`` for G and its ``dsyevx``.  No BLAS or LAPACK
-        call gets an empty operand, which some mishandle.
+        solve over all border columns and the k x k Schur complements are
+        factored as one stack.  A pencil's own work is one ``dsymm`` for G,
+        its ``dsyevx`` and, when it has values, x = L^-T z: x_b = Z^T z_b and
+        x_I = L_II^-T (z_I - Y z_b), one transposed banded solve.  No BLAS or
+        LAPACK call gets an empty operand, which some mishandle.
         """
         K, M, _ = self.blocks
         count, k0 = len(F0), F0.shape[-1]
@@ -548,7 +547,6 @@ class BoundaryValueOperator:
             raise ValueError("mass matrix is not positive definite") from None
         Yt, Vt = Z @ Xt, Z @ Wt
         Q = Z @ bb[1] @ Z.swapaxes(-1, -2) - Vt @ Yt.swapaxes(-1, -2)
-        spectra, found = [], []
         n = n_in + k
         for i in range(count):
             G = np.array(Vt[i].T, order="F")  # G = V - C_II Y, written over V
@@ -558,30 +556,20 @@ class BoundaryValueOperator:
             C[n_in:, :n_in] = G.T
             C[n_in:, n_in:] = Q[i] - Yt[i] @ G
             vals, iwork = np.empty(n), np.empty(6 * n, dtype=np.int64)  # IWORK, then IFAIL
-            z = np.empty((n, n) if vectors else 1, order="F")
+            z = np.empty((n, n), order="F")
             # the integers end M, LDZ, LWORK, INFO; LWORK, LAPACK's minimum
             # 8 n, also bounds dsytrd's block size and so the rounding
-            *_, m, _, _, info = _lapack("dsyevx", b"V" if vectors else b"N", b"V", b"L", n, C, n,
-                                        -window, window, 1, n, 0.0, 0, vals, z, len(z),
-                                        np.empty(8 * n), 8 * n, iwork, iwork[5 * n:], 0)()
+            *_, m, _, _, info = _lapack("dsyevx", b"V", b"V", b"L", n, C, n, -window, window,
+                                        1, n, 0.0, 0, vals, z, n, np.empty(8 * n), 8 * n,
+                                        iwork, iwork[5 * n:], 0)()
             if info:
                 raise np.linalg.LinAlgError(f"dsyevx failed with info {info}")
-            spectra.append(vals[:m])
-            if vectors and m:
-                found.append((i, z[:, :m].copy()))  # not a view that keeps all of z
-        if not vectors:
-            return spectra, None
-        u = np.zeros((self.mesh + 1, d, sum(z.shape[1] for _, z in found)))
-        if found:  # x = L^-T z, as nodal values
-            owner = np.concatenate([np.full(z.shape[1], i) for i, z in found])
-            z = np.concatenate([z for _, z in found], axis=1)
-            xb = np.einsum("cjk,jc->kc", Z[owner], z[n_in:])
-            x_in = z[:n_in] - np.einsum("ckn,kc->nc", Yt[owner], z[n_in:])
-            x_in = _triangular_solve(L_II, np.asfortranarray(x_in), b"T")
-            u[1:-1] = x_in.reshape(-1, d, len(owner))
-            u[0] = np.einsum("cdk,kc->dc", F0[owner], xb[:k0])
-            u[-1] = np.einsum("cdk,kc->dc", F1[owner], xb[k0:])
-        return spectra, u
+            zb = z[n_in:, :m]
+            x_in = np.asfortranarray(z[:n_in, :m] - np.einsum("kn,kc->nc", Yt[i], zb))
+            if m:
+                _triangular_solve(L_II, x_in, b"T")
+            xb = Z[i].T @ zb
+            yield vals[:m], np.concatenate([xb[:k0], x_in, xb[k0:]])
 
     def _interior_factor(self):
         """(L_II, C_II): the Cholesky factor of the interior mass M_II in band
@@ -1219,6 +1207,8 @@ def _compressed_diagonal_path(node_fn, lams, pad) -> SymmetricMatrixPath:
     slots span the offsets' range plus one spare pad on each side.  Between
     nodes the slots are interpolated linearly; the winding of the resulting
     path's determinant therefore sees exactly the zero crossings of the spectrum.
+    The path runs over [0, 1], as ``chern_winding`` reads it: s maps to
+    lam = lams[0] + s (lams[-1] - lams[0]).
     """
     lams = sorted(set(float(x) for x in lams))
     values = [np.sort(np.asarray(vals, dtype=float)) for vals in node_fn(lams)]
@@ -1242,8 +1232,8 @@ def _compressed_diagonal_path(node_fn, lams, pad) -> SymmetricMatrixPath:
     m = max(o + len(v) for o, v in zip(offsets, values)) + 1 - lo
     tracks = np.array([placed(v, o - lo, m) for o, v in zip(offsets, values)])
 
-    def evaluate(lam):
-        x = float(np.clip(lam, lams[0], lams[-1]))
+    def evaluate(s):
+        x = float(np.clip(lams[0] + s * (lams[-1] - lams[0]), lams[0], lams[-1]))
         i = int(np.searchsorted(lams, x, side="right")) - 1
         i = min(max(i, 0), len(lams) - 2)
         t = (x - lams[i]) / (lams[i + 1] - lams[i])

@@ -378,6 +378,20 @@ class TestBatchedTransport:
         assert (fam.lambda_lipschitz(lam_samples=lams, t_samples=ts)
                 == _loop_lipschitz(fam, lams, ts))
 
+    @pytest.mark.parametrize("lo,hi,bound", [(1.0, 2.0, 18.0), (-1.0, 0.0, 4.5)])
+    def test_lipschitz_bounds_samples_off_the_unit_interval(self, lo, hi, bound):
+        # S = B + lam^3 sech(t) I: sup_t ||dS/dlam|| = 3 lam^2, so 1.5 times
+        # its largest sample is 18 on [1, 2] and 4.5 on [-1, 0]
+        eye = np.eye(2)
+        fam = HamiltonianFamily(
+            n=1, B=lambda lam: np.diag([1.0, -1.0]),
+            K=lambda lam, t: (np.asarray(lam)[..., None, None] ** 3
+                              / np.cosh(np.asarray(t))[..., None, None]) * eye,
+            K_limits=lambda lam: (0.0 * eye, 0.0 * eye))
+        got = fam.lambda_lipschitz(lam_samples=np.linspace(lo, hi, 9),
+                                   t_samples=np.linspace(-3.0, 3.0, 7))
+        assert got == pytest.approx(bound, rel=1e-4)
+
     @pytest.mark.parametrize("L", [1, 5])
     def test_one_family_call_per_stage_time(self, L, monkeypatch):
         fam = sech_family(1, amplitude=2.0)
@@ -734,7 +748,7 @@ class TestQOperator:
         # without stabilization the lattice doubles the kernel at a crossing
         _, W, sp = gamma_nor_path()
         op_raw = assemble_Q_operator(W, W, 0.0, 1.0, 64, sp, stabilization=0.0)
-        raw = op_raw.eigenvalues(window=0.3, drop_rough=False)
+        raw = _raw_eigenvalues(op_raw, 0.3)
         assert np.count_nonzero(np.abs(raw) < 1e-8) == 2
         op = assemble_Q_operator(W, W, 0.0, 1.0, 64, sp)
         filtered = op.eigenvalues(window=0.3)
@@ -1040,7 +1054,7 @@ class TestPencilStacks:
         _, W, sp = gamma_nor_path()
         frames = np.stack([W.columns] * 2)
         raw = assemble_Q_operator(frames, frames, 0.0, 1.0, 64, sp, stabilization=0.0)
-        for vals in raw.eigenvalues(window=0.3, drop_rough=False):
+        for vals in _raw_eigenvalues(raw, 0.3):
             assert np.count_nonzero(np.abs(vals) < 1e-8) == 2
         for vals in assemble_Q_operator(frames, frames, 0.0, 1.0, 64, sp).eigenvalues(0.3):
             assert np.count_nonzero(np.abs(vals) < 1e-8) == 1
@@ -1128,6 +1142,30 @@ class TestOperatorChecks:
 
 
 
+def _raw_eigenvalues(op, window):
+    """The operator's windowed spectra with the ghost filter turned off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ha, "_ghost_filter", lambda spectra, *_: spectra)
+        return op.eigenvalues(window)
+
+
+def _random_q_stack(n, count=4):
+    """A Q stack of ``count`` pencils between seeded random Lagrangian frames."""
+    rng, sp = np.random.default_rng(80 + n), standard_space(n)
+    frames = [np.stack([_random_lagrangian(rng, sp).columns for _ in range(count)])
+              for _ in range(2)]
+    return assemble_Q_operator(*frames, 0.0, 1.0, 24, sp)
+
+
+def _dense_from_band(band):
+    """The symmetric matrix of a lower band (m, w), band[j, k] = A[j + k, j]."""
+    m, w = band.shape
+    A = np.zeros((m, m))
+    for k in range(w):
+        A[np.arange(k, m), np.arange(m - k)] = band[:m - k, k]
+    return A + np.tril(A, -1).T
+
+
 def _eigh_reference(reduced, cut, window):
     """Reference: a pencil's windowed spectrum from its reduced dense forms by
     scipy's generalized ``eigh`` (LAPACK ``dsygvx``), the solve the
@@ -1141,7 +1179,7 @@ def _assert_matches_eigh(op, reduced, window):
     want, keep = _eigh_reference(reduced, op.rough_cut, window)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        every, kept = op.eigenvalues(window, drop_rough=False), op.eigenvalues(window)
+        every, kept = _raw_eigenvalues(op, window), op.eigenvalues(window)
     assert every.shape == want.shape
     assert np.all(np.abs(every - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
     assert np.array_equal(np.isin(every, kept), keep)
@@ -1345,16 +1383,39 @@ class TestBandSolve:
             with pytest.raises(ValueError, match="not positive definite"):
                 op.eigenvalues(window=1.0)
 
+    @pytest.mark.parametrize("build", [
+        lambda: assemble_A0_operator(sech_family(1, amplitude=2.0), np.linspace(0, 1, 9), 3.0, 32),
+        lambda: assemble_A0_operator(gamma_nor_embedding_family(1), np.linspace(0, 1, 9), 3.0, 32),
+        lambda: assemble_A0_operator(rotating_asymptotics_family(1), np.linspace(0, 1, 9), 1.0, 32),
+    ] + [lambda n=n: _random_q_stack(n) for n in (1, 2, 3)],
+        ids=["a0-sech", "a0-gamma-nor", "a0-rotating", "q-n1", "q-n2", "q-n3"])
+    def test_each_pencil_yields_its_values_and_reduced_vectors(self, build):
+        # both solvers: M-orthonormal eigenvectors of each pencil's frame-reduced
+        # forms, checked against their dense expansion
+        op, window = build(), 1.0
+        F0, F1 = (np.stack(F) for F in op.frames)
+        K, M = (ha._reduced_band(*form, F0, F1) for form in op.blocks[:2])
+        solve = op._band_solve if op.potential else op._shared_solve
+        pencils = list(solve(F0, F1, window))
+        assert len(pencils) == len(F0) and sum(len(vals) for vals, _ in pencils) > 0
+        for (vals, x), Ki, Mi in zip(pencils, K, M):
+            Kd, Md = _dense_from_band(Ki), _dense_from_band(Mi)
+            assert x.shape == (op.size, len(vals))
+            assert np.all(np.diff(vals) >= 0) and np.all(np.abs(vals) <= window)
+            assert np.abs(x.T @ Md @ x - np.eye(len(vals))).max(initial=0.0) <= 1e-10
+            resid = np.linalg.norm(Kd @ x - Md @ x * vals, axis=0)
+            assert np.all(resid <= 1e-10 * np.maximum(1.0, np.abs(vals)))
+
     def test_a_singular_factor_steps_off_its_value(self, monkeypatch):
         op = assemble_A0_operator(sech_family(1, amplitude=2.0), 0.75, 3.0, 24)
         F0, F1 = (F.columns[None] for F in op.frames)
-        want, want_u = op._band_solve(F0, F1, 0.5, True)
-        assert len(want[0]) > 0
+        [(want, want_x)] = op._band_solve(F0, F1, 0.5)
+        assert len(want) > 0
         left = _singular_factors(monkeypatch, 1)
-        got, u = op._band_solve(F0, F1, 0.5, True)
+        [(vals, x)] = op._band_solve(F0, F1, 0.5)
         assert left == [0]
-        assert np.array_equal(got[0], want[0])
-        _assert_close(u, want_u)
+        assert np.array_equal(vals, want)
+        _assert_close(x, want_x)
 
     def test_a_factor_singular_after_the_step_raises(self, monkeypatch):
         # a NaN vector would fail the roughness cut and drop its value silently
@@ -1530,31 +1591,30 @@ class TestRoundWork:
 
     @pytest.mark.parametrize("count", [1, 5])
     def test_a_stack_takes_one_border_solve_and_one_dsyevx_per_pencil(self, count, monkeypatch):
-        # a shared interior: one banded solve for every border column, two
-        # for C_II and one back-transform, however many pencils
+        # a shared interior: one banded solve for every border column and two
+        # for C_II, however many pencils, and one back-transform per pencil
+        # that has values
         rng = np.random.default_rng(11)
         sp = standard_space(2)
         frames = [np.stack([_random_lagrangian(rng, sp).columns for _ in range(count)])
                   for _ in range(2)]
         stack = assemble_Q_operator(*frames, 0.0, 1.0, 24, sp)
+        window = 1.5 * pencil_window(0.0, 1.0)
+        with_values = sum(len(vals) > 0 for vals in _raw_eigenvalues(stack, window))
+        assert with_values > 0
         solves, dsyevx = _counting(monkeypatch, "dtbtrs"), _counting(monkeypatch, "dsyevx")
-        stack.eigenvalues(1.5 * pencil_window(0.0, 1.0))
-        assert solves == [23 * 4] * 4
+        stack.eigenvalues(window)
+        assert solves == [23 * 4] * (3 + with_values)
         assert dsyevx == [stack.size] * count
-        solves.clear()
-        stack.eigenvalues(1.5 * pencil_window(0.0, 1.0), drop_rough=False)
-        assert solves == [23 * 4] * 3  # each solve forms C_II; no vectors, no back-transform
 
     def test_an_a0_stack_takes_one_band_reduction_per_pencil(self, monkeypatch):
-        # with a potential each pencil is reduced in band storage, with and
-        # without vectors; nothing of the shared-interior solve runs
+        # with a potential each pencil is reduced in band storage; nothing of
+        # the shared-interior solve runs
         stack = assemble_A0_operator(sech_family(1, amplitude=2.0), (0.2, 0.5, 0.8), 2.0, 32)
         solves, dsyevx = _counting(monkeypatch, "dtbtrs"), _counting(monkeypatch, "dsyevx")
         cholesky, reductions = _counting(monkeypatch, "dpbtrf"), _band_reductions(monkeypatch)
-        for drop_rough in (True, False):
-            reductions.clear()
-            stack.eigenvalues(0.5, drop_rough=drop_rough)
-            assert reductions == [(stack.size, 4, 3)] * 3
+        stack.eigenvalues(0.5)
+        assert reductions == [(stack.size, 4, 3)] * 3
         assert solves == dsyevx == cholesky == []
 
     def test_theorem_b_makes_one_souriau_call_per_round(self, monkeypatch):
@@ -1704,6 +1764,13 @@ class TestTheoremA:
                                lam_grid=np.linspace(0, 1, 17), T=8.0, N=96,
                                third_opinion=True, locate_crossings=False)
         assert rep.chern == rep.sfl == 1
+        assert rep.agree
+
+    def test_third_opinion_reads_a_grid_off_the_unit_interval(self):
+        # the contour's [0, 1] spans the whole grid [0.5, 1.5], not only [0.5, 1]
+        rep = theorem_A_report(sech_family(1, amplitude=2.0), lam_grid=np.linspace(0.5, 1.5, 9),
+                               T=6.0, N=64, third_opinion=True, locate_crossings=False)
+        assert rep.chern == rep.sfl == rep.maslov == 2
         assert rep.agree
 
     # more eigenvalues leave the window on one side than two pad slots absorb:
@@ -1932,7 +1999,11 @@ class TestCorollaryA:
 @pytest.mark.parametrize("report", [theorem_A_report, corollary_A_report, kernel_crossings])
 @pytest.mark.parametrize("key, value", [
     ("T", 0.0), ("T", -3.0), ("T", np.inf), ("T", np.nan), ("lam_grid", [0.0]), ("lam_grid", []),
-], ids=["T-zero", "T-negative", "T-inf", "T-nan", "grid-one-point", "grid-empty"])
+    ("lam_grid", [0.0, np.nan, 1.0]), ("lam_grid", [0.0, 1.0, np.inf]),
+    ("lam_grid", [0.0, 0.7, 0.3, 1.0]), ("lam_grid", [0.0, 0.5, 0.5, 1.0]),
+    ("lam_grid", [1.0, 0.5, 0.0]),
+], ids=["T-zero", "T-negative", "T-inf", "T-nan", "grid-one-point", "grid-empty", "grid-nan",
+        "grid-inf", "grid-unsorted", "grid-repeated", "grid-descending"])
 def test_report_inputs_fail_fast(report, key, value):
     fam = (rotating_asymptotics_family(1) if report is corollary_A_report
            else sech_family(1, amplitude=2.0))

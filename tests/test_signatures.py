@@ -35,6 +35,8 @@ SIGNATURES = {
     ha.assemble_A0_operator: ("family", "lam", "T", "N", "stabilization", "scheme"),
     ha.assemble_Q_operator: ("L0", "L1", "a", "b", "N", "space", "stabilization", "scheme"),
     ha.stable_unstable_splitting: ("M",),
+    # the solve takes only its window: the ghost filter is no option
+    ha.BoundaryValueOperator.eigenvalues: ("self", "window"),
     ma.winding_number: ("d", "endpoint_kernel_dims"),
     ma.maslov_index: ("path", "W"),
     ma.maslov_index_pair: ("path1", "path2"),
